@@ -19,6 +19,11 @@ CoreAllocator::CoreAllocator(std::size_t num_cores, std::size_t num_services,
   }
   owner_.resize(num_cores);
   cores_of_.resize(num_services);
+  // Reserved up front so marking, unmarking and core transfers never
+  // allocate on the scheduler's per-packet path.
+  for (auto& cores : cores_of_) cores.reserve(num_cores);
+  surplus_.reserve(num_cores);
+  surplus_flag_.assign(num_cores, 0);
   offline_.assign(num_cores, 0);
   // Contiguous, as-even-as-possible split (16/4 -> 4 each, the paper's
   // "at initialization, cores are equally divided among services").
@@ -34,20 +39,16 @@ void CoreAllocator::mark_surplus(CoreId core, TimeNs now) {
     throw std::out_of_range("CoreAllocator: bad core id");
   }
   if (offline_[core] != 0) return;  // a dead core has no spare capacity
-  if (is_surplus(core)) return;
+  if (surplus_flag_[core] != 0) return;
   surplus_.push_back(Surplus{core, now});
+  surplus_flag_[core] = 1;
 }
 
-void CoreAllocator::unmark_surplus(CoreId core) {
-  const auto it = std::find_if(
+void CoreAllocator::drop_surplus(CoreId core) {
+  surplus_.erase(std::find_if(
       surplus_.begin(), surplus_.end(),
-      [core](const Surplus& s) { return s.core == core; });
-  if (it != surplus_.end()) surplus_.erase(it);
-}
-
-bool CoreAllocator::is_surplus(CoreId core) const {
-  return std::any_of(surplus_.begin(), surplus_.end(),
-                     [core](const Surplus& s) { return s.core == core; });
+      [core](const Surplus& s) { return s.core == core; }));
+  surplus_flag_[core] = 0;
 }
 
 std::optional<CoreId> CoreAllocator::grant_core(std::size_t service) {
@@ -69,6 +70,7 @@ std::optional<CoreId> CoreAllocator::grant_core(std::size_t service) {
 
   const CoreId core = best->core;
   surplus_.erase(best);
+  surplus_flag_[core] = 0;
   const std::size_t victim = owner_[core];
   auto& victim_cores = cores_of_[victim];
   victim_cores.erase(std::find(victim_cores.begin(), victim_cores.end(), core));

@@ -38,10 +38,14 @@ class CoreAllocator {
   void mark_surplus(CoreId core, TimeNs now);
 
   /// Clears a surplus mark (the owning service touched the core again).
-  /// No-op if not marked.
-  void unmark_surplus(CoreId core);
+  /// No-op if not marked. Returns true if a mark was cleared.
+  bool unmark_surplus(CoreId core) {
+    if (surplus_flag_[core] == 0) return false;
+    drop_surplus(core);
+    return true;
+  }
 
-  bool is_surplus(CoreId core) const;
+  bool is_surplus(CoreId core) const { return surplus_flag_.at(core) != 0; }
 
   /// Number of cores currently marked surplus.
   std::size_t surplus_count() const { return surplus_.size(); }
@@ -87,9 +91,16 @@ class CoreAllocator {
     TimeNs since;
   };
 
+  /// Removes a marked core from the surplus pool.
+  void drop_surplus(CoreId core);
+
   std::vector<std::size_t> owner_;
   std::vector<std::vector<CoreId>> cores_of_;
-  std::vector<Surplus> surplus_;  // tiny; linear scans are fine
+  // Marked cores in marking order (grants scan it for the longest-marked
+  // eligible core); surplus_flag_ answers the per-packet "is this core
+  // marked" without the scan.
+  std::vector<Surplus> surplus_;
+  std::vector<std::uint8_t> surplus_flag_;
   std::vector<std::uint8_t> offline_;
   std::size_t min_cores_;
   std::uint64_t transfers_ = 0;

@@ -1,5 +1,6 @@
 #include "core/laps.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace laps {
@@ -35,9 +36,11 @@ void LapsScheduler::attach(std::size_t num_cores) {
   cores_down_events_ = 0;
   cores_up_events_ = 0;
   fault_unreplaced_buckets_ = 0;
+  dead_target_reroutes_ = 0;
 
   power_.attach(num_cores, config_.num_services);
   last_now_ = 0;
+  rescan_at_ = kRescanNow;
 }
 
 void LapsScheduler::add_core_buckets(std::size_t service, CoreId core) {
@@ -61,30 +64,38 @@ void LapsScheduler::park_core(std::size_t service, CoreId core, TimeNs now) {
        static_cast<std::int32_t>(service));
 }
 
-void LapsScheduler::update_surplus_marks(const NpuView& view) {
-  const TimeNs now = view.now();
-  const auto cores = view.cores();
+void LapsScheduler::update_surplus_marks(TimeNs now,
+                                         std::span<const CoreView> cores) {
+  if (now < rescan_at_) return;
+  TimeNs next = now + config_.idle_th;
   for (CoreId c = 0; c < static_cast<CoreId>(cores.size()); ++c) {
     const CoreView& v = cores[c];
-    if (v.idle_since >= 0 && now - v.idle_since >= config_.idle_th) {
-      allocator_->mark_surplus(c, v.idle_since + config_.idle_th);
-      power_.note_surplus(c, v.idle_since + config_.idle_th);
+    if (v.idle_since < 0) continue;
+    const TimeNs crossing = v.idle_since + config_.idle_th;
+    if (now - v.idle_since >= config_.idle_th) {
+      allocator_->mark_surplus(c, crossing);
+      power_.note_surplus(c, crossing);
+    } else {
+      next = std::min(next, crossing);
     }
   }
+  rescan_at_ = next;
 }
 
 CoreId LapsScheduler::least_loaded_of(std::size_t service,
-                                      const NpuView& view) const {
+                                      std::span<const CoreView> cores) const {
   // Parked cores are powered down and must not receive migrated flows;
   // with power gating at least min_cores stay unparked, so a candidate
   // always exists.
   const auto& owned = allocator_->cores_of(service);
+  const bool gating = power_.enabled();
   CoreId best = owned.front();
   bool have = false;
   std::uint32_t best_load = 0;
   for (CoreId core : owned) {
-    if (power_.parked(core) || live_.is_down(core)) continue;
-    const std::uint32_t load = view.load(core);
+    if ((gating && power_.parked(core)) || live_.is_down(core)) continue;
+    const CoreView& v = cores[core];
+    const std::uint32_t load = v.queue_len + (v.busy ? 1u : 0u);
     if (!have || load < best_load) {
       have = true;
       best_load = load;
@@ -104,6 +115,7 @@ bool LapsScheduler::acquire_core(std::size_t service, bool emergency) {
       wake_core(core, last_now_);
       power_.clear_surplus(core);
       allocator_->unmark_surplus(core);
+      rescan_at_ = kRescanNow;
       add_core_buckets(service, core);
       emit(SchedEvent::Kind::kCoreGrant, static_cast<std::int32_t>(core),
            static_cast<std::int32_t>(service));
@@ -118,7 +130,8 @@ bool LapsScheduler::acquire_core(std::size_t service, bool emergency) {
   if (!granted) return false;
   const CoreId core = *granted;
   wake_core(core, last_now_);
-  power_.clear_surplus(core);
+  power_.clear_surplus(core);  // the grant also cleared the allocator mark
+  rescan_at_ = kRescanNow;
   // Scrub the donor's routing state: its buckets leave the list one by one
   // (each removal shifts later buckets, but the donor is lightly loaded —
   // Sec. III-D accepts this) and any migration pins to the departed core
@@ -148,6 +161,7 @@ void LapsScheduler::notify_core_down(CoreId core, const NpuView& view) {
   live_.mark_down(core);
   ++cores_down_events_;
   last_now_ = view.now();
+  rescan_at_ = kRescanNow;
   power_.on_core_down(core, last_now_);
   allocator_->set_offline(core);
 
@@ -178,6 +192,7 @@ void LapsScheduler::notify_core_up(CoreId core, const NpuView& view) {
   live_.mark_up(core);
   ++cores_up_events_;
   last_now_ = view.now();
+  rescan_at_ = kRescanNow;
   allocator_->set_online(core);
   power_.clear_surplus(core);
   // Rejoin the owner's map table; incremental hashing moves only the
@@ -197,9 +212,12 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
     emit(SchedEvent::Kind::kAfdPromotion, -1,
          static_cast<std::int32_t>(service), key);
   }
-  last_now_ = view.now();
-  update_surplus_marks(view);
-  power_.update_parking(last_now_, *this);
+  // One read of the view per decision: nothing below changes it.
+  const TimeNs now = view.now();
+  const std::span<const CoreView> cores = view.cores();
+  last_now_ = now;
+  update_surplus_marks(now, cores);
+  power_.update_parking(now, *this);
 
   FlowPinner& pinner = pinners_[service];
   // Step 1: migration-table override. A pin whose core left the service is
@@ -215,9 +233,12 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
       pinner.drop_stale(key);
     }
   }
-  // Step 2: the service's map table via incremental hashing.
+  // Step 2: the service's map table via incremental hashing. The CRC is
+  // computed only on this path; every later re-hash is also unpinned.
+  std::uint16_t crc = 0;
   if (!pinned) {
-    target = pinner.hash_core(pkt.tuple.crc16());
+    crc = pkt.tuple.crc16();
+    target = pinner.hash_core(crc);
   }
 
   // Power gating: wake a parked core before queues overflow (wake-ahead),
@@ -227,20 +248,21 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
     const std::uint32_t watermark = config_.wake_watermark
                                         ? config_.wake_watermark
                                         : config_.high_thresh / 2;
-    if (view.cores()[target].queue_len >= watermark) {
+    if (cores[target].queue_len >= watermark) {
       for (CoreId core : allocator_->cores_of(service)) {
         if (!power_.parked(core)) continue;
-        wake_core(core, last_now_);
+        wake_core(core, now);
         power_.clear_surplus(core);
         allocator_->unmark_surplus(core);
+        rescan_at_ = kRescanNow;
         add_core_buckets(service, core);
         // Exponential backoff: every wake doubles the consolidation pause
         // (capped), so a load level that keeps defeating parking converges
         // to a stable, unparked configuration instead of cycling map-table
         // churn forever.
-        power_.note_wake_backoff(service, last_now_);
+        power_.note_wake_backoff(service, now);
         if (!pinned) {
-          target = pinner.hash_core(pkt.tuple.crc16());
+          target = pinner.hash_core(crc);
         }
         break;
       }
@@ -248,15 +270,15 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
     // Consolidation may have just parked this packet's target (its buckets
     // are gone, but the lookup above preceded the park): re-route.
     if (power_.parked(target)) {
-      target = pinned ? least_loaded_of(service, view)
-                      : pinner.hash_core(pkt.tuple.crc16());
+      target = pinned ? least_loaded_of(service, cores)
+                      : pinner.hash_core(crc);
     }
   }
 
   // Step 3/4: Listing 1 — load imbalance handling.
-  if (view.cores()[target].queue_len >= config_.high_thresh) {
-    const CoreId minq = least_loaded_of(service, view);
-    if (view.cores()[minq].queue_len < config_.high_thresh) {
+  if (cores[target].queue_len >= config_.high_thresh) {
+    const CoreId minq = least_loaded_of(service, cores);
+    if (cores[minq].queue_len < config_.high_thresh) {
       if (!pinned && detector_->is_aggressive(key)) {
         pinner.pin(key, minq);
         detector_->invalidate(key);
@@ -272,7 +294,7 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
       // can land on the (idle) newcomer.
       if (request_core(service)) {
         if (!pinned) {
-          target = pinner.hash_core(pkt.tuple.crc16());
+          target = pinner.hash_core(crc);
         }
       }
     }
@@ -281,11 +303,16 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
   // Defense in depth: the drain/remap protocol keeps dead cores out of
   // every table, so this reroute should never fire — but a dead target
   // would be a guaranteed drop, and least_loaded_of skips down cores.
-  if (live_.is_down(target)) target = least_loaded_of(service, view);
+  // Counted (dead_target_reroutes) so tests can assert it stays unreachable.
+  if (live_.is_down(target)) {
+    ++dead_target_reroutes_;
+    target = least_loaded_of(service, cores);
+  }
 
   // The dispatch touches the core, so it is no longer reclaimable surplus.
-  allocator_->unmark_surplus(target);
-  power_.clear_surplus(target);
+  // Clearing a mark makes the next decision rescan (update_surplus_marks).
+  const bool was_marked = allocator_->unmark_surplus(target);
+  if (power_.clear_surplus(target) || was_marked) rescan_at_ = kRescanNow;
   return target;
 }
 

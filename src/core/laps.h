@@ -1,6 +1,8 @@
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/afd.h"
@@ -175,6 +177,12 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   const Afd& afd() const { return detector_->afd(); }
   const LapsConfig& config() const { return config_; }
 
+  /// Decisions whose chosen core was down and had to be rerouted at the
+  /// last step. The drain/remap protocol keeps dead cores out of every
+  /// table, so this should stay 0; it is a diagnostic, deliberately not in
+  /// extra_stats() (report artifacts stay unchanged).
+  std::uint64_t dead_target_reroutes() const { return dead_target_reroutes_; }
+
  private:
   std::size_t service_index(ServicePath path) const {
     return static_cast<std::size_t>(path) % config_.num_services;
@@ -193,12 +201,19 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   void park_core(std::size_t service, CoreId core, TimeNs now) override;
 
   /// Lazily advances the surplus timers: marks every core that has been
-  /// idle past idle_th (Sec. III-D). Called once per arrival; core counts
-  /// are small so the scan is trivial next to the simulated work.
-  void update_surplus_marks(const NpuView& view);
+  /// idle past idle_th (Sec. III-D). Called once per arrival, but scans the
+  /// cores only once `now` reaches rescan_at_: the earliest instant an
+  /// unmarked core can cross idle_th. A scan at t sets that deadline to
+  /// min(t + idle_th, idle_since + idle_th of every idle core not yet past
+  /// idle_th) — a core that goes idle after t has idle_since >= t, so it
+  /// cannot cross sooner — and every call that clears a mark or surplus
+  /// timer resets it to kRescanNow. Between deadlines a scan would only
+  /// re-mark marked cores, so the marks match a scan on every arrival.
+  void update_surplus_marks(TimeNs now, std::span<const CoreView> cores);
 
   /// Least-loaded core among those owned by `service`.
-  CoreId least_loaded_of(std::size_t service, const NpuView& view) const;
+  CoreId least_loaded_of(std::size_t service,
+                         std::span<const CoreView> cores) const;
 
   /// Listing 1's request_core(): try to grow `service` by one core; updates
   /// the victim's map/migration tables. With power gating, the service's
@@ -239,6 +254,8 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   PowerManager power_;
   LiveCoreSet live_;
   TimeNs last_now_ = 0;
+  static constexpr TimeNs kRescanNow = std::numeric_limits<TimeNs>::min();
+  TimeNs rescan_at_ = kRescanNow;  // see update_surplus_marks
 
   // Counters for extra_stats().
   std::uint64_t aggressive_migrations_ = 0;
@@ -249,6 +266,7 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   std::uint64_t cores_down_events_ = 0;
   std::uint64_t cores_up_events_ = 0;
   std::uint64_t fault_unreplaced_buckets_ = 0;
+  std::uint64_t dead_target_reroutes_ = 0;
 };
 
 }  // namespace laps

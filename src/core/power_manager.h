@@ -77,7 +77,12 @@ class PowerManager {
     if (surplus_since_[core] < 0) surplus_since_[core] = since;
   }
   /// The core was dispatched to, granted, woken, or died: stop counting.
-  void clear_surplus(CoreId core) { surplus_since_[core] = -1; }
+  /// Returns true if a running surplus timer was cleared.
+  bool clear_surplus(CoreId core) {
+    const bool running = surplus_since_[core] >= 0;
+    surplus_since_[core] = -1;
+    return running;
+  }
 
   // --- park/wake transitions ----------------------------------------------
   /// Marks `core` parked at `now` (called by the host from park_core after

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -12,8 +18,15 @@
 #include "cache/lfu_cache.h"
 #include "cache/space_saving.h"
 #include "cache/topk.h"
+#include "core/laps.h"
+#include "trace/synthetic.h"
+#include "util/crc.h"
 #include "util/rng.h"
 #include "util/samplers.h"
+
+#ifndef LAPS_SOURCE_DIR
+#error "LAPS_SOURCE_DIR must be defined to locate tests/golden/"
+#endif
 
 namespace laps {
 namespace {
@@ -150,77 +163,165 @@ TEST(LfuCache, EvictOnEmptyThrows) {
   EXPECT_THROW(c.evict_lfu(), std::logic_error);
 }
 
-// Property: the O(1) implementation behaves exactly like a straightforward
-// reference LFU (map scan for minimum, FIFO recency list) over random
-// operation sequences.
+// Property: the cache behaves exactly like a straightforward reference LFU
+// over random sequences of every public operation. The reference keeps an
+// explicit last-use stamp per entry and finds the victim by a full scan for
+// the lowest (frequency, last use); age_halve re-stamps entries in
+// ascending (old frequency, old last use) order, so within each new tier
+// the entry with the higher old count sits nearer the protected end.
+// Capacity 1 is the degenerate cache, 16 the AFC, 512 the annex.
 class LfuModelCheck : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LfuModelCheck, MatchesReferenceModel) {
-  constexpr std::size_t kCapacity = 8;
-  LfuCache<int> fast(kCapacity);
-
-  struct RefEntry {
+struct RefLfu {
+  struct Entry {
     std::uint64_t freq;
-    std::uint64_t last_use;  // for LRU tie-break (lower = older)
+    std::uint64_t last_use;  // lower = older
   };
-  std::map<int, RefEntry> ref;
+  std::map<int, Entry> entries;
   std::uint64_t tick = 0;
 
-  auto ref_evict = [&]() {
-    auto victim = ref.begin();
-    for (auto it = ref.begin(); it != ref.end(); ++it) {
-      if (it->second.freq < victim->second.freq ||
-          (it->second.freq == victim->second.freq &&
-           it->second.last_use < victim->second.last_use)) {
-        victim = it;
+  std::map<int, Entry>::iterator victim() {
+    auto best = entries.begin();
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->second.freq < best->second.freq ||
+          (it->second.freq == best->second.freq &&
+           it->second.last_use < best->second.last_use)) {
+        best = it;
       }
     }
-    const int key = victim->first;
-    ref.erase(victim);
-    return key;
+    return best;
+  }
+
+  std::uint64_t min_freq() const {
+    std::uint64_t out = 0;
+    for (const auto& [key, e] : entries) {
+      if (out == 0 || e.freq < out) out = e.freq;
+    }
+    return out;
+  }
+
+  // Frequency descending, most recent first.
+  std::vector<std::pair<int, std::uint64_t>> ordered() const {
+    std::vector<std::pair<int, Entry>> all(entries.begin(), entries.end());
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.second.freq != b.second.freq) return a.second.freq > b.second.freq;
+      return a.second.last_use > b.second.last_use;
+    });
+    std::vector<std::pair<int, std::uint64_t>> out;
+    for (const auto& [key, e] : all) out.emplace_back(key, e.freq);
+    return out;
+  }
+
+  void age_halve() {
+    std::vector<std::pair<int, Entry>> all(entries.begin(), entries.end());
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.second.freq != b.second.freq) return a.second.freq < b.second.freq;
+      return a.second.last_use < b.second.last_use;
+    });
+    for (const auto& [key, e] : all) {
+      entries[key] = Entry{std::max<std::uint64_t>(e.freq / 2, 1), ++tick};
+    }
+  }
+};
+
+void run_lfu_model(std::size_t capacity, std::uint64_t seed) {
+  LfuCache<int> fast(capacity);
+  RefLfu ref;
+  Rng rng(seed * 0x9E37 + capacity);
+  const auto keys = static_cast<std::uint64_t>(2 * capacity + 4);
+  const std::size_t steps = 4000 + 24 * capacity;
+
+  // Installs `key` at `freq` in the reference; on a full cache the
+  // reference victim must be exactly what the cache evicted.
+  auto ref_install = [&](int key, std::uint64_t freq,
+                         const std::optional<LfuCache<int>::Entry>& evicted,
+                         std::size_t step) {
+    if (ref.entries.size() == capacity) {
+      const auto v = ref.victim();
+      ASSERT_TRUE(evicted.has_value()) << "step " << step;
+      ASSERT_EQ(evicted->key, v->first) << "step " << step;
+      ASSERT_EQ(evicted->freq, v->second.freq) << "step " << step;
+      ref.entries.erase(v);
+    } else {
+      ASSERT_FALSE(evicted.has_value()) << "step " << step;
+    }
+    ref.entries[key] = RefLfu::Entry{freq, ref.tick};
   };
 
-  Rng rng(GetParam());
-  for (int step = 0; step < 4000; ++step) {
-    const int key = static_cast<int>(rng.below(24));
-    ++tick;
-    switch (rng.below(4)) {
-      case 0:
-      case 1: {  // access pattern: touch, insert on miss
-        const auto hit = fast.touch(key);
-        const auto it = ref.find(key);
-        ASSERT_EQ(hit.has_value(), it != ref.end()) << "step " << step;
-        if (it != ref.end()) {
-          it->second.freq += 1;
-          it->second.last_use = tick;
-          ASSERT_EQ(*hit, it->second.freq);
-        } else {
-          const auto victim = fast.insert(key, 1);
-          if (ref.size() == kCapacity) {
-            const int ref_victim = ref_evict();
-            ASSERT_TRUE(victim.has_value());
-            ASSERT_EQ(victim->key, ref_victim) << "step " << step;
-          } else {
-            ASSERT_FALSE(victim.has_value());
-          }
-          ref[key] = RefEntry{1, tick};
-        }
-        break;
+  for (std::size_t step = 0; step < steps; ++step) {
+    const int key = static_cast<int>(rng.below(keys));
+    const auto it = ref.entries.find(key);
+    const bool resident = it != ref.entries.end();
+    ++ref.tick;
+    const std::uint64_t op = rng.below(1000);
+    if (op < 350) {  // access pattern: touch, insert on miss
+      const auto hit = fast.touch(key);
+      ASSERT_EQ(hit.has_value(), resident) << "step " << step;
+      if (resident) {
+        it->second.freq += 1;
+        it->second.last_use = ref.tick;
+        ASSERT_EQ(*hit, it->second.freq) << "step " << step;
+      } else {
+        ref_install(key, 1, fast.insert(key, 1), step);
       }
-      case 2: {  // erase
-        const auto gone = fast.erase(key);
-        ASSERT_EQ(gone.has_value(), ref.count(key) == 1);
-        ref.erase(key);
-        break;
+    } else if (op < 500) {  // insert at an explicit frequency
+      const std::uint64_t freq = 1 + rng.below(12);
+      const auto evicted = fast.insert(key, freq);
+      if (resident) {  // overwrite (lower or higher), never evicts
+        ASSERT_FALSE(evicted.has_value()) << "step " << step;
+        it->second = RefLfu::Entry{freq, ref.tick};
+      } else {
+        ref_install(key, freq, evicted, step);
       }
-      case 3: {  // invariant audit
-        ASSERT_EQ(fast.size(), ref.size());
-        for (const auto& [k, e] : ref) {
-          ASSERT_EQ(fast.freq_of(k), e.freq);
-        }
-        break;
+    } else if (op < 600) {  // erase
+      const auto gone = fast.erase(key);
+      ASSERT_EQ(gone.has_value(), resident) << "step " << step;
+      if (resident) {
+        ASSERT_EQ(gone->key, key);
+        ASSERT_EQ(gone->freq, it->second.freq) << "step " << step;
+        ref.entries.erase(it);
+      }
+    } else if (op < 650) {  // evict_lfu
+      if (ref.entries.empty()) {
+        ASSERT_THROW(fast.evict_lfu(), std::logic_error);
+      } else {
+        const auto v = ref.victim();
+        const auto out = fast.evict_lfu();
+        ASSERT_EQ(out.key, v->first) << "step " << step;
+        ASSERT_EQ(out.freq, v->second.freq) << "step " << step;
+        ref.entries.erase(v);
+      }
+    } else if (op < 700) {
+      ASSERT_EQ(fast.min_freq(), ref.min_freq()) << "step " << step;
+    } else if (op < 750) {
+      std::vector<std::pair<int, std::uint64_t>> got;
+      for (const auto& e : fast.entries()) got.emplace_back(e.key, e.freq);
+      ASSERT_EQ(got, ref.ordered()) << "step " << step;
+    } else if (op < 770) {
+      fast.age_halve();
+      ref.age_halve();
+    } else if (op < 772) {
+      fast.clear();
+      ref.entries.clear();
+    } else {  // invariant audit
+      ASSERT_EQ(fast.size(), ref.entries.size()) << "step " << step;
+      ASSERT_EQ(fast.full(), ref.entries.size() == capacity);
+      ASSERT_EQ(fast.contains(key), resident) << "step " << step;
+      if (!resident) {
+        ASSERT_FALSE(fast.freq_of(key).has_value());
+      }
+      for (const auto& [k, e] : ref.entries) {
+        ASSERT_EQ(fast.freq_of(k), e.freq) << "step " << step;
       }
     }
+  }
+}
+
+TEST_P(LfuModelCheck, MatchesReferenceModel) {
+  for (const std::size_t capacity : {1u, 8u, 16u, 512u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    run_lfu_model(capacity, GetParam());
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -336,6 +437,127 @@ TEST(Afd, StatsAccounting) {
   afd.access(1);  // second AFC hit
   EXPECT_EQ(afd.stats().afc_hits, 2u);
 }
+
+// ------------------------------------------------------ AFD golden digest ---
+
+// End-to-end pin of the detector, including the aging and sampling paths the
+// scheduler-equivalence grid never enables: 200k keys of a CAIDA-like and an
+// Auckland-like trace replayed through the AFD under six configurations.
+// Each cell's digest is a CRC32 over the AFC contents sampled every 4096
+// accesses plus the final AfdStats, recorded in tests/golden/afd_digest.tsv.
+// Regenerate (only when a change *intends* to alter detector behaviour) with
+// LAPS_REGEN_GOLDEN=1 ./cache_test --gtest_filter='AfdGolden.Regenerate'.
+const char* kAfdGoldenPath = LAPS_SOURCE_DIR "/tests/golden/afd_digest.tsv";
+
+struct AfdDigestCell {
+  std::string config;
+  std::string trace;
+};
+
+std::vector<AfdDigestCell> afd_digest_grid() {
+  std::vector<AfdDigestCell> cells;
+  for (const char* config : {"default", "laps", "aging4096", "sample0.5",
+                             "afc4_annex64", "afc64_annex1024"}) {
+    for (const char* trace : {"caida1", "auck1"}) {
+      cells.push_back({config, trace});
+    }
+  }
+  return cells;
+}
+
+AfdConfig afd_digest_config(const std::string& name) {
+  if (name == "laps") return LapsConfig::make_default_afd();
+  AfdConfig cfg;
+  if (name == "aging4096") cfg.aging_period = 4096;
+  if (name == "sample0.5") cfg.sample_probability = 0.5;
+  if (name == "afc4_annex64") {
+    cfg.afc_entries = 4;
+    cfg.annex_entries = 64;
+  }
+  if (name == "afc64_annex1024") {
+    cfg.afc_entries = 64;
+    cfg.annex_entries = 1024;
+  }
+  return cfg;
+}
+
+std::string afd_digest_line(const AfdDigestCell& cell) {
+  constexpr int kAccesses = 200'000;
+  constexpr int kSampleEvery = 4096;
+  Afd afd(afd_digest_config(cell.config));
+  const auto trace = make_trace(cell.trace);
+  std::ostringstream digest;
+  for (int i = 1; i <= kAccesses; ++i) {
+    afd.access(trace->next()->tuple.key64());
+    if (i % kSampleEvery == 0) {
+      digest << i << ':';
+      for (std::uint64_t key : afd.aggressive_flows()) digest << ' ' << key;
+      digest << '\n';
+    }
+  }
+  const AfdStats& s = afd.stats();
+  std::ostringstream stats;
+  stats << s.accesses << '\t' << s.sampled << '\t' << s.afc_hits << '\t'
+        << s.annex_hits << '\t' << s.annex_inserts << '\t' << s.promotions
+        << '\t' << s.demotions << '\t' << s.invalidations;
+  digest << stats.str();
+  const std::string bytes = digest.str();
+  const std::uint32_t crc = crc32_ieee(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+  return cell.config + "|" + cell.trace + '\t' + std::to_string(crc) + '\t' +
+         stats.str();
+}
+
+bool afd_regen_requested() {
+  const char* env = std::getenv("LAPS_REGEN_GOLDEN");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+TEST(AfdGolden, Regenerate) {
+  if (!afd_regen_requested()) {
+    GTEST_SKIP() << "set LAPS_REGEN_GOLDEN=1 to rewrite " << kAfdGoldenPath;
+  }
+  std::ofstream out(kAfdGoldenPath, std::ios::trunc);
+  ASSERT_TRUE(out) << "cannot write " << kAfdGoldenPath;
+  out << "# AFD golden digests: config|trace, CRC32(AFC every 4096 accesses + "
+         "final stats), accesses, sampled, afc_hits, annex_hits, "
+         "annex_inserts, promotions, demotions, invalidations\n"
+      << "# regenerate with: LAPS_REGEN_GOLDEN=1 ./cache_test "
+         "--gtest_filter='AfdGolden.Regenerate'\n";
+  for (const AfdDigestCell& cell : afd_digest_grid()) {
+    out << afd_digest_line(cell) << "\n";
+  }
+  ASSERT_TRUE(out.good());
+}
+
+class AfdDigest : public ::testing::TestWithParam<AfdDigestCell> {};
+
+TEST_P(AfdDigest, MatchesGolden) {
+  if (afd_regen_requested()) {
+    GTEST_SKIP() << "regeneration run; comparisons are meaningless";
+  }
+  const AfdDigestCell& cell = GetParam();
+  const std::string key = cell.config + "|" + cell.trace;
+  std::ifstream in(kAfdGoldenPath);
+  std::string golden;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(key + '\t', 0) == 0) golden = line;
+  }
+  ASSERT_FALSE(golden.empty())
+      << "no golden entry for '" << key << "' in " << kAfdGoldenPath;
+  EXPECT_EQ(golden, afd_digest_line(cell))
+      << "AFD behaviour diverged from the golden digest for '" << key << "'";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, AfdDigest, ::testing::ValuesIn(afd_digest_grid()),
+    [](const ::testing::TestParamInfo<AfdDigestCell>& info) {
+      std::string name = info.param.config + "_" + info.param.trace;
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 // The headline property (paper Fig. 8a): on a heavy-tailed stream, the AFD
 // identifies the true top flows with high accuracy, and a bigger annex only

@@ -3,7 +3,10 @@
 // NPU view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -201,6 +204,82 @@ TEST(MigrationTable, ClearEmpties) {
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_TRUE(t.keys_in_order().empty());
+}
+
+// Property: seeded random add, re-pin, erase, lookup and
+// remove_core_entries against a std::map + std::deque reference (FIFO order,
+// re-pin moves to newest, eviction takes the oldest). Every step checks the
+// lookups of all pinned keys plus the step's key, size() and
+// keys_in_order(), so a broken deletion from the table's index (a probe
+// chain cut short) shows as a pinned key that no longer looks up.
+TEST(MigrationTable, MatchesReferenceModel) {
+  for (const std::size_t capacity : {1u, 3u, 1024u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      MigrationTable table(capacity);
+      std::map<std::uint64_t, CoreId> ref;
+      std::deque<std::uint64_t> order;  // oldest first
+      Rng rng(seed * 7919 + capacity);
+      // Keys spread over the whole 64-bit range (like flow keys) plus a
+      // dense low block so neighbouring index slots collide.
+      const std::uint64_t domain = 2 * capacity + 3;
+      auto pick_key = [&]() {
+        const std::uint64_t k = rng.below(domain);
+        return k % 2 == 0 ? mix64(k) : k;
+      };
+      auto unlink = [&](std::uint64_t key) {
+        order.erase(std::find(order.begin(), order.end(), key));
+        ref.erase(key);
+      };
+      const std::size_t steps = 3000 + 8 * capacity;
+      for (std::size_t step = 0; step < steps; ++step) {
+        const std::uint64_t key = pick_key();
+        const std::uint64_t op = rng.below(100);
+        if (op < 45) {  // add, or re-pin when already pinned
+          const auto core = static_cast<CoreId>(rng.below(8));
+          table.add(key, core);
+          if (ref.count(key)) {
+            unlink(key);
+          } else if (ref.size() == capacity) {
+            unlink(order.front());
+          }
+          ref[key] = core;
+          order.push_back(key);
+        } else if (op < 70) {
+          ASSERT_EQ(table.erase(key), ref.count(key) == 1) << "step " << step;
+          if (ref.count(key)) unlink(key);
+        } else if (op < 75) {
+          const auto core = static_cast<CoreId>(rng.below(8));
+          std::size_t expect = 0;
+          for (auto it = order.begin(); it != order.end();) {
+            if (ref.at(*it) == core) {
+              ref.erase(*it);
+              it = order.erase(it);
+              ++expect;
+            } else {
+              ++it;
+            }
+          }
+          ASSERT_EQ(table.remove_core_entries(core), expect) << "step " << step;
+        }  // else: lookup-only step
+        ASSERT_EQ(table.size(), ref.size()) << "step " << step;
+        ASSERT_EQ(table.keys_in_order(),
+                  std::vector<std::uint64_t>(order.begin(), order.end()))
+            << "step " << step;
+        const auto it = ref.find(key);
+        ASSERT_EQ(table.lookup(key),
+                  it == ref.end() ? std::nullopt : std::optional(it->second))
+            << "step " << step;
+        for (const auto& [k, core] : ref) {
+          ASSERT_EQ(table.lookup(k), core) << "step " << step << " key " << k;
+        }
+      }
+      table.clear();
+      EXPECT_EQ(table.size(), 0u);
+      EXPECT_TRUE(table.keys_in_order().empty());
+    }
+  }
 }
 
 // ---------------------------------------------------------- CoreAllocator ---
@@ -534,6 +613,36 @@ TEST(Laps, DispatchUnmarksSurplus) {
   const CoreId target = laps.schedule(pkt, view);
   EXPECT_FALSE(laps.allocator().is_surplus(target))
       << "the dispatched core must be reclaimed from the surplus list";
+}
+
+// Surplus marks are rescanned on a deadline, not on every decision; they
+// must still equal what a scan on every decision produces. A core crosses
+// idle_th between decisions and is marked at the first decision after the
+// crossing; a dispatch that clears a mark while the view still shows the
+// core idle (as if its packet never arrived) has it re-marked at once.
+TEST(Laps, SurplusMarksMatchAScanOnEveryDecision) {
+  LapsScheduler laps(test_config(1));  // idle_th = 100 us
+  laps.attach(4);
+  FakeView view(4);  // every core idle since t = 0
+  const SimPacket pkt = make_packet(1, ServicePath::kIpForward);
+  view.now_ = from_us(99);
+  laps.schedule(pkt, view);
+  EXPECT_EQ(laps.allocator().surplus_count(), 0u);
+  view.now_ = from_us(100);
+  const CoreId target = laps.schedule(pkt, view);
+  EXPECT_EQ(laps.allocator().surplus_count(), 3u)
+      << "all four cross at 100 us; the dispatch unmarks its target";
+  EXPECT_FALSE(laps.allocator().is_surplus(target));
+
+  std::uint32_t flow = 2;
+  while (laps.map_table(0).core_for(
+             make_packet(flow, ServicePath::kIpForward).tuple.crc16()) ==
+         target) {
+    ++flow;
+  }
+  laps.schedule(make_packet(flow, ServicePath::kIpForward), view);
+  EXPECT_TRUE(laps.allocator().is_surplus(target))
+      << "a cleared mark must be rescanned at the next decision";
 }
 
 TEST(Laps, ServiceIndexWrapsModulo) {

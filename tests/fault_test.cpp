@@ -414,6 +414,7 @@ TEST(LapsFault, DrainsAndRemapsBucketsOffDeadCore) {
   const auto stats = laps.extra_stats();
   ASSERT_TRUE(stats.count("laps_cores_down_events"));
   EXPECT_EQ(stats.at("laps_cores_down_events"), 1.0);
+  EXPECT_EQ(laps.dead_target_reroutes(), 0u);
 }
 
 TEST(LapsFault, RecoveryReaddsCoreAndFaultFreeStatsStayClean) {
@@ -429,6 +430,7 @@ TEST(LapsFault, RecoveryReaddsCoreAndFaultFreeStatsStayClean) {
       << "recovered core rejoins its service's map table";
   const auto stats = laps.extra_stats();
   EXPECT_EQ(stats.at("laps_cores_up_events"), 1.0);
+  EXPECT_EQ(laps.dead_target_reroutes(), 0u);
 }
 
 TEST(LapsFault, EmergencyGrantKeepsServiceAliveWhenAllItsCoresDie) {
@@ -451,6 +453,7 @@ TEST(LapsFault, EmergencyGrantKeepsServiceAliveWhenAllItsCoresDie) {
   // core taken from service 1 via the emergency grant path.
   EXPECT_GE(laps.allocator().online_of(0), 1u);
   EXPECT_GE(laps.allocator().cores_of(0).size(), 5u);
+  EXPECT_EQ(laps.dead_target_reroutes(), 0u);
 }
 
 TEST(LapsFault, PinsToDeadCoreAreScrubbedOnFailure) {
@@ -470,6 +473,7 @@ TEST(LapsFault, PinsToDeadCoreAreScrubbedOnFailure) {
       << "core failure must scrub every pin to the dead core";
   const CoreId after = laps.schedule(pkt, view);
   EXPECT_NE(after, pin) << "a pin to a dead core must not be followed";
+  EXPECT_EQ(laps.dead_target_reroutes(), 0u);
 }
 
 // ----------------------------------------------- end-to-end via scenarios ---
@@ -552,10 +556,15 @@ TEST(FaultScenario, WheelSurvivesRandomChaosScheduleSlice) {
         std::make_shared<const FaultPlan>(random_fault_plan(seed, params));
 
     std::unique_ptr<Scheduler> scheduler;
+    const LapsScheduler* laps = nullptr;
     switch (i % 3) {
       case 0: scheduler = std::make_unique<FcfsScheduler>(); break;
       case 1: scheduler = std::make_unique<StaticHashScheduler>(); break;
-      default: scheduler = std::make_unique<LapsScheduler>(laps_config(1));
+      default: {
+        auto owned = std::make_unique<LapsScheduler>(laps_config(1));
+        laps = owned.get();
+        scheduler = std::move(owned);
+      }
     }
     const SimReport report = run_scenario(cfg, *scheduler);
     const std::string ctx =
@@ -571,6 +580,11 @@ TEST(FaultScenario, WheelSurvivesRandomChaosScheduleSlice) {
     // The schedule actually ran (the slice must not silently no-op).
     EXPECT_GT(report.extra.at("fault_events"), 0.0) << ctx;
     EXPECT_GT(report.offered, 0u) << ctx;
+    // LAPS's last-step reroute of a dead target is defense in depth: the
+    // drain/remap protocol must leave it unreachable.
+    if (laps != nullptr) {
+      EXPECT_EQ(laps->dead_target_reroutes(), 0u) << ctx;
+    }
   }
 }
 
