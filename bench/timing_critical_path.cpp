@@ -21,6 +21,7 @@
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
 #include "util/crc.h"
+#include "util/toeplitz.h"
 
 namespace laps {
 namespace {
@@ -70,6 +71,20 @@ void BM_Crc16FiveTuple(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Crc16FiveTuple);
+
+// The NIC front end's hash of the same tuple: Toeplitz over the 12-byte
+// RSS input (the `rss` and `fdir` cluster dispatchers' pick).
+void BM_ToeplitzFiveTuple(benchmark::State& state) {
+  const auto packets = make_packets(4096, 1);
+  const ToeplitzHash hash;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash.hash(packets[i].tuple));
+    i = (i + 1) & 4095;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ToeplitzFiveTuple);
 
 // Stage 2: map-table (incremental hashing) bucket lookup.
 void BM_MapTableLookup(benchmark::State& state) {

@@ -55,14 +55,17 @@ if [[ "${1:-}" == "--cluster" ]]; then
   shift
   # Cluster-layer proof under ASan+UBSan: the shards=1 byte-identity and
   # lockstep-vs-threaded differentials, dispatcher-spec parsing/fuzzing,
-  # and the ReplayStream fork regression — then a threaded
+  # the ReplayStream fork regression, and the exactness proofs of the
+  # table-driven Toeplitz (rss/fdir picks) and CRC16 kernels against their
+  # bit-serial and byte-serial references — then a threaded
   # fig_cluster_dispatch grid so every dispatcher's hot path executes with
   # memory/UB checking on. Pass fig_cluster_dispatch flags to widen it.
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)" \
-    --target cluster_test registry_test traffic_test fig_cluster_dispatch
+    --target cluster_test registry_test traffic_test extensions_test \
+    util_test fig_cluster_dispatch
   ctest --preset asan --output-on-failure \
-    -R 'Cluster|DispatcherSpec|DispatcherRoundTrip|ReplayFork'
+    -R 'Cluster|DispatcherSpec|DispatcherRoundTrip|ReplayFork|Toeplitz|Crc16'
   exec ./build-asan/bench/fig_cluster_dispatch --shards=3 --cores=2 \
     --seconds=0.004 --jobs=3 "$@"
 fi

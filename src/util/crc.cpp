@@ -1,22 +1,7 @@
 #include "util/crc.h"
 
-#include <array>
-
 namespace laps {
 namespace {
-
-constexpr std::array<std::uint16_t, 256> make_crc16_table() {
-  std::array<std::uint16_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint16_t crc = static_cast<std::uint16_t>(i << 8);
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-                           : static_cast<std::uint16_t>(crc << 1);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
 
 constexpr std::array<std::uint32_t, 256> make_crc32_table() {
   std::array<std::uint32_t, 256> table{};
@@ -30,7 +15,6 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
   return table;
 }
 
-constexpr auto kCrc16Table = make_crc16_table();
 constexpr auto kCrc32Table = make_crc32_table();
 
 }  // namespace
@@ -38,10 +22,7 @@ constexpr auto kCrc32Table = make_crc32_table();
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data,
                           std::uint16_t init) {
   std::uint16_t crc = init;
-  for (std::uint8_t byte : data) {
-    crc = static_cast<std::uint16_t>((crc << 8) ^
-                                     kCrc16Table[((crc >> 8) ^ byte) & 0xFF]);
-  }
+  for (std::uint8_t byte : data) crc = crc16_ccitt_update(crc, byte);
   return crc;
 }
 

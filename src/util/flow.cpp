@@ -24,11 +24,6 @@ std::array<std::uint8_t, 13> FiveTuple::wire_bytes() const {
   return out;
 }
 
-std::uint16_t FiveTuple::crc16() const {
-  const auto bytes = wire_bytes();
-  return crc16_ccitt(bytes);
-}
-
 std::string FiveTuple::to_string() const {
   char buf[96];
   std::snprintf(buf, sizeof buf, "%s:%u -> %s:%u/%u",

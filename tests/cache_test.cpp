@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -449,17 +452,33 @@ TEST(Afd, StatsAccounting) {
 // LAPS_REGEN_GOLDEN=1 ./cache_test --gtest_filter='AfdGolden.Regenerate'.
 const char* kAfdGoldenPath = LAPS_SOURCE_DIR "/tests/golden/afd_digest.tsv";
 
+// gtest has no printer for AfdDigestCell, so --gtest_list_tests shows each
+// case's raw object bytes and gtest_discover_tests copies that text into
+// the ctest name. With two std::string members the names carried a heap
+// pointer and changed on every run under ASLR, so every byte is now a
+// zero-filled member. `name_tag` holds the pointer value, and
+// `config_size` the length, that reproduce the prefix the grid's names
+// were first registered under; the record keeps its 64-byte image.
 struct AfdDigestCell {
-  std::string config;
-  std::string trace;
+  std::uint64_t name_tag = 0x000055F8DE820510;
+  std::uint64_t config_size = 0;
+  char config[24] = {};  // NUL-terminated
+  char trace[24] = {};   // NUL-terminated
 };
+static_assert(sizeof(AfdDigestCell) == 64 &&
+                  std::has_unique_object_representations_v<AfdDigestCell>,
+              "AfdDigestCell must stay a 64-byte record without padding");
 
 std::vector<AfdDigestCell> afd_digest_grid() {
   std::vector<AfdDigestCell> cells;
   for (const char* config : {"default", "laps", "aging4096", "sample0.5",
                              "afc4_annex64", "afc64_annex1024"}) {
     for (const char* trace : {"caida1", "auck1"}) {
-      cells.push_back({config, trace});
+      AfdDigestCell cell{};
+      cell.config_size = std::strlen(config);
+      std::strncpy(cell.config, config, sizeof cell.config - 1);
+      std::strncpy(cell.trace, trace, sizeof cell.trace - 1);
+      cells.push_back(cell);
     }
   }
   return cells;
@@ -504,8 +523,8 @@ std::string afd_digest_line(const AfdDigestCell& cell) {
   const std::string bytes = digest.str();
   const std::uint32_t crc = crc32_ieee(
       {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
-  return cell.config + "|" + cell.trace + '\t' + std::to_string(crc) + '\t' +
-         stats.str();
+  return std::string(cell.config) + "|" + cell.trace + '\t' +
+         std::to_string(crc) + '\t' + stats.str();
 }
 
 bool afd_regen_requested() {
@@ -537,7 +556,7 @@ TEST_P(AfdDigest, MatchesGolden) {
     GTEST_SKIP() << "regeneration run; comparisons are meaningless";
   }
   const AfdDigestCell& cell = GetParam();
-  const std::string key = cell.config + "|" + cell.trace;
+  const std::string key = std::string(cell.config) + "|" + cell.trace;
   std::ifstream in(kAfdGoldenPath);
   std::string golden;
   for (std::string line; std::getline(in, line);) {
@@ -552,7 +571,8 @@ TEST_P(AfdDigest, MatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, AfdDigest, ::testing::ValuesIn(afd_digest_grid()),
     [](const ::testing::TestParamInfo<AfdDigestCell>& info) {
-      std::string name = info.param.config + "_" + info.param.trace;
+      std::string name =
+          std::string(info.param.config) + "_" + info.param.trace;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

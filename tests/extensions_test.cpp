@@ -3,8 +3,11 @@
 // restoration), and LAPS power gating.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/adaptive_hash.h"
@@ -70,6 +73,98 @@ TEST(Toeplitz, SpreadsUniformly) {
   double chi2 = 0;
   for (int c : hist) chi2 += (c - expected) * (c - expected) / expected;
   EXPECT_LT(chi2, 60.0);
+}
+
+// ToeplitzHash::hash() is a table form of the bit-serial hash_bytes over
+// the 12-byte RSS input; these differential tests hold it to that
+// reference on the default key, an all-0xA5 key and a seeded random key.
+
+std::vector<std::array<std::uint8_t, 40>> toeplitz_test_keys() {
+  std::array<std::uint8_t, 40> a5{};
+  a5.fill(0xA5);
+  std::array<std::uint8_t, 40> random{};
+  Rng rng(0x70E9117);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
+  return {ToeplitzHash::kDefaultKey, a5, random};
+}
+
+std::uint32_t bit_serial_hash(const ToeplitzHash& h, const FiveTuple& t) {
+  const auto wire = t.wire_bytes();
+  return h.hash_bytes(wire.data(), 12);
+}
+
+TEST(Toeplitz, AllZeroAndAllOnesMatchBitSerial) {
+  const FiveTuple zeros{};
+  const FiveTuple ones{0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFF, 0xFFFF, 0xFF};
+  for (const auto& key : toeplitz_test_keys()) {
+    const ToeplitzHash h(key);
+    EXPECT_EQ(h.hash(zeros), 0u);
+    EXPECT_EQ(h.hash(zeros), bit_serial_hash(h, zeros));
+    EXPECT_EQ(h.hash(ones), bit_serial_hash(h, ones));
+  }
+}
+
+TEST(Toeplitz, EverySingleBitTupleMatchesBitSerial) {
+  for (const auto& key : toeplitz_test_keys()) {
+    const ToeplitzHash h(key);
+    for (int bit = 0; bit < 96; ++bit) {
+      FiveTuple t;
+      if (bit < 32) {
+        t.src_ip = 1u << (31 - bit);
+      } else if (bit < 64) {
+        t.dst_ip = 1u << (63 - bit);
+      } else if (bit < 80) {
+        t.src_port = static_cast<std::uint16_t>(1u << (79 - bit));
+      } else {
+        t.dst_port = static_cast<std::uint16_t>(1u << (95 - bit));
+      }
+      ASSERT_EQ(t.wire_bytes()[bit / 8], 0x80u >> (bit % 8)) << "bit " << bit;
+      EXPECT_EQ(h.hash(t), bit_serial_hash(h, t)) << "bit " << bit;
+    }
+    // Protocol is not RSS input: none of its bits moves the hash.
+    for (int bit = 0; bit < 8; ++bit) {
+      FiveTuple t{0x0A000001, 0xC0A80001, 1000, 80, 0};
+      const std::uint32_t base = h.hash(t);
+      t.protocol = static_cast<std::uint8_t>(1u << bit);
+      EXPECT_EQ(h.hash(t), base) << "protocol bit " << bit;
+    }
+  }
+}
+
+TEST(Toeplitz, SeededRandomTuplesMatchBitSerial) {
+  for (const auto& key : toeplitz_test_keys()) {
+    const ToeplitzHash h(key);
+    Rng rng(0x125);
+    for (int i = 0; i < 65'536; ++i) {
+      const std::uint64_t a = rng.next();
+      const std::uint64_t b = rng.next();
+      const FiveTuple t{static_cast<std::uint32_t>(a),
+                        static_cast<std::uint32_t>(a >> 32),
+                        static_cast<std::uint16_t>(b),
+                        static_cast<std::uint16_t>(b >> 16),
+                        static_cast<std::uint8_t>(b >> 32)};
+      ASSERT_EQ(h.hash(t), bit_serial_hash(h, t)) << t.to_string();
+    }
+  }
+}
+
+TEST(Toeplitz, HashBytesTakesAtMost36Bytes) {
+  // NDIS RSS verification suite, IPv6 with TCP: 36 bytes of input use the
+  // whole 40-byte key. Source 3ffe:2501:200:1fff::7 port 2794,
+  // destination 3ffe:2501:200:3::1 port 1766 -> 0x40207d3d.
+  const std::uint8_t input[37] = {
+      0x3f, 0xfe, 0x25, 0x01, 0x02, 0x00, 0x1f, 0xff, 0, 0, 0, 0, 0, 0, 0, 7,
+      0x3f, 0xfe, 0x25, 0x01, 0x02, 0x00, 0x00, 0x03, 0, 0, 0, 0, 0, 0, 0, 1,
+      2794 >> 8, 2794 & 0xFF, 1766 >> 8, 1766 & 0xFF, 0};
+  const ToeplitzHash h;
+  EXPECT_EQ(h.hash_bytes(input, 36), 0x40207d3du);
+  try {
+    h.hash_bytes(input, 37);
+    FAIL() << "37 bytes of input accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("36-byte limit"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(NaiveFoldHash, IsPredictablyBad) {

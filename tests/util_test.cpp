@@ -2,6 +2,7 @@
 // table printing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <map>
 #include <set>
@@ -74,6 +75,65 @@ TEST(Crc16, SpreadsFlowTuplesUniformly) {
   for (int c : hist) chi2 += (c - expected) * (c - expected) / expected;
   // 15 dof, p=0.001 critical value is 37.7; generous margin for stability.
   EXPECT_LT(chi2, 60.0);
+}
+
+// FiveTuple::crc16() is a table form of crc16_ccitt over the 13 wire
+// bytes; these differential tests hold it to the byte-serial reference.
+
+// Pinned at compile time: the tuple of FiveTuple.WireBytesLayout, whose
+// wire bytes 01 02 03 04 05 06 07 08 11 22 33 44 11 have CRC16 0x768B.
+static_assert(FiveTuple{0x01020304, 0x05060708, 0x1122, 0x3344, 17}.crc16() ==
+              0x768B);
+
+FiveTuple tuple_from_wire(const std::array<std::uint8_t, 13>& b) {
+  auto be = [&](int at, int n) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < n; ++i) v = (v << 8) | b[at + i];
+    return v;
+  };
+  return FiveTuple{be(0, 4), be(4, 4), static_cast<std::uint16_t>(be(8, 2)),
+                   static_cast<std::uint16_t>(be(10, 2)), b[12]};
+}
+
+std::uint16_t reference_crc16(const FiveTuple& t) {
+  return crc16_ccitt(t.wire_bytes());
+}
+
+TEST(Crc16Tuple, PinnedTupleMatchesReference) {
+  const FiveTuple t{0x01020304, 0x05060708, 0x1122, 0x3344, 17};
+  EXPECT_EQ(reference_crc16(t), 0x768B);
+  EXPECT_EQ(t.crc16(), 0x768B);
+}
+
+TEST(Crc16Tuple, AllZeroAndAllOnesMatchReference) {
+  const FiveTuple zeros{};
+  const FiveTuple ones{0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFF, 0xFFFF, 0xFF};
+  EXPECT_EQ(zeros.crc16(), reference_crc16(zeros));
+  EXPECT_EQ(ones.crc16(), reference_crc16(ones));
+}
+
+TEST(Crc16Tuple, EverySingleBitTupleMatchesReference) {
+  for (int bit = 0; bit < 13 * 8; ++bit) {
+    std::array<std::uint8_t, 13> wire{};
+    wire[bit / 8] = static_cast<std::uint8_t>(0x80u >> (bit % 8));
+    const FiveTuple t = tuple_from_wire(wire);
+    ASSERT_EQ(t.wire_bytes(), wire) << "bit " << bit;
+    EXPECT_EQ(t.crc16(), reference_crc16(t)) << "bit " << bit;
+  }
+}
+
+TEST(Crc16Tuple, SeededRandomTuplesMatchReference) {
+  Rng rng(0xC12C16);
+  for (int i = 0; i < 65'536; ++i) {
+    const std::uint64_t a = rng.next();
+    const std::uint64_t b = rng.next();
+    const FiveTuple t{static_cast<std::uint32_t>(a),
+                      static_cast<std::uint32_t>(a >> 32),
+                      static_cast<std::uint16_t>(b),
+                      static_cast<std::uint16_t>(b >> 16),
+                      static_cast<std::uint8_t>(b >> 32)};
+    ASSERT_EQ(t.crc16(), reference_crc16(t)) << t.to_string();
+  }
 }
 
 TEST(Mix64, IsDeterministicAndDispersive) {
