@@ -17,7 +17,6 @@
 #include "core/laps.h"
 #include "core/map_table.h"
 #include "sim/event_heap.h"
-#include "sim/timing_wheel.h"
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
 #include "util/crc.h"
@@ -161,20 +160,17 @@ void BM_AfdAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_AfdAccess)->Arg(64)->Arg(512)->Arg(1024);
 
-// DES substrate: event heap push+pop at simulator-typical occupancy.
-// Pop-modify-push cycle at the simulator's steady-state occupancy (one
-// pending completion per busy core, 17 events). The Arg is the reschedule
-// horizon in ticks: 150 is the engine's regime (service latencies a couple
-// hundred ns out, where the wheel's single-tick near level pays off);
-// 10000 scatters events across wheel blocks (the cascade-heavy regime a
-// coarse-timer workload would see).
-template <template <typename> class Q>
-void queue_push_pop(benchmark::State& state) {
+// DES substrate: the engine's completion queue. Pop-modify-push cycle at
+// the simulator's steady-state occupancy (one pending completion per busy
+// core, 17 events). The Arg is the reschedule horizon in ticks: 150 is the
+// engine's regime (service latencies a couple hundred ns out); 10000 is a
+// coarse-timer workload's spread.
+void BM_EventHeapPushPop(benchmark::State& state) {
   struct Ev {
     TimeNs time;
   };
   const auto horizon = static_cast<std::uint64_t>(state.range(0));
-  Q<Ev> queue;
+  EventHeap<Ev> queue;
   Rng rng(6);
   for (int i = 0; i < 17; ++i) {
     queue.push(Ev{static_cast<TimeNs>(rng.below(horizon))});
@@ -186,16 +182,7 @@ void queue_push_pop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_EventHeapPushPop(benchmark::State& state) {
-  queue_push_pop<EventHeap>(state);
-}
 BENCHMARK(BM_EventHeapPushPop)->Arg(150)->Arg(10'000);
-
-void BM_TimingWheelPushPop(benchmark::State& state) {
-  queue_push_pop<TimingWheel>(state);
-}
-BENCHMARK(BM_TimingWheelPushPop)->Arg(150)->Arg(10'000);
 
 // End-to-end simulator throughput in simulated packets per wall second.
 void BM_FullSimulation(benchmark::State& state) {

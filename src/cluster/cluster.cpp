@@ -121,7 +121,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
     engine_config.queue_capacity = config.queue_capacity;
     engine_config.delay = config.delay;
     engine_config.restore_order = config.restore_order;
-    engine_config.event_queue = config.event_queue;
     if (i < config.shard_faults.size() && config.shard_faults[i]) {
       engine_config.faults = config.shard_faults[i].get();
     }

@@ -7,8 +7,8 @@
 
 #include "cluster/dispatcher.h"
 #include "cluster/report.h"
+#include "sim/event_heap.h"
 #include "sim/scheduler.h"
-#include "sim/timing_wheel.h"
 #include "telemetry/metrics.h"
 #include "traffic/generator.h"
 #include "traffic/workload.h"
@@ -29,7 +29,8 @@ struct ClusterConfig {
   std::uint32_t queue_capacity = 32;
   DelayModel delay;
   bool restore_order = false;  ///< per-shard egress ReorderBuffer
-  EventQueueKind event_queue = EventQueueKind::kWheel;
+  /// Unread; perfbench sets it. Goes with the benchmark's next change.
+  EventQueueKind event_queue = EventQueueKind::kHeap;
 
   /// Sync-window width: the coordinator dispatches all arrivals of one
   /// window, runs every shard to the window end, then merges egress and

@@ -80,8 +80,8 @@ struct RunnerPolicy {
   /// them. The replayed reports are bit-identical to a fresh run's.
   bool resume = false;
   /// Folded into every job fingerprint; the harness hashes in the options
-  /// that change job output (event-queue override, fault spec) so a journal
-  /// from a differently-configured run never resumes silently.
+  /// that change job output (fault spec, cluster shape) so a journal from a
+  /// differently-configured run never resumes silently.
   std::uint64_t journal_salt = 0;
   /// Install SIGINT/SIGTERM handlers for the duration of run(): on signal,
   /// workers finish (journal) their current cell and stop claiming new

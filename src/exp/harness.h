@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,9 +44,6 @@ struct HarnessOptions {
   std::string faults_spec;             ///< raw --faults grammar, for display
   std::shared_ptr<const FaultPlan> faults;  ///< parsed plan; null = none
   std::string fault_timeline_path;     ///< empty = no FaultProbe artifact
-  /// --event-queue=wheel|heap override; unset leaves each scenario's own
-  /// ScenarioConfig::event_queue (the wheel default) untouched.
-  std::optional<EventQueueKind> event_queue;
   /// Raw --scheduler value (semicolon-separated registry specs), for
   /// display; empty = flag not given.
   std::string scheduler_list;
@@ -104,8 +100,6 @@ struct HarnessOptions {
 ///                             e.g. "down:3@10ms;up:3@30ms")
 ///   --fault-timeline=P        per-run fault timeline + recovery metrics
 ///                             (stem P); requires --faults
-///   --event-queue=K           completion-queue implementation: wheel
-///                             (default) or heap (the differential oracle)
 ///   --scheduler=LIST          semicolon-separated scheduler registry specs
 ///                             (e.g. "fcfs;laps:afc=64,idle_th=5us,power=1")
 ///                             replacing the binary's built-in table; an
@@ -143,7 +137,7 @@ HarnessOptions parse_harness_flags(Flags& flags);
 /// Builds the runner for a harness-configured grid: worker count from
 /// --jobs plus a RunnerPolicy carrying the watchdog/retry/journal/chaos
 /// flags. The journal salt hashes every option that changes job output
-/// (event-queue override, fault spec) so a journal recorded under different
+/// (fault spec, cluster shape) so a journal recorded under different
 /// options refuses to resume. Signal handling is enabled exactly when a
 /// journal is configured.
 ParallelRunner make_runner(const HarnessOptions& opts);

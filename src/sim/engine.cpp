@@ -39,7 +39,6 @@ SimEngine::SimEngine(SimEngineConfig config, Scheduler& scheduler,
   }
   views_.resize(config_.num_cores);
   for (CoreView& v : views_) v.idle_since = 0;  // all idle at t = 0
-  completions_.select(config_.event_queue);
 
   if (config_.faults != nullptr && !config_.faults->empty()) {
     config_.faults->validate(config_.num_cores);
@@ -72,7 +71,6 @@ void SimEngine::emit_epochs_until(TimeNs t) {
 void SimEngine::emit_engine_sample(TimeNs t) {
   EngineSample sample;
   sample.completions = completions_handled_;
-  sample.wheel_cascades = completions_.cascades();
   sample.flows = flows_.size();
   sample.rob_occupancy =
       config_.restore_order ? static_cast<std::uint64_t>(rob_.occupancy()) : 0;

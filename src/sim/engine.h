@@ -8,7 +8,6 @@
 
 #include "sim/event_heap.h"
 #include "sim/packet.h"
-#include "sim/timing_wheel.h"
 #include "sim/probe.h"
 #include "sim/reorder_buffer.h"
 #include "sim/ring_queue.h"
@@ -43,12 +42,8 @@ struct SimEngineConfig {
   /// the fault machinery costs one predicted branch per event
   /// (pay-for-what-you-use, gated by perf_kernel's bare-engine row).
   const FaultPlan* faults = nullptr;
-  /// Which completion-queue implementation drives the event loop. The
-  /// hierarchical TimingWheel is the default; the binary EventHeap is kept
-  /// as the differential oracle (--event-queue=heap). Both implement the
-  /// same (time, insertion-sequence) ordering, so runs are bit-identical
-  /// either way — asserted by the differential property suite.
-  EventQueueKind event_queue = EventQueueKind::kWheel;
+  /// Unread; perfbench sets it. Goes with the benchmark's next change.
+  EventQueueKind event_queue = EventQueueKind::kHeap;
 };
 
 /// Per-flow simulator state packed into a single block: four 4-byte lanes
@@ -211,45 +206,6 @@ class SimEngine final : public NpuView, public SchedEventSink {
     bool resume = false;
   };
 
-  /// Runtime-switchable completion queue: one predictable branch per
-  /// operation selects the TimingWheel (the default) or the retained
-  /// EventHeap oracle, so one engine binary replays any scenario through
-  /// either implementation (--event-queue=heap|wheel) and the differential
-  /// suite can assert the physics are bit-identical.
-  class CompletionQueue {
-   public:
-    void select(EventQueueKind kind) { kind_ = kind; }
-    bool empty() const {
-      return kind_ == EventQueueKind::kWheel ? wheel_.empty() : heap_.empty();
-    }
-    // Non-const: the wheel's peek lazily normalizes stale slots (it never
-    // moves the wheel position — see TimingWheel docs).
-    TimeNs top_time() {
-      return kind_ == EventQueueKind::kWheel ? wheel_.top_time()
-                                             : heap_.top_time();
-    }
-    void push(const Completion& c) {
-      if (kind_ == EventQueueKind::kWheel) {
-        wheel_.push(c);
-      } else {
-        heap_.push(c);
-      }
-    }
-    Completion pop() {
-      return kind_ == EventQueueKind::kWheel ? wheel_.pop() : heap_.pop();
-    }
-    /// Cascade count for telemetry (the wheel's amortized-work meter; the
-    /// heap has no equivalent and reports 0).
-    std::uint64_t cascades() const {
-      return kind_ == EventQueueKind::kWheel ? wheel_.cascades() : 0;
-    }
-
-   private:
-    EventQueueKind kind_ = EventQueueKind::kWheel;
-    TimingWheel<Completion> wheel_;
-    EventHeap<Completion> heap_;
-  };
-
   void handle_arrival(SimPacket pkt);
   void handle_completion(CoreId core);
   /// Applies every not-yet-applied fault event with time <= limit,
@@ -284,7 +240,9 @@ class SimEngine final : public NpuView, public SchedEventSink {
   TimeNs next_epoch_ = 0;
   std::vector<CoreState> cores_;
   std::vector<CoreView> views_;
-  CompletionQueue completions_;
+  /// Fault-free it holds at most one completion per busy core; under faults
+  /// also flushed cores' stale completions and one stall resume per core.
+  EventHeap<Completion> completions_;
   std::uint64_t completions_handled_ = 0;  ///< for EngineSample telemetry
   FlowBlock flows_;
   ReorderBuffer rob_;  // used only when config_.restore_order

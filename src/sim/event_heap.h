@@ -8,19 +8,24 @@
 
 namespace laps {
 
-/// Binary min-heap event queue for discrete-event simulation.
+/// The one completion-queue kind: EventHeap. Kept only as the type of the
+/// unread `event_queue` config fields (SimEngineConfig, ScenarioConfig,
+/// ClusterConfig) that perfbench still assigns.
+enum class EventQueueKind : std::uint8_t { kHeap };
+
+/// Binary min-heap event queue for discrete-event simulation: the
+/// SimEngine's completion queue.
 ///
 /// Events are ordered by (time, insertion sequence): two events at the same
 /// tick pop in the order they were scheduled — the FIFO invariant. This
 /// makes simulations fully deterministic (std::priority_queue alone does
-/// not guarantee a stable order for ties) and is the ordering contract the
-/// TimingWheel replicates, so the differential suite can demand
-/// bit-identical runs from either queue. `Ev` must expose a public
+/// not guarantee a stable order for ties). `Ev` must expose a public
 /// `TimeNs time` member.
 ///
-/// The simulator's working set is tiny (one pending arrival plus one
-/// completion per busy core), so a flat binary heap beats fancier calendar
-/// queues on locality.
+/// The simulator's working set is tiny: fault-free, at most one completion
+/// per busy core (16 on the paper's NP). A flat binary heap of that size
+/// beat both a hierarchical timing wheel and per-core event slots (see
+/// DESIGN.md, "Completion queue").
 template <typename Ev>
 class EventHeap {
  public:

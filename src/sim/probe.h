@@ -44,7 +44,6 @@ struct RunEnd {
 /// so probes never reach into the engine.
 struct EngineSample {
   std::uint64_t completions = 0;     ///< completion events handled so far
-  std::uint64_t wheel_cascades = 0;  ///< timing-wheel cascades (0 on heap)
   std::uint64_t flows = 0;           ///< flow-table size (flows ever seen)
   std::uint64_t rob_occupancy = 0;   ///< reorder-buffer residents (0 if off)
   std::uint32_t live_cores = 0;      ///< cores not faulted down

@@ -32,9 +32,8 @@ struct ScenarioConfig {
   /// FaultTrafficStream. Null = fault-free (the default, zero overhead).
   /// shared_ptr so ScenarioConfig stays copyable into job closures.
   std::shared_ptr<const FaultPlan> faults;
-  /// Completion-queue implementation (SimEngineConfig::event_queue): the
-  /// TimingWheel default, or the EventHeap differential oracle.
-  EventQueueKind event_queue = EventQueueKind::kWheel;
+  /// Unread; perfbench sets it. Goes with the benchmark's next change.
+  EventQueueKind event_queue = EventQueueKind::kHeap;
   std::vector<ServiceTraffic> services;
 };
 

@@ -24,7 +24,6 @@ void TelemetryProbe::register_instruments() {
   c_ooo_ = registry_.counter("engine.out_of_order");
   c_migrations_ = registry_.counter("engine.flow_migrations");
   c_completions_ = registry_.counter("engine.completions");
-  c_cascades_ = registry_.counter("engine.wheel_cascades");
   c_core_grants_ = registry_.counter("sched.core_grants");
   c_core_denied_ = registry_.counter("sched.core_denied");
   c_parks_ = registry_.counter("sched.parks");
@@ -92,7 +91,6 @@ void TelemetryProbe::on_run_begin(const RunInfo& info) {
   n_offered_ = n_dropped_ = n_dispatched_ = 0;
   n_delivered_ = n_ooo_ = n_migrations_ = 0;
   last_completions_ = 0;
-  last_cascades_ = 0;
   outages_in_flight_ = 0;
 }
 
@@ -161,8 +159,6 @@ void TelemetryProbe::on_engine_sample(TimeNs now, const EngineSample& sample) {
   // instruments stay monotone counters in every exposition.
   shard_->add(c_completions_, sample.completions - last_completions_);
   last_completions_ = sample.completions;
-  shard_->add(c_cascades_, sample.wheel_cascades - last_cascades_);
-  last_cascades_ = sample.wheel_cascades;
   shard_->set(g_live_cores_, static_cast<std::int64_t>(sample.live_cores));
   shard_->set(g_rob_occupancy_,
               static_cast<std::int64_t>(sample.rob_occupancy));

@@ -1,15 +1,15 @@
-// Seeded fuzz harness for the completion queues: randomized push / pop /
-// cancel interleavings, replayed identically through the TimingWheel, the
-// EventHeap, and a deliberately-dumb sorted-vector reference model. Any
-// divergence — ordering, top()/top_time() disagreement, size drift — fails
-// with the offending seed in the message, so a failure reproduces exactly.
+// Seeded fuzz harness for the completion queue: randomized push / pop /
+// cancel interleavings, replayed identically through the EventHeap and a
+// deliberately-dumb sorted-vector reference model. Any divergence —
+// ordering, top_time() disagreement, size drift — fails with the offending
+// seed in the message, so a failure reproduces exactly.
 //
 // Cancellation is exercised the way the engine does it (sim/fault.cpp's
 // flush path): events carry a generation stamp, cancellation bumps the
 // live generation, and stale events are discarded *after* popping. The
-// queues never see a remove(); what the fuzzer checks is that lazily
-// cancelled events still pop in exactly the same order from every
-// implementation, so the caller-side discard loop behaves identically.
+// queue never sees a remove(); what the fuzzer checks is that lazily
+// cancelled events still pop in exactly the model's order, so the
+// caller-side discard loop sees the same sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/event_heap.h"
-#include "sim/timing_wheel.h"
 #include "util/rng.h"
 
 namespace laps {
@@ -35,7 +34,7 @@ struct Ev {
 };
 
 /// One decoded fuzz action. A schedule is derived from a seed once and then
-/// replayed against every implementation, so all of them see byte-identical
+/// replayed against the heap and the model, so both see byte-identical
 /// operation streams.
 struct Op {
   enum Kind { kPush, kPop, kCancel, kDrain } kind = kPush;
@@ -44,8 +43,8 @@ struct Op {
   std::uint32_t core = 0;   ///< kPush/kCancel: generation stream
 };
 
-/// Mixes tie-heavy short hops with rare huge jumps so schedules exercise
-/// level-0 FIFO lists, mid-level slots, and multi-level cascades alike.
+/// Mixes tie-heavy short hops with rare huge jumps, so schedules exercise
+/// same-tick FIFO ties and widely spread times alike.
 TimeNs random_delta(Rng& rng) {
   switch (rng.below(4)) {
     case 0: return static_cast<TimeNs>(rng.below(4));           // dense ties
@@ -73,7 +72,7 @@ std::vector<Op> make_schedule(std::uint64_t seed, std::size_t length) {
       op.kind = Op::kCancel;
       op.core = static_cast<std::uint32_t>(rng.below(kCores));
     } else {
-      op.kind = Op::kDrain;  // pop to empty: exercises the empty-origin path
+      op.kind = Op::kDrain;  // pop to empty, then refill
     }
     ops.push_back(op);
   }
@@ -112,22 +111,18 @@ class ReferenceModel {
   std::vector<Entry> entries_;
 };
 
-/// The full pop record of one run: every popped event, including the ones
-/// the caller then discards as cancelled (marked), so implementations must
-/// agree on the raw order, not just the surviving one.
-struct PoppedEv {
-  TimeNs time;
-  int id;
-  bool cancelled;
-  bool operator==(const PoppedEv&) const = default;
+/// What one run popped. Every pop is checked against the model, including
+/// the ones the caller then discards as cancelled: the heap must match the
+/// raw order, not just the surviving one.
+struct PopCounts {
+  std::size_t pops = 0;
+  std::size_t cancelled = 0;  ///< pops whose core's generation had moved on
 };
 
-template <typename Queue>
-std::vector<PoppedEv> run_schedule(const std::vector<Op>& ops,
-                                   const std::string& label) {
-  Queue queue;
+PopCounts run_schedule(const std::vector<Op>& ops, const std::string& label) {
+  EventHeap<Ev> queue;
   ReferenceModel model;
-  std::vector<PoppedEv> log;
+  PopCounts counts;
   std::vector<std::uint32_t> live_gen(kCores, 0);
   std::uint64_t seq = 0;
   TimeNs clock = 0;       // floor for new pushes: the last popped time
@@ -138,11 +133,12 @@ std::vector<PoppedEv> run_schedule(const std::vector<Op>& ops,
     EXPECT_EQ(queue.top_time(), model.top_time()) << label;
     const Ev got = queue.pop();
     const Ev want = model.pop();
-    ASSERT_EQ(got.time, want.time) << label << " at pop " << log.size();
-    ASSERT_EQ(got.id, want.id) << label << " at pop " << log.size();
+    ASSERT_EQ(got.time, want.time) << label << " at pop " << counts.pops;
+    ASSERT_EQ(got.id, want.id) << label << " at pop " << counts.pops;
+    ASSERT_EQ(got.gen, want.gen) << label << " at pop " << counts.pops;
     clock = got.time;
-    log.push_back(
-        PoppedEv{got.time, got.id, got.gen != live_gen[got.core]});
+    ++counts.pops;
+    if (got.gen != live_gen[got.core]) ++counts.cancelled;
   };
 
   for (const Op& op : ops) {
@@ -177,22 +173,18 @@ std::vector<PoppedEv> run_schedule(const std::vector<Op>& ops,
   }
   while (!model.empty()) pop_one();
   EXPECT_TRUE(queue.empty()) << label;
-  return log;
+  return counts;
 }
 
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EventQueueFuzz, WheelAndHeapMatchTheReferenceModel) {
+TEST_P(EventQueueFuzz, HeapMatchesTheReferenceModel) {
   const std::uint64_t seed = GetParam();
   const std::vector<Op> ops = make_schedule(seed, 4000);
-  const auto wheel_log = run_schedule<TimingWheel<Ev>>(
-      ops, "wheel/seed=" + std::to_string(seed));
-  const auto heap_log =
-      run_schedule<EventHeap<Ev>>(ops, "heap/seed=" + std::to_string(seed));
-  // Each run already diffed against the model op by op; this final check
-  // pins the two implementations to each other, cancelled pops included.
-  EXPECT_EQ(wheel_log, heap_log) << "seed " << seed;
-  EXPECT_FALSE(wheel_log.empty()) << "degenerate schedule, seed " << seed;
+  const PopCounts counts =
+      run_schedule(ops, "heap/seed=" + std::to_string(seed));
+  EXPECT_GT(counts.pops, 0u) << "degenerate schedule, seed " << seed;
+  EXPECT_GT(counts.cancelled, 0u) << "no lazily cancelled pop, seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(SeededSchedules, EventQueueFuzz,

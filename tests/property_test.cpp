@@ -20,10 +20,6 @@
 #include "baselines/static_hash.h"
 #include "core/laps.h"
 #include "core/map_table.h"
-#include "sim/fault.h"
-#include "sim/flight_recorder.h"
-#include "sim/flow_audit.h"
-#include "sim/report_json.h"
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
 
@@ -428,125 +424,6 @@ TEST_P(DisruptionSweep, GrowMovesAtMostOneSplitBucketOfTraffic) {
 INSTANTIATE_TEST_SUITE_P(AllB, DisruptionSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16,
                                            24, 31, 32));
-
-// ------------------------------------- heap vs wheel: bit-identical runs ---
-
-// The TimingWheel replaced the EventHeap as the engine's completion queue;
-// the heap stays behind --event-queue=heap as the differential oracle.
-// These suites are the proof obligation: across randomized scenario
-// configurations — schedulers, core counts, queue depths, overload levels,
-// order restoration, fault schedules — a wheel run and a heap run must be
-// *bit-identical* on every observable surface: the report JSON, the
-// per-flow audit table, and the flight-recorder event sequence. Not
-// "statistically equivalent": byte-equal strings.
-
-/// Every deterministic observation surface of one simulation run.
-struct ObservedRun {
-  std::string report;
-  std::string audit;
-  std::string flight;
-};
-
-ObservedRun run_with_queue(ScenarioConfig cfg, Scheduler& scheduler,
-                           EventQueueKind queue) {
-  cfg.event_queue = queue;
-  FlowAuditProbe audit(FlowAuditProbe::Options{8, 0});
-  FlightRecorderConfig flight_cfg;
-  flight_cfg.capacity = 1024;
-  flight_cfg.always_dump = true;
-  FlightRecorderProbe flight(flight_cfg);
-  ProbeSet extra;
-  extra.add(&audit);
-  extra.add(&flight);
-  const SimReport report = run_scenario(cfg, scheduler, extra);
-  return ObservedRun{report_to_json(report), audit.to_json(),
-                     flight.to_json()};
-}
-
-void expect_bit_identical(const ScenarioConfig& cfg,
-                          const std::function<std::unique_ptr<Scheduler>()>& make,
-                          const std::string& ctx) {
-  auto sched_heap = make();
-  const ObservedRun heap =
-      run_with_queue(cfg, *sched_heap, EventQueueKind::kHeap);
-  auto sched_wheel = make();
-  const ObservedRun wheel =
-      run_with_queue(cfg, *sched_wheel, EventQueueKind::kWheel);
-  ASSERT_EQ(heap.report, wheel.report) << ctx;
-  ASSERT_EQ(heap.audit, wheel.audit) << ctx;
-  ASSERT_EQ(heap.flight, wheel.flight) << ctx;
-}
-
-TEST(EventQueueDifferential, BitIdenticalAcrossRandomizedConfigurations) {
-  const std::vector<std::pair<std::string,
-                              std::function<std::unique_ptr<Scheduler>()>>>
-      schedulers = {
-          {"FCFS", [] { return std::make_unique<FcfsScheduler>(); }},
-          {"AFS", [] { return std::make_unique<AfsScheduler>(); }},
-          {"Adaptive", [] { return std::make_unique<AdaptiveHashScheduler>(); }},
-      };
-
-  Rng rng(0x7EE1);
-  const auto trace_names = trace_registry_names();
-  for (int round = 0; round < 6; ++round) {
-    ScenarioConfig cfg;
-    cfg.name = "diff" + std::to_string(round);
-    const std::size_t num_services =
-        1 + rng.below(std::min(kNumServices, trace_names.size()));
-    cfg.num_cores = num_services + 1 + rng.below(12);
-    cfg.queue_capacity = static_cast<std::uint32_t>(4 + rng.below(61));
-    cfg.seconds = 0.002 + 0.002 * rng.uniform();
-    cfg.seed = rng.next();
-    cfg.restore_order = round % 2 == 1;  // both egress paths
-    const double total_mpps =
-        static_cast<double>(cfg.num_cores) * 2.0 * (0.5 + 1.1 * rng.uniform());
-    // Distinct traces per service: the FlowAuditProbe's attribution keys
-    // assume gflow <-> flow key is 1:1, which duplicate traces across
-    // services would break (two services replaying one trace share tuples).
-    std::vector<std::string> pool = trace_names;
-    for (std::size_t s = 0; s < num_services; ++s) {
-      ServiceTraffic t;
-      t.path = static_cast<ServicePath>(s);
-      t.rate = HoltWintersParams{total_mpps / num_services, 0.0, 0.0, 60.0,
-                                 0.0};
-      const std::size_t pick = rng.below(pool.size());
-      t.trace = make_trace(pool[pick]);
-      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
-      cfg.services.push_back(std::move(t));
-    }
-    const auto& [name, make] = schedulers[round % schedulers.size()];
-    expect_bit_identical(cfg, make,
-                         cfg.name + "/" + name + " cores=" +
-                             std::to_string(cfg.num_cores) + " q=" +
-                             std::to_string(cfg.queue_capacity));
-  }
-}
-
-// Fault schedules are where the queues diverge structurally the most: the
-// wheel must replay lazily-cancelled (generation-stale) completions and
-// stall wake-ups in exactly the heap's order for flush accounting and
-// recovery timelines to match.
-TEST(EventQueueDifferential, BitIdenticalUnderRandomFaultSchedules) {
-  Rng rng(0xFA017);
-  for (int round = 0; round < 6; ++round) {
-    ScenarioOptions options;
-    options.seconds = 0.004;
-    options.seed = rng.next();
-    ScenarioConfig cfg =
-        make_paper_scenario(round % 2 == 0 ? "T5" : "T2", options);
-    cfg.name = "fault_diff" + std::to_string(round);
-
-    RandomFaultParams params;
-    params.horizon = from_us(options.seconds * 1e6);
-    params.num_cores = cfg.num_cores;
-    cfg.faults = std::make_shared<const FaultPlan>(
-        random_fault_plan(rng.next(), params));
-
-    expect_bit_identical(
-        cfg, [] { return std::make_unique<FcfsScheduler>(); },
-        cfg.name + " spec=" + cfg.faults->to_spec());
-  }
-}
 
 }  // namespace
 }  // namespace laps

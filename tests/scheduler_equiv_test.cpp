@@ -12,8 +12,7 @@
 //
 // hash to the CRC32s recorded in the golden file. Fault cells use
 // random_fault_plan schedules, so drain/remap, rehash, and emergency-grant
-// paths are all pinned, exactly as PR 5's wheel-vs-heap differential pinned
-// the completion queue.
+// paths are all pinned.
 //
 // Regenerating (only legitimate when a PR *intends* to change scheduler
 // behaviour): run the binary with LAPS_REGEN_GOLDEN=1; the Regenerate test
