@@ -4,7 +4,7 @@
 // dynamically reallocates between services.
 //
 // Usage: multi_service_router [--seconds=0.25] [--seed=N] [--cores=16]
-//                             [--json=PATH] [--timeseries=PATH]
+//                             [--json=PATH] [--telemetry-out=PATH]
 //                             [--trace-out=PATH] [--scheduler=SPEC]
 #include <cstdio>
 #include <iostream>

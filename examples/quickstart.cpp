@@ -4,7 +4,7 @@
 //   trace -> traffic model -> scenario -> scheduler -> report
 //
 // Build & run:  ./build/examples/quickstart [--json=PATH]
-//               [--timeseries=PATH] [--trace-out=PATH] [--scheduler=SPEC]
+//               [--telemetry-out=PATH] [--trace-out=PATH] [--scheduler=SPEC]
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -55,7 +55,7 @@ int run(laps::Flags& flags) {
   auto scheduler = specs.front().make();
 
   // 4. Run and report. run_observed = run_scenario plus any observability
-  //    probes requested on the command line (--timeseries, --trace-out).
+  //    probes requested on the command line (--telemetry-out, --trace-out).
   const SimReport report = run_observed(config, *scheduler, harness);
   std::cout << report.summary() << "\n\n";
 

@@ -17,9 +17,8 @@
 # --tsan builds the ThreadSanitizer configuration (its own build-tsan tree;
 # TSan and ASan cannot share a process) and runs the concurrency-sensitive
 # subset: the telemetry registry (sharded writers + concurrent
-# snapshot_counters), the snapshot ring, the parallel runner, and the
-# duration parser that both flag paths share. Pass ctest args to widen or
-# narrow the selection.
+# snapshot_counters), the parallel runner, and the duration parser that
+# both flag paths share. Pass ctest args to widen or narrow the selection.
 #
 # --resilience runs the resilient-runner proof under ASan+UBSan: the
 # resilience test suite (journal codec round-trips, watchdog/retry state
@@ -75,7 +74,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)"
   if [[ $# -eq 0 ]]; then
-    exec ctest --preset tsan -R 'Telemetry|Metrics|SnapshotRing|ParallelRunner|Duration'
+    exec ctest --preset tsan -R 'Telemetry|Metrics|ParallelRunner|Duration'
   fi
   exec ctest --preset tsan "$@"
 fi

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <future>
 #include <optional>
 #include <stdexcept>
@@ -71,26 +70,10 @@ void grow_u32_lane(std::vector<std::uint32_t>& lane, std::uint32_t gflow) {
   }
 }
 
-/// Telemetry instruments, registered before the first publication freezes
-/// the registry. All published from the coordinator thread only.
-struct ClusterMetrics {
-  telemetry::MetricsRegistry::Shard* shard = nullptr;
-  std::vector<telemetry::GaugeId> outstanding;
-  std::vector<telemetry::GaugeId> queue_len;
-  std::vector<telemetry::GaugeId> delivered;
-  std::vector<telemetry::GaugeId> dropped;
-  telemetry::GaugeId offered;
-  telemetry::GaugeId cross_migrations;
-  telemetry::GaugeId cluster_ooo;
-  telemetry::GaugeId windows;
-  std::vector<std::pair<std::string, telemetry::GaugeId>> dispatch_extra;
-};
-
 }  // namespace
 
 ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
-                          Dispatcher& dispatcher,
-                          telemetry::MetricsRegistry* metrics) {
+                          Dispatcher& dispatcher) {
   if (config.num_shards == 0) {
     throw std::invalid_argument("run_cluster: 0 shards");
   }
@@ -134,29 +117,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
 
   dispatcher.attach(n);
 
-  // Register instruments before the first publication freezes the registry.
-  ClusterMetrics tm;
-  if (metrics != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string stem = "cluster.shard" + std::to_string(i) + ".";
-      tm.outstanding.push_back(metrics->gauge(stem + "outstanding"));
-      tm.queue_len.push_back(metrics->gauge(stem + "queue_len"));
-      tm.delivered.push_back(metrics->gauge(stem + "delivered"));
-      tm.dropped.push_back(metrics->gauge(stem + "dropped"));
-    }
-    tm.offered = metrics->gauge("cluster.offered");
-    tm.cross_migrations = metrics->gauge("cluster.cross_np_migrations");
-    tm.cluster_ooo = metrics->gauge("cluster.out_of_order");
-    tm.windows = metrics->gauge("cluster.windows");
-    // Dispatcher gauges: the stat keys are stable over a dispatcher's
-    // lifetime (counters start at 0), so the pre-run key set is the set.
-    for (const auto& [key, value] : dispatcher.extra_stats()) {
-      tm.dispatch_extra.emplace_back(
-          key, metrics->gauge("cluster.dispatch." + key));
-    }
-    tm.shard = &metrics->local_shard();
-  }
-
   const std::size_t total_flows = arrivals.total_flows();
   for (const auto& shard : shards) {
     shard->engine->begin_run(config.name, total_flows);
@@ -179,7 +139,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
   std::uint64_t offered = 0;
   std::uint64_t cross_migrations = 0;
   std::uint64_t cluster_ooo = 0;
-  std::uint64_t windows_run = 0;
   std::vector<std::uint32_t> completed;  // per barrier: flows that left
   std::vector<std::size_t> cursor(n);    // per-shard merge positions
 
@@ -217,7 +176,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
     } else {
       for (std::size_t i = 0; i < n; ++i) shard_task(i);
     }
-    ++windows_run;
   };
 
   // Merge the window's departures into global egress order (time, ties by
@@ -290,34 +248,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
     }
   };
 
-  auto publish_metrics = [&] {
-    if (tm.shard == nullptr) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      tm.shard->set(tm.outstanding[i],
-                    static_cast<std::int64_t>(gauges[i].outstanding()));
-      tm.shard->set(tm.queue_len[i],
-                    static_cast<std::int64_t>(gauges[i].queue_len));
-      tm.shard->set(tm.delivered[i],
-                    static_cast<std::int64_t>(gauges[i].delivered));
-      tm.shard->set(tm.dropped[i],
-                    static_cast<std::int64_t>(gauges[i].dropped));
-    }
-    tm.shard->set(tm.offered, static_cast<std::int64_t>(offered));
-    tm.shard->set(tm.cross_migrations,
-                  static_cast<std::int64_t>(cross_migrations));
-    tm.shard->set(tm.cluster_ooo, static_cast<std::int64_t>(cluster_ooo));
-    tm.shard->set(tm.windows, static_cast<std::int64_t>(windows_run));
-    if (!tm.dispatch_extra.empty()) {
-      const auto stats = dispatcher.extra_stats();
-      for (const auto& [key, id] : tm.dispatch_extra) {
-        const auto it = stats.find(key);
-        if (it != stats.end()) {
-          tm.shard->set(id, std::llround(it->second));
-        }
-      }
-    }
-  };
-
   auto sync_barrier = [&](TimeNs window_end) {
     merge_egress();
     for (std::size_t i = 0; i < n; ++i) {
@@ -335,7 +265,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
     }
     view.now = window_end;
     dispatcher.on_sync(view, {completed.data(), completed.size()});
-    publish_metrics();
   };
 
   auto arrival = arrivals.next();
@@ -424,15 +353,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
       out.cluster_out_of_order >= out.intra_np_out_of_order
           ? out.cluster_out_of_order - out.intra_np_out_of_order
           : 0;
-
-  // Final publication so scrapes after the run see end-of-run values.
-  for (std::size_t i = 0; i < n; ++i) {
-    gauges[i].delivered = out.shards[i].delivered;
-    gauges[i].dropped = out.shards[i].dropped;
-    gauges[i].queue_len = 0;
-    gauges[i].busy_cores = 0;
-  }
-  publish_metrics();
   return out;
 }
 

@@ -9,7 +9,6 @@
 #include "cluster/report.h"
 #include "sim/event_heap.h"
 #include "sim/scheduler.h"
-#include "telemetry/metrics.h"
 #include "traffic/generator.h"
 #include "traffic/workload.h"
 #include "util/time.h"
@@ -63,15 +62,9 @@ struct ClusterConfig {
 /// the coordinator merges their egress into the cluster-level accounting
 /// (intra- vs cross-NP out-of-order, cross-NP migrations).
 ///
-/// When `metrics` is non-null, per-shard gauges
-/// (cluster.shard<i>.{outstanding,queue_len,delivered,dropped}), cluster
-/// totals, and the dispatcher's extra_stats are registered up front and
-/// published at every sync barrier from the coordinator thread.
-///
 /// Deterministic: same config + same stream + same dispatcher state =>
 /// byte-identical ClusterReport JSON, regardless of config.threads.
 ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
-                          Dispatcher& dispatcher,
-                          telemetry::MetricsRegistry* metrics = nullptr);
+                          Dispatcher& dispatcher);
 
 }  // namespace laps

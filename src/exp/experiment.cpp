@@ -12,7 +12,6 @@
 
 #include "exp/journal.h"
 #include "exp/watchdog.h"
-#include "telemetry/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -240,24 +239,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
                  stats_.restored, total, journal->path().c_str());
   }
 
-  // Grid telemetry: ids are registered up front (registration must precede
-  // the workers' first local_shard() call, which freezes the set); each
-  // worker then publishes into its own shard with no cross-thread traffic.
-  // Attempt threads spawned by the watchdog never touch the registry —
-  // publication happens on the persistent worker after the attempt ends.
-  telemetry::CounterId c_jobs, c_offered, c_delivered, c_dropped, c_busy_us;
-  telemetry::CounterId c_timeouts, c_retries, c_failures;
-  if (metrics_ != nullptr) {
-    c_jobs = metrics_->counter("exp.jobs_completed");
-    c_offered = metrics_->counter("exp.packets_offered");
-    c_delivered = metrics_->counter("exp.packets_delivered");
-    c_dropped = metrics_->counter("exp.packets_dropped");
-    c_busy_us = metrics_->counter("exp.worker_busy_us");
-    c_timeouts = metrics_->counter("exp.job_timeouts");
-    c_retries = metrics_->counter("exp.job_retries");
-    c_failures = metrics_->counter("exp.job_failures");
-  }
-
   std::optional<JobWatchdog> watchdog;
   if (policy_.job_timeout > 0) {
     watchdog.emplace(std::chrono::nanoseconds(policy_.job_timeout));
@@ -324,20 +305,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
     completed[i] = 1;
     if (out.ok() && journal) {
       journal->record(i, fingerprints[i], out.report);
-    }
-    if (metrics_ != nullptr) {
-      telemetry::MetricsRegistry::Shard& shard = metrics_->local_shard();
-      if (out.ok()) {
-        shard.add(c_jobs);
-        shard.add(c_offered, out.report.offered);
-        shard.add(c_delivered, out.report.delivered);
-        shard.add(c_dropped, out.report.dropped);
-      } else {
-        shard.add(c_failures);
-      }
-      shard.add(c_busy_us, static_cast<std::uint64_t>(out.wall_seconds * 1e6));
-      if (cell_timeouts > 0) shard.add(c_timeouts, cell_timeouts);
-      if (cell_retries > 0) shard.add(c_retries, cell_retries);
     }
     {
       std::lock_guard<std::mutex> lock(stats_mutex);

@@ -9,10 +9,6 @@
 
 #include "sim/runner.h"
 
-namespace laps::telemetry {
-class MetricsRegistry;
-}
-
 namespace laps {
 
 /// A named scheduler recipe. The factory is called once per job, on the
@@ -199,14 +195,6 @@ class ParallelRunner {
 
   const RunnerPolicy& policy() const { return policy_; }
 
-  /// Optional live telemetry: when set, every worker publishes exp.* grid
-  /// counters (jobs completed, packets offered/delivered/dropped, busy
-  /// micros) into its own registry shard as jobs finish, so a concurrent
-  /// snapshot_counters() watches grid throughput and worker utilization
-  /// live. The registry must outlive run(); null (the default) costs
-  /// nothing.
-  void set_metrics(telemetry::MetricsRegistry* metrics) { metrics_ = metrics; }
-
   const RunnerStats& stats() const { return stats_; }
   std::size_t jobs() const { return jobs_; }
 
@@ -215,7 +203,6 @@ class ParallelRunner {
   RunnerPolicy policy_;
   RunnerStats stats_;
   int stop_signal_ = 0;
-  telemetry::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace laps

@@ -29,12 +29,6 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
   opts.jobs = ThreadPool::resolve(static_cast<std::size_t>(jobs));
   opts.json_path = flags.get_string("json", "");
-  opts.timeseries_path = flags.get_string("timeseries", "");
-  opts.timeseries_window_us =
-      flags.get_double("timeseries-window-us", opts.timeseries_window_us);
-  if (opts.timeseries_window_us <= 0) {
-    throw std::invalid_argument("--timeseries-window-us must be > 0");
-  }
   opts.trace_path = flags.get_string("trace-out", "");
 
   opts.flow_audit_path = flags.get_string("flow-audit", "");
@@ -98,6 +92,17 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   opts.telemetry_prom = flags.get_string("telemetry-prom", "");
   if (!opts.telemetry_out.empty() || !opts.telemetry_prom.empty()) {
     opts.telemetry = true;
+  }
+  // Both probes sample on the engine's single epoch cadence; refuse a pair
+  // of values that one cadence cannot honour instead of picking one.
+  if (opts.telemetry && !opts.afd_accuracy_path.empty() &&
+      from_us(opts.afd_accuracy_window_us) != opts.telemetry_interval) {
+    throw std::invalid_argument(
+        "--afd-accuracy-window-us (" +
+        std::to_string(from_us(opts.afd_accuracy_window_us)) +
+        " ns) and the --telemetry interval (" +
+        std::to_string(opts.telemetry_interval) +
+        " ns) must be equal: both set the engine's one epoch cadence");
   }
 
   opts.faults_spec = flags.get_string("faults", "");
@@ -259,9 +264,9 @@ std::string per_run_path(const std::string& stem, const std::string& scenario,
 namespace {
 
 bool any_probe_configured(const HarnessOptions& opts) {
-  return !opts.timeseries_path.empty() || !opts.trace_path.empty() ||
-         !opts.flow_audit_path.empty() || !opts.afd_accuracy_path.empty() ||
-         !opts.flight_path.empty() || opts.telemetry;
+  return !opts.trace_path.empty() || !opts.flow_audit_path.empty() ||
+         !opts.afd_accuracy_path.empty() || !opts.flight_path.empty() ||
+         opts.telemetry;
 }
 
 }  // namespace
@@ -280,7 +285,6 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
   if (!any_probe_configured(opts) && opts.fault_timeline_path.empty()) {
     return run_scenario(*effective, scheduler);
   }
-  std::optional<TimeSeriesProbe> series;
   std::optional<ChromeTraceProbe> trace;
   std::optional<FlowAuditProbe> audit;
   std::optional<AfdAccuracyProbe> accuracy;
@@ -288,12 +292,9 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
   std::optional<FaultProbe> fault_probe;
   std::optional<telemetry::TelemetryProbe> telem;
   ProbeSet extra;
+  // The engine has one epoch cadence; parse_harness_flags rejects an AFD
+  // accuracy window that differs from the telemetry interval.
   TimeNs epoch_ns = 0;
-  if (!opts.timeseries_path.empty()) {
-    series.emplace(from_us(opts.timeseries_window_us));
-    extra.add(&*series);
-    epoch_ns = series->window_ns();  // queue-depth sampling needs epochs
-  }
   if (!opts.trace_path.empty()) {
     trace.emplace();
     extra.add(&*trace);
@@ -308,10 +309,7 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
   if (!opts.afd_accuracy_path.empty()) {
     accuracy.emplace(scheduler, opts.afd_accuracy_k);
     extra.add(&*accuracy);
-    // The engine has a single epoch cadence; when a time series is also
-    // requested its window drives the epochs and the accuracy probe
-    // samples at that rate instead of its own flag.
-    if (epoch_ns == 0) epoch_ns = from_us(opts.afd_accuracy_window_us);
+    epoch_ns = from_us(opts.afd_accuracy_window_us);
   }
   if (!opts.flight_path.empty()) {
     FlightRecorderConfig flight_cfg;
@@ -334,20 +332,11 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
     // occupancies, drop/migration totals) into its timeline.
     telem.emplace(telem_cfg, &scheduler, trace ? &*trace : nullptr);
     extra.add(&*telem);
-    // The engine has one epoch cadence; an earlier probe's window wins and
-    // snapshots then ride that cadence (the probe snapshots on the first
-    // epoch sample at/after each interval boundary).
-    if (epoch_ns == 0) epoch_ns = opts.telemetry_interval;
+    epoch_ns = opts.telemetry_interval;
   }
   // Probes attach before the run so the scheduler name reflects the instance
   // actually used (grid jobs construct schedulers per job).
   SimReport report = run_scenario(*effective, scheduler, extra, epoch_ns);
-  if (series) {
-    const std::string path = per_run_path(opts.timeseries_path, config.name,
-                                          scheduler.name(), config.seed);
-    series->write(path);
-    std::fprintf(stderr, "wrote time series: %s\n", path.c_str());
-  }
   if (trace) {
     const std::string path = per_run_path(opts.trace_path, config.name,
                                           scheduler.name(), config.seed);
@@ -392,11 +381,9 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
     if (!opts.telemetry_out.empty()) {
       const std::string path = per_run_path(opts.telemetry_out, config.name,
                                             scheduler.name(), config.seed);
-      telemetry::write_telemetry_jsonl(path, *telem);
-      std::fprintf(stderr, "wrote telemetry stream: %s (%llu snapshots)\n",
-                   path.c_str(),
-                   static_cast<unsigned long long>(
-                       telem->final_snapshot().seq + 1));
+      const std::size_t lines = telemetry::write_telemetry_jsonl(path, *telem);
+      std::fprintf(stderr, "wrote telemetry stream: %s (%zu snapshots)\n",
+                   path.c_str(), lines);
     }
     if (!opts.telemetry_prom.empty()) {
       const std::string path = per_run_path(opts.telemetry_prom, config.name,

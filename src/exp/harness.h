@@ -17,8 +17,6 @@ struct HarnessOptions {
   std::string json_path;  ///< empty = no JSON artifact
   /// Per-run observability probes (SimEngine tentpole). Paths are stems:
   /// each simulation run writes <stem>.<scenario>.<scheduler>.<seed><ext>.
-  std::string timeseries_path;         ///< empty = no TimeSeriesProbe
-  double timeseries_window_us = 100.0; ///< window/epoch width
   std::string trace_path;              ///< empty = no ChromeTraceProbe
   // Flow-audit observability (see sim/flow_audit.h, sim/afd_accuracy.h,
   // sim/flight_recorder.h).
@@ -73,15 +71,14 @@ struct HarnessOptions {
 /// Consumes the flags every experiment binary shares:
 ///   --jobs=N                  worker threads (default 1; 0 = hardware conc.)
 ///   --json=P                  write a laps-bench-v1 JSON artifact to P
-///   --timeseries=P            per-run windowed time-series JSON (stem P)
-///   --timeseries-window-us=N  series window width (default 100 us)
 ///   --trace-out=P             per-run chrome://tracing JSON (stem P)
 ///   --flow-audit=P            per-run per-flow audit JSON (stem P)
 ///   --flow-audit-top=K        attribution top-k (default 16)
 ///   --flow-audit-rows=N       per-flow rows in the artifact (0 = all)
 ///   --afd-accuracy=P          per-run online AFD accuracy series (stem P)
 ///   --afd-accuracy-k=K        ground-truth top-k (default 16)
-///   --afd-accuracy-window-us=N  sampling interval (default 100 us)
+///   --afd-accuracy-window-us=N  sampling interval (default 100 us); must
+///                             equal the --telemetry interval when both run
 ///   --flight-recorder=P       per-run flight-recorder dump (stem P);
 ///                             written only on anomaly or --flight-dump
 ///   --flight-capacity=N       event-ring size (default 4096)
@@ -93,8 +90,9 @@ struct HarnessOptions {
 ///                             time (util::parse_duration suffixes: "250us",
 ///                             "2ms", bare = ns; default 100us). Implied by
 ///                             the two output flags below.
-///   --telemetry-out=P         per-run streaming JSONL (stem P), one
-///                             snapshot per line, final totals last
+///   --telemetry-out=P         per-run JSONL (stem P): the windowed series,
+///                             one snapshot per interval, final totals and
+///                             run labels last (EXPERIMENTS.md)
 ///   --telemetry-prom=P        per-run Prometheus text exposition (stem P)
 ///   --faults=SPEC             fault schedule (parse_fault_plan grammar,
 ///                             e.g. "down:3@10ms;up:3@30ms")

@@ -32,8 +32,8 @@ struct SimEngineConfig {
   /// `rob_*` extra fields.
   bool restore_order = false;
   /// When positive, probes receive on_epoch at every multiple of this
-  /// simulated-time interval (queue-depth sampling for time series).
-  /// Epochs never alter the simulated physics.
+  /// simulated-time interval (queue-depth sampling for the telemetry
+  /// series). Epochs never alter the simulated physics.
   TimeNs epoch_ns = 0;
   /// Optional fault schedule (must outlive the engine; events sorted —
   /// validated against num_cores at construction). Core events execute as

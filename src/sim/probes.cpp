@@ -1,21 +1,10 @@
 #include "sim/probes.h"
 
-#include <stdexcept>
-
 #include "traffic/workload.h"
 #include "util/fileio.h"
 #include "util/json_writer.h"
 
 namespace laps {
-
-namespace {
-
-void write_file(const std::string& path, const std::string& doc,
-                const char* what) {
-  util::write_file_atomic(path, doc, what);
-}
-
-}  // namespace
 
 const char* SchedEvent::kind_name(Kind kind) {
   switch (kind) {
@@ -81,146 +70,6 @@ void ReportProbe::on_run_end(const RunEnd& end) {
                          static_cast<double>(num_cores_))
                   : 0.0;
   report_.extra = end.extra;
-}
-
-// -------------------------------------------------------- TimeSeriesProbe ---
-
-TimeSeriesProbe::TimeSeriesProbe(TimeNs window_ns) : window_ns_(window_ns) {
-  if (window_ns <= 0) {
-    throw std::invalid_argument("TimeSeriesProbe: window must be positive");
-  }
-}
-
-TimeSeriesProbe::Window& TimeSeriesProbe::window_at(TimeNs now) {
-  const std::size_t index =
-      static_cast<std::size_t>(now / window_ns_);
-  if (index >= windows_.size()) windows_.resize(index + 1);
-  return windows_[index];
-}
-
-void TimeSeriesProbe::on_run_begin(const RunInfo& info) {
-  info_ = info;
-  windows_.clear();
-}
-
-void TimeSeriesProbe::on_arrival(TimeNs now, const SimPacket&) {
-  ++window_at(now).arrivals;
-}
-
-void TimeSeriesProbe::on_drop(TimeNs now, const SimPacket&, CoreId) {
-  ++window_at(now).drops;
-}
-
-void TimeSeriesProbe::on_dispatch(TimeNs now, const SimPacket&, CoreId,
-                                  bool migrated) {
-  Window& w = window_at(now);
-  ++w.dispatches;
-  if (migrated) ++w.migrations;
-}
-
-void TimeSeriesProbe::on_departure(TimeNs now, const SimPacket&, CoreId,
-                                   std::uint32_t new_ooo) {
-  Window& w = window_at(now);
-  ++w.departures;
-  w.out_of_order += new_ooo;
-}
-
-void TimeSeriesProbe::on_epoch(TimeNs now, std::span<const CoreView> cores) {
-  // The epoch at boundary time B carries the queue state just before B and
-  // closes window [B - window, B).
-  if (now < window_ns_ || cores.empty()) return;
-  Window& w = windows_[static_cast<std::size_t>(now / window_ns_) - 1];
-  std::uint64_t total = 0;
-  std::uint32_t max = 0;
-  for (const CoreView& v : cores) {
-    total += v.queue_len;
-    if (v.queue_len > max) max = v.queue_len;
-  }
-  w.queue_depth_mean =
-      static_cast<double>(total) / static_cast<double>(cores.size());
-  w.queue_depth_max = max;
-}
-
-void TimeSeriesProbe::on_sched_event(TimeNs now, const SchedEvent& event) {
-  Window& w = window_at(now);
-  switch (event.kind) {
-    case SchedEvent::Kind::kCoreGrant: ++w.core_grants; break;
-    case SchedEvent::Kind::kPark: ++w.parks; break;
-    case SchedEvent::Kind::kWake: ++w.wakes; break;
-    case SchedEvent::Kind::kAfdPromotion: ++w.afd_promotions; break;
-    case SchedEvent::Kind::kCoreDenied:
-    case SchedEvent::Kind::kAggressiveMigration:
-      break;  // visible in the migrations column via on_dispatch
-    case SchedEvent::Kind::kCoreDown:
-    case SchedEvent::Kind::kCoreUp:
-    case SchedEvent::Kind::kCoreSlowdown:
-    case SchedEvent::Kind::kCoreStall:
-    case SchedEvent::Kind::kTrafficFault:
-      break;  // fault timelines live in the FaultProbe artifact
-  }
-}
-
-void TimeSeriesProbe::on_run_end(const RunEnd& end) {
-  // Materialize every window up to the drain end, so quiet tails are
-  // explicit zero rows rather than missing ones.
-  if (end.end > 0) window_at(end.end);
-}
-
-std::string TimeSeriesProbe::to_json() const {
-  // Same envelope as exp/harness artifact_json (schema laps-bench-v1), with
-  // the series as the single table: existing artifact tooling parses it.
-  JsonWriter w;
-  w.begin_object();
-  w.field("schema", "laps-bench-v1");
-  w.field("tool", "timeseries");
-  w.field("scenario", info_.scenario);
-  w.field("scheduler", info_.scheduler);
-  w.field("window_us", to_us(window_ns_));
-  w.key("reports");
-  w.begin_array();
-  w.end_array();
-  w.key("tables");
-  w.begin_array();
-  w.begin_object();
-  w.field("title", "timeseries");
-  static const char* const kHeaders[] = {
-      "t_us",       "arrivals",    "dispatches",  "drops",
-      "departures", "migrations",  "ooo",         "qdepth_mean",
-      "qdepth_max", "core_grants", "parks",       "wakes",
-      "afd_promotions"};
-  w.key("headers");
-  w.begin_array();
-  for (const char* h : kHeaders) w.value(h);
-  w.end_array();
-  w.key("rows");
-  w.begin_array();
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    const Window& win = windows_[i];
-    w.begin_array();
-    w.value(to_us(static_cast<TimeNs>(i) * window_ns_));
-    w.value(win.arrivals);
-    w.value(win.dispatches);
-    w.value(win.drops);
-    w.value(win.departures);
-    w.value(win.migrations);
-    w.value(win.out_of_order);
-    w.value(win.queue_depth_mean);
-    w.value(win.queue_depth_max);
-    w.value(win.core_grants);
-    w.value(win.parks);
-    w.value(win.wakes);
-    w.value(win.afd_promotions);
-    w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  return w.str() + "\n";
-}
-
-void TimeSeriesProbe::write(const std::string& path) const {
-  write_file(path, to_json(), "time-series artifact");
 }
 
 // ------------------------------------------------------- ChromeTraceProbe ---
@@ -311,7 +160,7 @@ std::string ChromeTraceProbe::to_json() const {
 }
 
 void ChromeTraceProbe::write(const std::string& path) const {
-  write_file(path, to_json(), "chrome trace");
+  util::write_file_atomic(path, to_json(), "chrome trace");
 }
 
 }  // namespace laps

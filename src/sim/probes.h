@@ -38,64 +38,6 @@ class ReportProbe final : public SimProbe {
   std::size_t num_cores_ = 0;
 };
 
-/// Windowed time series of the signals the end-of-run totals hide: queue
-/// depths, drops, migrations, and scheduler-internal events per fixed
-/// simulated-time window. Serialized as a laps-bench-v1 artifact whose
-/// single table has one row per window.
-///
-/// Pair it with SimEngineConfig::epoch_ns == window_ns so the engine
-/// samples queue depths exactly at window boundaries.
-class TimeSeriesProbe final : public SimProbe {
- public:
-  explicit TimeSeriesProbe(TimeNs window_ns);
-
-  void on_run_begin(const RunInfo& info) override;
-  void on_arrival(TimeNs now, const SimPacket& pkt) override;
-  void on_drop(TimeNs now, const SimPacket& pkt, CoreId core) override;
-  void on_dispatch(TimeNs now, const SimPacket& pkt, CoreId core,
-                   bool migrated) override;
-  void on_departure(TimeNs now, const SimPacket& pkt, CoreId core,
-                    std::uint32_t new_ooo) override;
-  void on_epoch(TimeNs now, std::span<const CoreView> cores) override;
-  void on_sched_event(TimeNs now, const SchedEvent& event) override;
-  void on_run_end(const RunEnd& end) override;
-
-  TimeNs window_ns() const { return window_ns_; }
-  std::size_t num_windows() const { return windows_.size(); }
-
-  /// One aggregated window of the series.
-  struct Window {
-    std::uint64_t arrivals = 0;
-    std::uint64_t dispatches = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t departures = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t out_of_order = 0;
-    std::uint64_t core_grants = 0;
-    std::uint64_t parks = 0;
-    std::uint64_t wakes = 0;
-    std::uint64_t afd_promotions = 0;
-    /// Queue-depth stats sampled at the window-closing epoch; -1 when the
-    /// run ended before this window's boundary epoch fired.
-    double queue_depth_mean = -1.0;
-    std::uint32_t queue_depth_max = 0;
-  };
-
-  const std::vector<Window>& windows() const { return windows_; }
-
-  /// Full laps-bench-v1 document (one table titled "timeseries").
-  std::string to_json() const;
-  /// Writes to_json() to `path`. Throws std::runtime_error on I/O failure.
-  void write(const std::string& path) const;
-
- private:
-  Window& window_at(TimeNs now);
-
-  TimeNs window_ns_;
-  RunInfo info_;
-  std::vector<Window> windows_;
-};
-
 /// Per-core service spans (plus drop and scheduler-event instants) in the
 /// Chrome trace-event JSON format — load the output in chrome://tracing or
 /// https://ui.perfetto.dev to see where migrations cluster and queues

@@ -44,10 +44,10 @@ struct ScenarioConfig {
 /// identical traffic).
 SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler);
 
-/// Like run_scenario, but fans events out to `extra_probes` (time series,
+/// Like run_scenario, but fans events out to `extra_probes` (telemetry,
 /// chrome traces, ...) alongside the ReportProbe. `epoch_ns` > 0 enables
 /// on_epoch callbacks at that simulated-time interval (align it with a
-/// TimeSeriesProbe's window).
+/// TelemetryProbe's interval so every epoch publishes one snapshot).
 SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler,
                        const ProbeSet& extra_probes, TimeNs epoch_ns = 0);
 

@@ -54,22 +54,27 @@ std::string snapshot_jsonl_line(const MetricsRegistry& registry,
   return out;
 }
 
-void write_telemetry_jsonl(const std::string& path, TelemetryProbe& probe) {
+std::size_t write_telemetry_jsonl(const std::string& path,
+                                  const TelemetryProbe& probe) {
   std::string out;
-  while (auto snap = probe.ring().pop()) {
-    out += snapshot_jsonl_line(probe.registry(), *snap);
+  for (const MetricsSnapshot& snap : probe.snapshots()) {
+    out += snapshot_jsonl_line(probe.registry(), snap);
     out += "\n";
   }
-  // The final snapshot is kept off the ring so it survives overflow; its
-  // line also reports how many mid-run snapshots the ring had to drop.
+  // The final line also labels the run, so a stream file stands alone:
+  // num_cores turns engine.queue_depth_total into a per-core mean.
   std::string last = snapshot_jsonl_line(probe.registry(),
                                          probe.final_snapshot());
   last.pop_back();  // '}'
-  last += ",\"final\":true,\"dropped_snapshots\":" +
-          std::to_string(probe.ring().dropped()) + "}";
+  last += ",\"final\":true,\"scenario\":" +
+          JsonWriter::quote(probe.info().scenario) +
+          ",\"scheduler\":" + JsonWriter::quote(probe.info().scheduler) +
+          ",\"num_cores\":" + std::to_string(probe.info().num_cores) +
+          ",\"interval_ns\":" + std::to_string(probe.config().interval) + "}";
   out += last;
   out += "\n";
   util::write_file_atomic(path, out, "telemetry JSONL");
+  return probe.snapshots().size() + 1;
 }
 
 std::string prometheus_escape(const std::string& value) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "telemetry/metrics.h"
@@ -19,12 +20,16 @@ namespace laps::telemetry {
 std::string snapshot_jsonl_line(const MetricsRegistry& registry,
                                 const MetricsSnapshot& snap);
 
-/// Streams the probe's ring (oldest first) plus its final snapshot to
-/// `path` as JSONL, one snapshot per line; the final line carries
-/// `"final":true` and a `"dropped_snapshots"` count (ring overflows).
+/// Writes the probe's series to `path` as JSONL, one snapshot per line:
+/// every mid-run snapshot (oldest first), then the final one. A line at
+/// `t_ns` closes the window [previous line's t_ns, t_ns), so per-window
+/// counts are differences of consecutive lines; the final line closes the
+/// rest of the run. The final line also carries `"final":true` and the
+/// run's `"scenario"`, `"scheduler"`, `"num_cores"` and `"interval_ns"`.
 /// Atomic: written to `path.tmp`, then renamed. Throws std::runtime_error
-/// on I/O failure. Drains the ring.
-void write_telemetry_jsonl(const std::string& path, TelemetryProbe& probe);
+/// on I/O failure. Returns the number of lines written.
+std::size_t write_telemetry_jsonl(const std::string& path,
+                                  const TelemetryProbe& probe);
 
 /// Prometheus text-exposition escaping for a label value: backslash,
 /// double-quote, and newline are escaped per the spec.

@@ -41,7 +41,7 @@ struct HistogramSummary {
 
 /// One point-in-time aggregation of a MetricsRegistry: every instrument in
 /// registration order (pair values with the registry's *_names()). Plain
-/// data — safe to move across threads, e.g. through a SnapshotRing.
+/// data, safe to move across threads.
 struct MetricsSnapshot {
   TimeNs sim_time = 0;
   std::uint64_t seq = 0;  ///< monotone per registry, across both snapshot kinds

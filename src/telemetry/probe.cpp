@@ -1,18 +1,24 @@
 #include "telemetry/probe.h"
 
+#include <algorithm>
 #include <string>
 
 #include "sim/fault.h"
 
 namespace laps::telemetry {
 
+namespace {
+
+/// Per-core queue-depth gauges are registered for at most this many cores;
+/// larger machines still get the total/max gauges.
+constexpr std::size_t kMaxPerCoreGauges = 64;
+
+}  // namespace
+
 TelemetryProbe::TelemetryProbe(TelemetryConfig config,
                                const Scheduler* scheduler,
                                ChromeTraceProbe* trace)
-    : config_(config),
-      scheduler_(scheduler),
-      trace_(trace),
-      ring_(config.ring_capacity) {
+    : config_(config), scheduler_(scheduler), trace_(trace) {
   register_instruments();
 }
 
@@ -43,15 +49,14 @@ void TelemetryProbe::register_instruments() {
 void TelemetryProbe::on_run_begin(const RunInfo& info) {
   info_ = info;
   finished_ = false;
+  snapshots_.clear();
   next_snapshot_ = config_.interval;
 
   // Late registration happens here, before the first local_shard() call
   // freezes the instrument set: per-core queue gauges, and the sched.*
   // fields this policy actually exports (telemetry_sample() returns -1
   // for mechanisms it does not own — those gauges are never created).
-  const std::size_t per_core =
-      info.num_cores < config_.max_per_core_gauges ? info.num_cores
-                                                   : config_.max_per_core_gauges;
+  const std::size_t per_core = std::min(info.num_cores, kMaxPerCoreGauges);
   g_queue_core_.clear();
   for (std::size_t c = 0; c < per_core; ++c) {
     g_queue_core_.push_back(
@@ -220,7 +225,7 @@ void TelemetryProbe::take_snapshot(TimeNs now) {
   // snapshot is safe here; see MetricsRegistry's concurrency model.
   MetricsSnapshot snap = registry_.snapshot(now);
   if (trace_ != nullptr) emit_trace_counters(now, snap);
-  ring_.push(std::move(snap));
+  snapshots_.push_back(std::move(snap));
 }
 
 void TelemetryProbe::emit_trace_counters(TimeNs now,

@@ -6,25 +6,21 @@
 #include "sim/probe.h"
 #include "sim/probes.h"
 #include "telemetry/metrics.h"
-#include "telemetry/snapshot_ring.h"
 
 namespace laps::telemetry {
 
 struct TelemetryConfig {
   /// Snapshot cadence in simulated time (`--telemetry[=interval]`).
   TimeNs interval = 100 * kMicrosecond;
-  /// SPSC ring capacity (snapshots beyond this without a consumer are
-  /// dropped and counted; the final snapshot is kept separately).
-  std::size_t ring_capacity = 4096;
-  /// Per-core queue-depth gauges are registered for at most this many
-  /// cores; larger machines still get the total/max gauges.
-  std::size_t max_per_core_gauges = 64;
 };
 
 /// The live-telemetry probe: instruments the engine's packet lifecycle with
 /// MetricsRegistry counters, samples gauges (queue depths, engine and
-/// scheduler occupancies) at epoch cadence, and publishes MetricsSnapshots
-/// into a bounded SPSC ring on the configured interval.
+/// scheduler occupancies) at epoch cadence, and keeps one MetricsSnapshot
+/// per configured interval plus a final one. That list is the run's
+/// windowed series: each window's counts are the difference of two
+/// consecutive snapshots (see write_telemetry_jsonl). Every snapshot is
+/// kept, so memory grows with simulated time / interval.
 ///
 /// Hot-path cost is the design constraint: the four per-packet hooks do one
 /// or two plain increments on probe-local cells (plus one histogram record
@@ -70,16 +66,15 @@ class TelemetryProbe final : public SimProbe {
 
   MetricsRegistry& registry() { return registry_; }
   const MetricsRegistry& registry() const { return registry_; }
-  SnapshotRing& ring() { return ring_; }
-  const SnapshotRing& ring() const { return ring_; }
 
   const TelemetryConfig& config() const { return config_; }
   const RunInfo& info() const { return info_; }
   bool finished() const { return finished_; }
 
-  /// The end-of-run snapshot (valid after on_run_end). Kept out of the
-  /// ring so exporters and reconciliation tests always see final totals
-  /// even when a consumer-less ring overflowed mid-run.
+  /// The mid-run snapshots, one per interval boundary, oldest first.
+  const std::vector<MetricsSnapshot>& snapshots() const { return snapshots_; }
+  /// The end-of-run snapshot (valid after on_run_end); it closes the
+  /// series' last window.
   const MetricsSnapshot& final_snapshot() const { return final_; }
 
   /// The latency histogram with full buckets (for Prometheus exposition).
@@ -98,7 +93,7 @@ class TelemetryProbe final : public SimProbe {
   ChromeTraceProbe* trace_;
 
   MetricsRegistry registry_;
-  SnapshotRing ring_;
+  std::vector<MetricsSnapshot> snapshots_;
   RunInfo info_;
   MetricsSnapshot final_;
   bool finished_ = false;

@@ -382,20 +382,6 @@ TEST(SimProbe, EpochsDoNotAlterPhysics) {
   EXPECT_EQ(report_to_json(with_epochs), report_to_json(without));
 }
 
-TEST(TimeSeriesProbe, ProducesWindowedSeries) {
-  const ScenarioConfig cfg = golden_scenario("plain", 11, 8.0, false);
-  auto sched = make_sched("AFS");
-  TimeSeriesProbe series(from_us(100.0));
-  ProbeSet extra;
-  extra.add(&series);
-  run_scenario(cfg, *sched, extra, from_us(100.0));
-  const std::string json = series.to_json();
-  EXPECT_NE(json.find("\"laps-bench-v1\""), std::string::npos);
-  EXPECT_NE(json.find("qdepth_mean"), std::string::npos);
-  // 2 ms at 100 us windows -> at least 20 rows.
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
-}
-
 TEST(ChromeTraceProbe, EmitsServiceSpans) {
   const ScenarioConfig cfg = golden_scenario("plain", 12, 2.0, false, 64);
   auto sched = make_sched("LAPS");

@@ -466,5 +466,45 @@ TEST(Harness, NegativeJobsRejected) {
   EXPECT_THROW(parse_harness_flags(flags), std::invalid_argument);
 }
 
+TEST(Harness, AccuracyWindowThatDiffersFromTelemetryIntervalIsRejected) {
+  // Both probes sample on the engine's one epoch cadence, so a pair of
+  // values it cannot honour fails at parse time, naming both flags.
+  const char* explicit_argv[] = {"prog", "--telemetry=50us",
+                                 "--afd-accuracy=acc.json",
+                                 "--afd-accuracy-window-us=200"};
+  // The accuracy window's 100 us default conflicts just the same.
+  const char* default_argv[] = {"prog", "--telemetry-out=t.jsonl",
+                                "--telemetry=50us", "--afd-accuracy=acc.json"};
+  for (const char* const* argv : {explicit_argv, default_argv}) {
+    Flags flags(4, argv);
+    try {
+      parse_harness_flags(flags);
+      ADD_FAILURE() << "conflicting epoch cadences were accepted: "
+                    << argv[1];
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--afd-accuracy-window-us"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("--telemetry"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Harness, AccuracyWindowEqualToTelemetryIntervalIsAccepted) {
+  const char* argv[] = {"prog", "--telemetry-out=t.jsonl", "--telemetry=200us",
+                        "--afd-accuracy=acc.json",
+                        "--afd-accuracy-window-us=200"};
+  Flags flags(5, argv);
+  const auto opts = parse_harness_flags(flags);
+  flags.finish();
+  EXPECT_EQ(opts.telemetry_interval, from_us(200.0));
+  EXPECT_EQ(from_us(opts.afd_accuracy_window_us), opts.telemetry_interval);
+
+  // Both defaults are 100 us.
+  const char* default_argv[] = {"prog", "--telemetry", "--afd-accuracy=acc.json"};
+  Flags defaults(3, default_argv);
+  EXPECT_NO_THROW(parse_harness_flags(defaults));
+}
+
 }  // namespace
 }  // namespace laps

@@ -2,8 +2,7 @@
 // FlowAuditProbe (exact per-flow attribution, deferred-fold event log),
 // AfdAccuracyProbe (online Fig. 8 scoring), FlightRecorderProbe (anomaly-
 // triggered postmortem ring), plus JSON-validity pinning for every probe
-// artifact (including hostile scenario names through ChromeTraceProbe) and
-// TimeSeriesProbe window edge cases.
+// artifact (including hostile scenario names through ChromeTraceProbe).
 //
 // The load-bearing assertion is GoldenGridTotals: on the same grid the
 // golden determinism suite uses, the audit table's per-flow columns must
@@ -628,54 +627,6 @@ TEST(ChromeTraceProbe, GoldenRunProducesValidJson) {
   ChromeTraceProbe trace;
   run_scenario(cfg, *sched, ProbeSet{&trace});
   EXPECT_TRUE(JsonChecker::valid(trace.to_json()));
-}
-
-// -------------------------------------------- TimeSeriesProbe edge cases ---
-
-TEST(TimeSeriesProbe, EventsAfterFinalEpochKeepSentinel) {
-  TimeSeriesProbe series(from_us(100.0));
-  series.on_run_begin(RunInfo{});
-  // Window 0 closes with an epoch; window 1 receives events but the run
-  // ends before its boundary epoch fires.
-  series.on_arrival(from_us(50.0), packet_for(1, from_us(50.0)));
-  const std::vector<CoreView> cores(4);
-  series.on_epoch(from_us(100.0), cores);
-  series.on_arrival(from_us(150.0), packet_for(2, from_us(150.0)));
-  series.on_run_end(RunEnd{});
-  ASSERT_EQ(series.num_windows(), 2u);
-  EXPECT_EQ(series.windows()[0].arrivals, 1u);
-  EXPECT_GE(series.windows()[0].queue_depth_mean, 0.0);
-  EXPECT_EQ(series.windows()[1].arrivals, 1u);
-  EXPECT_EQ(series.windows()[1].queue_depth_mean, -1.0);  // never sampled
-  EXPECT_TRUE(JsonChecker::valid(series.to_json()));
-}
-
-TEST(TimeSeriesProbe, DropsOnlyWindowIsCounted) {
-  TimeSeriesProbe series(from_us(100.0));
-  series.on_run_begin(RunInfo{});
-  // A window containing nothing but drops (e.g. a full-queue burst whose
-  // arrivals landed in the previous window) must still materialize.
-  series.on_drop(from_us(120.0), packet_for(1, from_us(20.0)), 0);
-  series.on_drop(from_us(130.0), packet_for(2, from_us(30.0)), 1);
-  series.on_run_end(RunEnd{});
-  ASSERT_EQ(series.num_windows(), 2u);
-  EXPECT_EQ(series.windows()[1].drops, 2u);
-  EXPECT_EQ(series.windows()[1].arrivals, 0u);
-  EXPECT_EQ(series.windows()[1].departures, 0u);
-  EXPECT_EQ(series.windows()[0].drops, 0u);
-}
-
-TEST(TimeSeriesProbe, SampledWindowsLoseSentinel) {
-  const ScenarioConfig cfg = golden_scenario("plain", 1, 12.0, false);
-  auto sched = make_sched("AFS");
-  TimeSeriesProbe series(from_us(100.0));
-  run_scenario(cfg, *sched, ProbeSet{&series}, series.window_ns());
-  ASSERT_GE(series.num_windows(), 10u);
-  // Every window whose boundary epoch fired carries a real sample; only
-  // the final partial window may keep the -1 sentinel.
-  for (std::size_t i = 0; i + 1 < series.num_windows(); ++i) {
-    EXPECT_GE(series.windows()[i].queue_depth_mean, 0.0) << "window " << i;
-  }
 }
 
 }  // namespace

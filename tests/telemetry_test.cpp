@@ -1,10 +1,9 @@
 // Tests for the live-telemetry subsystem: MetricsRegistry (sharded
 // single-writer instruments, relaxed-atomic publication, freeze-on-shard),
-// SnapshotRing (bounded SPSC, drop-not-block), TelemetryProbe (epoch
-// snapshots, exact end-of-run reconciliation, per-policy gauge discovery),
-// the JSONL / Prometheus / Chrome-trace exporters, the shared duration
-// grammar, ParallelRunner grid telemetry, and PerfCounterScope's graceful
-// degradation.
+// TelemetryProbe (epoch snapshots, exact end-of-run reconciliation,
+// per-policy gauge discovery), the JSONL windowed series and its golden
+// digest, the Prometheus / Chrome-trace exporters, the shared duration
+// grammar, and PerfCounterScope's graceful degradation.
 //
 // The load-bearing assertions are:
 //  * GoldenGridFinalSnapshotMatchesReport — on the golden determinism grid
@@ -12,6 +11,8 @@
 //    telemetry stream is the report, sliced in time, not an approximation),
 //  * GoldenTelemetryOnDoesNotPerturbTheRun — attaching the probe (with
 //    epochs on) leaves the physics byte-identical,
+//  * SeriesGolden — the per-window rows rebuilt from the JSONL stream match
+//    tests/golden/series_digest.tsv,
 //  * ExactAggregatesAlongsideBuckets — the Prometheus exposition carries
 //    exact count/sum/max next to the <= 1/32-error bucket bounds.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -33,27 +35,31 @@
 #include "baselines/fcfs.h"
 #include "baselines/static_hash.h"
 #include "core/laps.h"
-#include "exp/experiment.h"
 #include "exp/scheduler_registry.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
 #include "sim/probes.h"
 #include "sim/report_json.h"
 #include "sim/runner.h"
+#include "sim/scenarios.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/probe.h"
-#include "telemetry/snapshot_ring.h"
 #include "trace/synthetic.h"
+#include "util/crc.h"
 #include "util/duration.h"
 #include "util/histogram.h"
+
+#ifndef LAPS_SOURCE_DIR
+#error "LAPS_SOURCE_DIR must be defined to locate tests/golden/"
+#endif
 
 namespace laps {
 namespace {
 
 using telemetry::MetricsRegistry;
 using telemetry::MetricsSnapshot;
-using telemetry::SnapshotRing;
 using telemetry::TelemetryConfig;
 using telemetry::TelemetryProbe;
 
@@ -135,6 +141,61 @@ std::uint64_t json_uint(const std::string& line, const std::string& key) {
   EXPECT_NE(at, std::string::npos) << "missing " << key << " in: " << line;
   if (at == std::string::npos) return 0;
   return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
+}
+
+// One window of the JSONL series: the line at t_ns closes [previous t_ns,
+// t_ns), and the final line closes the rest of the run. Counts are
+// differences of consecutive lines. Queue depths are the closing line's
+// epoch sample; the final line closes no epoch, so its row keeps
+// qdepth_mean -1 and qdepth_max 0.
+struct SeriesRow {
+  std::uint64_t start_ns = 0;
+  std::uint64_t arrivals = 0;
+  std::uint64_t dispatches = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t departures = 0;
+  std::uint64_t migrations = 0;
+  std::uint64_t ooo = 0;
+  double qdepth_mean = -1.0;
+  std::uint64_t qdepth_max = 0;
+  std::uint64_t core_grants = 0;
+  std::uint64_t parks = 0;
+  std::uint64_t wakes = 0;
+  std::uint64_t afd_promotions = 0;
+};
+
+std::vector<SeriesRow> series_rows(const std::vector<std::string>& lines) {
+  std::vector<SeriesRow> rows;
+  if (lines.empty()) return rows;
+  const double cores =
+      static_cast<double>(json_uint(lines.back(), "num_cores"));
+  const std::string* prev = nullptr;
+  for (const std::string& line : lines) {
+    const auto delta = [&](const char* key) {
+      return json_uint(line, key) - (prev ? json_uint(*prev, key) : 0);
+    };
+    SeriesRow row;
+    row.start_ns = prev ? json_uint(*prev, "t_ns") : 0;
+    row.arrivals = delta("engine.offered");
+    row.dispatches = delta("engine.dispatched");
+    row.drops = delta("engine.dropped");
+    row.departures = delta("engine.delivered");
+    row.migrations = delta("engine.flow_migrations");
+    row.ooo = delta("engine.out_of_order");
+    row.core_grants = delta("sched.core_grants");
+    row.parks = delta("sched.parks");
+    row.wakes = delta("sched.wakes");
+    row.afd_promotions = delta("sched.afd_promotions");
+    if (&line != &lines.back()) {
+      row.qdepth_mean =
+          static_cast<double>(json_uint(line, "engine.queue_depth_total")) /
+          cores;
+      row.qdepth_max = json_uint(line, "engine.queue_depth_max");
+    }
+    rows.push_back(row);
+    prev = &line;
+  }
+  return rows;
 }
 
 // The numeric sample at the end of the first exposition line starting with
@@ -265,120 +326,6 @@ TEST(MetricsRegistry, SnapshotSequenceIsMonotone) {
   EXPECT_EQ(s2.sim_time, 20);
 }
 
-// -------------------------------------------------------------- SnapshotRing ---
-
-MetricsSnapshot stamped(std::uint64_t seq) {
-  MetricsSnapshot snap;
-  snap.seq = seq;
-  snap.sim_time = static_cast<TimeNs>(seq * 100);
-  return snap;
-}
-
-TEST(SnapshotRing, FifoOrderAndCapacityRounding) {
-  SnapshotRing ring(3);  // rounds up to 4 slots -> 3 usable
-  EXPECT_EQ(ring.capacity(), 3u);
-  EXPECT_TRUE(ring.push(stamped(1)));
-  EXPECT_TRUE(ring.push(stamped(2)));
-  EXPECT_EQ(ring.size(), 2u);
-  const auto a = ring.pop();
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->seq, 1u);
-  EXPECT_TRUE(ring.push(stamped(3)));
-  const auto b = ring.pop();
-  const auto c = ring.pop();
-  ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(b->seq, 2u);
-  EXPECT_EQ(c->seq, 3u);
-  EXPECT_FALSE(ring.pop().has_value());
-}
-
-TEST(SnapshotRing, FullRingDropsInsteadOfBlocking) {
-  SnapshotRing ring(4);
-  for (std::uint64_t i = 0; i < ring.capacity(); ++i) {
-    EXPECT_TRUE(ring.push(stamped(i)));
-  }
-  EXPECT_FALSE(ring.push(stamped(99)));
-  EXPECT_FALSE(ring.push(stamped(100)));
-  EXPECT_EQ(ring.dropped(), 2u);
-  // Draining one slot reopens the ring; the dropped count is cumulative.
-  ASSERT_TRUE(ring.pop().has_value());
-  EXPECT_TRUE(ring.push(stamped(101)));
-  EXPECT_EQ(ring.dropped(), 2u);
-}
-
-TEST(SnapshotRing, WrapsManyTimesWithoutLoss) {
-  SnapshotRing ring(2);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.push(stamped(i)));
-    const auto got = ring.pop();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->seq, i);
-  }
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(SnapshotRing, ConcurrentFastProducerSlowConsumerReconcilesExactly) {
-  // SPSC contract under real concurrency (runs under TSan in CI via
-  // scripts/check_sanitize.sh --threads): a producer pushing flat-out into
-  // a tiny ring while a consumer drains with artificial lag. Snapshots may
-  // be dropped — never duplicated, reordered, or torn — so at quiesce the
-  // books must balance exactly:
-  //   pushes == pops + dropped + remainder-in-ring
-  // and the consumed seqs must be strictly increasing with every gap
-  // accounted to dropped().
-  SnapshotRing ring(8);
-  constexpr std::uint64_t kPushes = 200'000;
-  std::atomic<bool> producer_done{false};
-
-  std::uint64_t accepted = 0;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kPushes; ++i) {
-      if (ring.push(stamped(i))) ++accepted;
-    }
-    producer_done.store(true, std::memory_order_release);
-  });
-
-  std::uint64_t pops = 0;
-  std::uint64_t last_seq = 0;
-  bool seen_any = false;
-  bool ordered = true;
-  bool torn = false;
-  std::thread consumer([&] {
-    int lag = 0;
-    while (true) {
-      const auto snap = ring.pop();
-      if (!snap.has_value()) {
-        if (producer_done.load(std::memory_order_acquire)) break;
-        std::this_thread::yield();
-        continue;
-      }
-      ++pops;
-      // Tear check: sim_time is derived from seq at push time; a torn read
-      // would decouple them.
-      if (snap->sim_time != static_cast<TimeNs>(snap->seq * 100)) torn = true;
-      if (seen_any && snap->seq <= last_seq) ordered = false;
-      last_seq = snap->seq;
-      seen_any = true;
-      // Slow the consumer every few pops so the ring actually fills and
-      // the drop path is exercised, not just the happy path.
-      if (++lag % 64 == 0) std::this_thread::yield();
-    }
-  });
-  producer.join();
-  consumer.join();
-
-  EXPECT_TRUE(ordered) << "consumed seqs went backwards";
-  EXPECT_FALSE(torn) << "snapshot fields decoupled (torn read)";
-
-  // Drain the remainder single-threaded and reconcile the books.
-  std::uint64_t remainder = 0;
-  while (ring.pop().has_value()) ++remainder;
-  EXPECT_EQ(accepted, pops + remainder);
-  EXPECT_EQ(kPushes, pops + remainder + ring.dropped());
-  EXPECT_GT(pops, 0u);
-}
-
 // ------------------------------------------------------------ duration flags ---
 
 TEST(DurationGrammar, ParsesEverySuffixAndBareNanoseconds) {
@@ -500,30 +447,58 @@ TEST(TelemetryProbe, StreamsMonotoneSnapshotsAtEpochCadence) {
   TelemetryProbe probe(tcfg, sched.get());
   run_scenario(cfg, *sched, ProbeSet{&probe}, 100 * kMicrosecond);
 
-  // 2ms of simulated time at 100us cadence: ~20 snapshots, minus edge
-  // effects. They must be time-ordered with monotone counters.
-  std::size_t n = 0;
-  std::uint64_t last_seq = 0;
-  TimeNs last_time = -1;
-  std::uint64_t last_offered = 0;
+  // 2ms of simulated time at 100us cadence: one full snapshot at every
+  // interval boundary the run crossed, in order, with monotone counters.
+  const std::vector<MetricsSnapshot>& snaps = probe.snapshots();
+  EXPECT_EQ(snaps.size(), static_cast<std::size_t>(
+                              probe.final_snapshot().sim_time / tcfg.interval));
+  EXPECT_GE(snaps.size(), 20u);
   const std::size_t offered_idx =
       index_of(probe.registry().counter_names(), "engine.offered");
-  while (const auto snap = probe.ring().pop()) {
-    if (n > 0) {
-      EXPECT_GT(snap->seq, last_seq);
-      EXPECT_GT(snap->sim_time, last_time);
-      EXPECT_GE(snap->counters[offered_idx], last_offered);
-    }
-    last_seq = snap->seq;
-    last_time = snap->sim_time;
-    last_offered = snap->counters[offered_idx];
-    EXPECT_FALSE(snap->histograms.empty())
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    EXPECT_EQ(snaps[i].sim_time, static_cast<TimeNs>(i + 1) * tcfg.interval);
+    EXPECT_FALSE(snaps[i].histograms.empty())
         << "published snapshots are full snapshots";
-    ++n;
+    if (i > 0) {
+      EXPECT_GT(snaps[i].seq, snaps[i - 1].seq);
+      EXPECT_GE(snaps[i].counters[offered_idx],
+                snaps[i - 1].counters[offered_idx]);
+    }
   }
-  EXPECT_GE(n, 15u);
-  EXPECT_LE(n, 25u);
-  EXPECT_EQ(probe.ring().dropped(), 0u);
+}
+
+TEST(TelemetryProbe, DropsOnlyWindowIsCounted) {
+  // A window holding nothing but drops (a full-queue burst whose arrivals
+  // landed in the previous window) still shows them as the difference of
+  // the two lines that bound it.
+  TelemetryProbe probe;
+  RunInfo info;
+  info.num_cores = 2;
+  probe.on_run_begin(info);
+  const std::vector<CoreView> cores(2);
+  const auto epoch = [&](TimeNs t) {
+    probe.on_epoch(t, cores);
+    probe.on_engine_sample(t, EngineSample{});
+  };
+  epoch(from_us(100.0));
+  probe.on_drop(from_us(120.0), SimPacket{}, 0);
+  probe.on_drop(from_us(130.0), SimPacket{}, 1);
+  epoch(from_us(200.0));
+  RunEnd end;
+  end.end = from_us(250.0);
+  probe.on_run_end(end);
+
+  const std::string path = testing::TempDir() + "telemetry_drops_only.jsonl";
+  telemetry::write_telemetry_jsonl(path, probe);
+  const std::vector<SeriesRow> rows = series_rows(split_lines(read_file(path)));
+  std::remove(path.c_str());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].drops, 0u);
+  EXPECT_EQ(rows[1].start_ns, static_cast<std::uint64_t>(from_us(100.0)));
+  EXPECT_EQ(rows[1].drops, 2u);
+  EXPECT_EQ(rows[1].arrivals, 0u);
+  EXPECT_EQ(rows[1].departures, 0u);
+  EXPECT_EQ(rows[2].drops, 0u);
 }
 
 TEST(TelemetryProbe, DiscoversGaugesPerSchedulerPolicy) {
@@ -571,18 +546,24 @@ TEST(TelemetryExportJsonl, StreamReconcilesAndMarksFinalLine) {
       run_scenario(cfg, *sched, ProbeSet{&probe}, 100 * kMicrosecond);
 
   const std::string path = testing::TempDir() + "telemetry_stream.jsonl";
-  telemetry::write_telemetry_jsonl(path, probe);
-  EXPECT_EQ(probe.ring().size(), 0u) << "exporter drains the ring";
+  const std::size_t written = telemetry::write_telemetry_jsonl(path, probe);
 
   const std::vector<std::string> lines = split_lines(read_file(path));
   ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(written, lines.size());
+  EXPECT_EQ(lines.size(), probe.snapshots().size() + 1);
   for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
     EXPECT_EQ(lines[i].find("\"final\""), std::string::npos)
         << "only the last line is final";
   }
   const std::string& fin = lines.back();
   EXPECT_NE(fin.find("\"final\":true"), std::string::npos);
-  EXPECT_NE(fin.find("\"dropped_snapshots\":0"), std::string::npos);
+  EXPECT_NE(fin.find("\"scenario\":\"golden.churny\""), std::string::npos);
+  EXPECT_NE(fin.find("\"scheduler\":\"" + sched->name() + "\""),
+            std::string::npos);
+  EXPECT_EQ(json_uint(fin, "num_cores"), cfg.num_cores);
+  EXPECT_EQ(json_uint(fin, "interval_ns"),
+            static_cast<std::uint64_t>(100 * kMicrosecond));
   EXPECT_EQ(json_uint(fin, "engine.offered"), report.offered);
   EXPECT_EQ(json_uint(fin, "engine.delivered"), report.delivered);
   EXPECT_EQ(json_uint(fin, "engine.dropped"), report.dropped);
@@ -615,6 +596,159 @@ TEST(TelemetryExportJsonl, MidRunLinesAreTimeOrderedPrefixSums) {
   }
   EXPECT_EQ(last_delivered, report.delivered);
   std::remove(path.c_str());
+}
+
+TEST(TelemetryExportJsonl, LongRunExportsEveryEpoch) {
+  // 2 ms at a 400 ns interval is about 5,000 epochs, more than a buffer of
+  // a few thousand snapshots would hold: every one reaches the file, in
+  // order, and the returned count is the file's line count.
+  const ScenarioConfig cfg = golden_scenario("plain", 1, 4.0);
+  auto sched = make_sched("AFS");
+  TelemetryConfig tcfg;
+  tcfg.interval = 400;
+  TelemetryProbe probe(tcfg, sched.get());
+  run_scenario(cfg, *sched, ProbeSet{&probe}, tcfg.interval);
+
+  const std::string path = testing::TempDir() + "telemetry_long.jsonl";
+  const std::size_t written = telemetry::write_telemetry_jsonl(path, probe);
+  const std::vector<std::string> lines = split_lines(read_file(path));
+  std::remove(path.c_str());
+  ASSERT_GT(lines.size(), 4096u);
+  EXPECT_EQ(written, lines.size());
+  const std::uint64_t interval = static_cast<std::uint64_t>(tcfg.interval);
+  EXPECT_EQ(lines.size(), json_uint(lines.back(), "t_ns") / interval + 1);
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    ASSERT_EQ(json_uint(lines[i], "t_ns"), (i + 1) * interval) << "line " << i;
+  }
+}
+
+// --------------------------------------------------- windowed-series golden ---
+
+// Pins the JSONL series end to end: for each cell, the rows series_rows()
+// rebuilds from the written stream hash to the CRC32 recorded in
+// tests/golden/series_digest.tsv. The cells are the paper's T1 and T8
+// mixes over 5 ms, where LAPS grants cores and power gating parks and wakes
+// them, with and without a random fault plan. Regenerate (only when a
+// change intends to alter the series) with
+// LAPS_REGEN_GOLDEN=1 ./telemetry_test --gtest_filter='SeriesGolden.Regenerate'.
+const char* kSeriesGoldenPath =
+    LAPS_SOURCE_DIR "/tests/golden/series_digest.tsv";
+constexpr TimeNs kSeriesWindow = 100 * kMicrosecond;
+
+struct SeriesCell {
+  const char* scenario;
+  const char* scheduler;
+  bool faulted;
+};
+
+std::vector<SeriesCell> series_grid() {
+  std::vector<SeriesCell> cells;
+  for (const char* scenario : {"T1", "T8"}) {
+    for (const char* scheduler : {"fcfs", "afs", "laps", "laps:power=1"}) {
+      for (const bool faulted : {false, true}) {
+        cells.push_back({scenario, scheduler, faulted});
+      }
+    }
+  }
+  return cells;
+}
+
+std::string series_key(const SeriesCell& cell) {
+  return std::string(cell.scenario) + "|" + cell.scheduler + "|" +
+         (cell.faulted ? "faults" : "clean");
+}
+
+std::vector<SeriesRow> run_series_cell(const SeriesCell& cell) {
+  ScenarioOptions options;
+  options.seconds = 0.005;
+  ScenarioConfig config = make_paper_scenario(cell.scenario, options);
+  if (cell.faulted) {
+    RandomFaultParams params;
+    params.horizon = from_seconds(options.seconds);
+    params.num_cores = options.num_cores;
+    config.faults = std::make_shared<const FaultPlan>(
+        random_fault_plan(options.seed, params));
+  }
+  auto sched = make_scheduler(cell.scheduler);
+  TelemetryConfig tcfg;
+  tcfg.interval = kSeriesWindow;
+  TelemetryProbe probe(tcfg, sched.get());
+  run_scenario(config, *sched, ProbeSet{&probe}, kSeriesWindow);
+
+  const std::string path = testing::TempDir() + "telemetry_series.jsonl";
+  telemetry::write_telemetry_jsonl(path, probe);
+  std::vector<SeriesRow> rows = series_rows(split_lines(read_file(path)));
+  std::remove(path.c_str());
+  return rows;
+}
+
+std::string series_digest_line(const SeriesCell& cell) {
+  const std::vector<SeriesRow> rows = run_series_cell(cell);
+  std::ostringstream text;
+  text.precision(17);
+  SeriesRow total;
+  for (const SeriesRow& r : rows) {
+    text << r.start_ns << ' ' << r.arrivals << ' ' << r.dispatches << ' '
+         << r.drops << ' ' << r.departures << ' ' << r.migrations << ' '
+         << r.ooo << ' ' << r.qdepth_mean << ' ' << r.qdepth_max << ' '
+         << r.core_grants << ' ' << r.parks << ' ' << r.wakes << ' '
+         << r.afd_promotions << '\n';
+    total.arrivals += r.arrivals;
+    total.drops += r.drops;
+    total.migrations += r.migrations;
+    total.core_grants += r.core_grants;
+    total.parks += r.parks;
+    total.wakes += r.wakes;
+  }
+  const std::string bytes = text.str();
+  std::ostringstream line;
+  line << series_key(cell) << '\t' << rows.size() << '\t'
+       << crc32_ieee({reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                      bytes.size()})
+       << '\t' << total.arrivals << '\t' << total.drops << '\t'
+       << total.migrations << '\t' << total.core_grants << '\t'
+       << total.parks << '\t' << total.wakes;
+  return line.str();
+}
+
+bool series_regen_requested() {
+  const char* env = std::getenv("LAPS_REGEN_GOLDEN");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+TEST(SeriesGolden, Regenerate) {
+  if (!series_regen_requested()) {
+    GTEST_SKIP() << "set LAPS_REGEN_GOLDEN=1 to rewrite " << kSeriesGoldenPath;
+  }
+  std::ofstream out(kSeriesGoldenPath, std::ios::trunc);
+  ASSERT_TRUE(out) << "cannot write " << kSeriesGoldenPath;
+  out << "# windowed-series goldens: key, windows, CRC32(rows), arrivals, "
+         "drops, migrations, core_grants, parks, wakes\n"
+      << "# regenerate with: LAPS_REGEN_GOLDEN=1 ./telemetry_test "
+         "--gtest_filter='SeriesGolden.Regenerate'\n";
+  for (const SeriesCell& cell : series_grid()) {
+    out << series_digest_line(cell) << "\n";
+  }
+  ASSERT_TRUE(out.good());
+}
+
+TEST(SeriesGolden, StreamDifferencesMatchGolden) {
+  if (series_regen_requested()) {
+    GTEST_SKIP() << "regeneration run; comparisons are meaningless";
+  }
+  std::ifstream in(kSeriesGoldenPath);
+  ASSERT_TRUE(in) << "cannot read " << kSeriesGoldenPath;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') golden.push_back(line);
+  }
+  const std::vector<SeriesCell> cells = series_grid();
+  ASSERT_EQ(golden.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    // Each line starts with its cell's key, so a mismatch names the cell.
+    EXPECT_EQ(golden[i], series_digest_line(cells[i]))
+        << "the windowed series diverged from " << kSeriesGoldenPath;
+  }
 }
 
 // -------------------------------------------------------- Prometheus export ---
@@ -729,48 +863,6 @@ TEST(TelemetryProbe, MergesCounterTracksIntoChromeTrace) {
       << "telemetry must add counter ('C') events";
   EXPECT_NE(json.find("queue_depth"), std::string::npos);
   EXPECT_NE(json.find("occupancy"), std::string::npos);
-}
-
-// -------------------------------------------------- ParallelRunner telemetry ---
-
-SimReport fixed_report(std::uint64_t offered, std::uint64_t delivered,
-                       std::uint64_t dropped) {
-  SimReport r;
-  r.offered = offered;
-  r.delivered = delivered;
-  r.dropped = dropped;
-  return r;
-}
-
-TEST(ParallelRunnerTelemetry, GridCountersSumAcrossWorkers) {
-  ExperimentPlan plan;
-  plan.add("s1", "X", 1, [] { return fixed_report(100, 90, 10); });
-  plan.add("s2", "X", 2, [] { return fixed_report(200, 150, 50); });
-  plan.add("s3", "X", 3, [] { return fixed_report(50, 50, 0); });
-  plan.add("s4", "X", 4, [] { return fixed_report(25, 20, 5); });
-
-  MetricsRegistry reg;
-  ParallelRunner runner(2);
-  runner.set_metrics(&reg);
-  const auto results = runner.run(plan);
-  ASSERT_EQ(results.size(), 4u);
-
-  const auto names = reg.counter_names();
-  const MetricsSnapshot snap = reg.snapshot_counters(0);
-  EXPECT_EQ(snap.counters[index_of(names, "exp.jobs_completed")], 4u);
-  EXPECT_EQ(snap.counters[index_of(names, "exp.packets_offered")], 375u);
-  EXPECT_EQ(snap.counters[index_of(names, "exp.packets_delivered")], 310u);
-  EXPECT_EQ(snap.counters[index_of(names, "exp.packets_dropped")], 65u);
-  EXPECT_LE(reg.num_shards(), 2u) << "one shard per worker thread";
-}
-
-TEST(ParallelRunnerTelemetry, NullRegistryCostsNothing) {
-  ExperimentPlan plan;
-  plan.add("s1", "X", 1, [] { return fixed_report(10, 10, 0); });
-  ParallelRunner runner(1);
-  const auto results = runner.run(plan);  // no set_metrics: must not touch one
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].report.offered, 10u);
 }
 
 // ------------------------------------------------------------- perf counters ---
