@@ -15,10 +15,12 @@
 # Default grid is small enough for CI; pass chaos_soak flags to widen it.
 #
 # --tsan builds the ThreadSanitizer configuration (its own build-tsan tree;
-# TSan and ASan cannot share a process) and runs the concurrency-sensitive
-# subset: the telemetry registry (sharded writers + concurrent
-# snapshot_counters), the parallel runner, and the duration parser that
-# both flag paths share. Pass ctest args to widen or narrow the selection.
+# TSan and ASan cannot share a process) and runs the tests that start
+# threads: the thread pool and ParallelIndexMap, the shared TraceStore's
+# concurrent cursors, the parallel runner (watchdog, retries, chaos), an
+# observed grid writing per-run telemetry files at --jobs=1 and 3, and the
+# cluster's threaded-vs-lockstep differential. Pass ctest args to widen or
+# narrow the selection.
 #
 # --resilience runs the resilient-runner proof under ASan+UBSan: the
 # resilience test suite (journal codec round-trips, watchdog/retry state
@@ -74,7 +76,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)"
   if [[ $# -eq 0 ]]; then
-    exec ctest --preset tsan -R 'Telemetry|Metrics|ParallelRunner|Duration'
+    exec ctest --preset tsan \
+      -R 'ThreadPool|ParallelIndexMap|TraceStore|ParallelRunner|ObservedGrid|ClusterDifferential'
   fi
   exec ctest --preset tsan "$@"
 fi

@@ -254,14 +254,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
       const SimReport& r = shards[i]->report.report();
       gauges[i].delivered = r.delivered;
       gauges[i].dropped = r.dropped;
-      std::uint32_t queued = 0;
-      std::uint32_t busy = 0;
-      for (const CoreView& core : shards[i]->engine->cores()) {
-        queued += core.queue_len;
-        busy += core.busy ? 1 : 0;
-      }
-      gauges[i].queue_len = queued;
-      gauges[i].busy_cores = busy;
     }
     view.now = window_end;
     dispatcher.on_sync(view, {completed.data(), completed.size()});

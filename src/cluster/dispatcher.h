@@ -16,13 +16,11 @@ using ShardId = std::uint32_t;
 ///
 /// `dispatched` is live — the coordinator bumps it at every pick, so the
 /// dispatcher always knows exactly what it has sent. `delivered`/`dropped`
-/// (and the queue/busy snapshot) are frozen at the last sync barrier: NIC
-/// feedback from a backend is delayed, not instantaneous, and keeping the
-/// lag explicit is also what makes the threaded cluster bit-identical to
-/// lockstep (mid-window shard state is never read).
+/// are frozen at the last sync barrier: NIC feedback from a backend is
+/// delayed, not instantaneous, and keeping the lag explicit is also what
+/// makes the threaded cluster bit-identical to lockstep (mid-window shard
+/// state is never read).
 struct ShardGauge {
-  std::uint32_t queue_len = 0;   ///< total input-queue occupancy at barrier
-  std::uint32_t busy_cores = 0;  ///< cores in service at barrier
   std::uint64_t delivered = 0;   ///< cumulative departures as of barrier
   std::uint64_t dropped = 0;     ///< cumulative drops as of barrier
   std::uint64_t dispatched = 0;  ///< cumulative packets sent (live)

@@ -26,30 +26,26 @@ void append_section(std::string& out, const char* key,
 
 std::string snapshot_jsonl_line(const MetricsRegistry& registry,
                                 const MetricsSnapshot& snap) {
-  const std::vector<std::string> counters = registry.counter_names();
-  const std::vector<std::string> gauges = registry.gauge_names();
-  const std::vector<std::string> histograms = registry.histogram_names();
-
   std::string out = "{\"t_ns\":" + std::to_string(snap.sim_time) +
                     ",\"seq\":" + std::to_string(snap.seq) + ",";
-  append_section(out, "counters", counters, snap.counters.size(),
-                 [&](std::size_t i) { return std::to_string(snap.counters[i]); });
+  append_section(out, "counters", registry.counter_names(),
+                 snap.counters.size(), [&](std::size_t i) {
+                   return std::to_string(snap.counters[i]);
+                 });
   out += ",";
-  append_section(out, "gauges", gauges, snap.gauges.size(),
+  append_section(out, "gauges", registry.gauge_names(), snap.gauges.size(),
                  [&](std::size_t i) { return std::to_string(snap.gauges[i]); });
-  if (!snap.histograms.empty()) {
-    out += ",";
-    append_section(out, "histograms", histograms, snap.histograms.size(),
-                   [&](std::size_t i) {
-                     const HistogramSummary& h = snap.histograms[i];
-                     return "{\"count\":" + std::to_string(h.count) +
-                            ",\"sum\":" + std::to_string(h.sum) +
-                            ",\"max\":" + std::to_string(h.max) +
-                            ",\"p50\":" + std::to_string(h.p50) +
-                            ",\"p90\":" + std::to_string(h.p90) +
-                            ",\"p99\":" + std::to_string(h.p99) + "}";
-                   });
-  }
+  out += ",";
+  append_section(out, "histograms", registry.histogram_names(),
+                 snap.histograms.size(), [&](std::size_t i) {
+                   const HistogramSummary& h = snap.histograms[i];
+                   return "{\"count\":" + std::to_string(h.count) +
+                          ",\"sum\":" + std::to_string(h.sum) +
+                          ",\"max\":" + std::to_string(h.max) +
+                          ",\"p50\":" + std::to_string(h.p50) +
+                          ",\"p90\":" + std::to_string(h.p90) +
+                          ",\"p99\":" + std::to_string(h.p99) + "}";
+                 });
   out += "}";
   return out;
 }
@@ -116,45 +112,42 @@ std::string prometheus_text(const TelemetryProbe& probe) {
       "\",scheduler=\"" + prometheus_escape(probe.info().scheduler) + "\"}";
 
   std::string out;
-  const std::vector<std::string> counters = registry.counter_names();
+  const std::vector<std::string>& counters = registry.counter_names();
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     const std::string metric = prometheus_metric_name(counters[i]) + "_total";
     out += "# TYPE " + metric + " counter\n";
     out += metric + labels + " " + std::to_string(snap.counters[i]) + "\n";
   }
-  const std::vector<std::string> gauges = registry.gauge_names();
+  const std::vector<std::string>& gauges = registry.gauge_names();
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     const std::string metric = prometheus_metric_name(gauges[i]);
     out += "# TYPE " + metric + " gauge\n";
     out += metric + labels + " " + std::to_string(snap.gauges[i]) + "\n";
   }
-  const std::vector<std::string> histograms = registry.histogram_names();
+  const std::vector<std::string>& histograms = registry.histogram_names();
   for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const Histogram merged = registry.merged_histogram(
-        HistogramId{static_cast<std::uint32_t>(i)});
+    const Histogram& h =
+        registry.histogram(HistogramId{static_cast<std::uint32_t>(i)});
     const std::string metric = prometheus_metric_name(histograms[i]);
     const std::string label_prefix =
         "{scenario=\"" + prometheus_escape(probe.info().scenario) +
         "\",scheduler=\"" + prometheus_escape(probe.info().scheduler) + "\",";
     out += "# TYPE " + metric + " histogram\n";
     std::uint64_t cumulative = 0;
-    for (const Histogram::Bucket& bucket : merged.buckets()) {
+    for (const Histogram::Bucket& bucket : h.buckets()) {
       cumulative += bucket.count;
       out += metric + "_bucket" + label_prefix + "le=\"" +
              std::to_string(bucket.upper_bound) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
     out += metric + "_bucket" + label_prefix + "le=\"+Inf\"} " +
-           std::to_string(merged.count()) + "\n";
+           std::to_string(h.count()) + "\n";
     // count/sum/max are exact (bucket bounds are not — the log2 histogram
     // quantizes to 1/32-relative bucket tops), so true means come from
     // _sum/_count, and _max needs no bucket at all.
-    out += metric + "_sum" + labels + " " + std::to_string(merged.sum()) +
-           "\n";
-    out += metric + "_count" + labels + " " + std::to_string(merged.count()) +
-           "\n";
-    out += metric + "_max" + labels + " " + std::to_string(merged.max()) +
-           "\n";
+    out += metric + "_sum" + labels + " " + std::to_string(h.sum()) + "\n";
+    out += metric + "_count" + labels + " " + std::to_string(h.count()) + "\n";
+    out += metric + "_max" + labels + " " + std::to_string(h.max()) + "\n";
   }
   return out;
 }

@@ -15,8 +15,7 @@ namespace laps::telemetry {
 ///    "p99":N}}}
 ///
 /// Instrument names come from `registry` in id order, so a stream of lines
-/// from one run is column-stable. Counters-only snapshots emit no
-/// "histograms" key.
+/// from one run is column-stable.
 std::string snapshot_jsonl_line(const MetricsRegistry& registry,
                                 const MetricsSnapshot& snap);
 

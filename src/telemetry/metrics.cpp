@@ -1,172 +1,63 @@
 #include "telemetry/metrics.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace laps::telemetry {
+
 namespace {
 
-/// Process-wide construction stamp. Distinguishes registry instances even
-/// when a destroyed registry's address is reused, so a thread-local shard
-/// slot can never alias across registries.
-std::atomic<std::uint64_t> g_registry_generation{0};
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry()
-    : generation_(g_registry_generation.fetch_add(1,
-                                                  std::memory_order_relaxed) +
-                  1) {}
-
-std::uint32_t MetricsRegistry::intern(std::vector<std::string>& names,
-                                      const std::string& name,
-                                      const char* kind) {
+/// The id of `name` in `names`, appending it and a zeroed cell when new.
+template <typename Cell>
+std::uint32_t intern(std::vector<std::string>& names, std::vector<Cell>& cells,
+                     const std::string& name, const char* kind, bool frozen) {
   for (std::uint32_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) return i;
   }
-  if (frozen_) {
+  if (frozen) {
     throw std::logic_error(std::string("MetricsRegistry: cannot register ") +
                            kind + " '" + name +
-                           "' after shards exist (registration is frozen at "
-                           "the first local_shard() call)");
+                           "' after a cell pointer was handed out");
   }
   names.push_back(name);
+  cells.emplace_back();
   return static_cast<std::uint32_t>(names.size() - 1);
 }
 
+}  // namespace
+
 CounterId MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return CounterId{intern(counter_names_, name, "counter")};
+  return CounterId{intern(counter_names_, counters_, name, "counter", frozen_)};
 }
 
 GaugeId MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return GaugeId{intern(gauge_names_, name, "gauge")};
+  return GaugeId{intern(gauge_names_, gauges_, name, "gauge", frozen_)};
 }
 
 HistogramId MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return HistogramId{intern(histogram_names_, name, "histogram")};
+  return HistogramId{
+      intern(histogram_names_, histograms_, name, "histogram", frozen_)};
 }
 
-std::vector<std::string> MetricsRegistry::counter_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counter_names_;
+void MetricsRegistry::reset() {
+  std::fill(counters_.begin(), counters_.end(), 0);
+  std::fill(gauges_.begin(), gauges_.end(), 0);
+  for (Histogram& h : histograms_) h.clear();
+  next_seq_ = 0;
 }
 
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return gauge_names_;
-}
-
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return histogram_names_;
-}
-
-MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  struct Slot {
-    const MetricsRegistry* registry;
-    std::uint64_t generation;
-    Shard* shard;
-  };
-  // A small per-thread list (not a single slot): a thread alternating
-  // between two live registries must get the *same* shard back each time,
-  // or every call would mint a fresh shard and the shard list would grow
-  // with calls instead of threads.
-  thread_local std::vector<Slot> slots;
-  for (const Slot& slot : slots) {
-    if (slot.registry == this && slot.generation == generation_) {
-      return *slot.shard;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  frozen_ = true;
-  shards_.push_back(std::unique_ptr<Shard>(new Shard(
-      counter_names_.size(), gauge_names_.size(), histogram_names_.size())));
-  Shard* shard = shards_.back().get();
-  slots.push_back(Slot{this, generation_, shard});
-  return *shard;
-}
-
-std::size_t MetricsRegistry::num_shards() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shards_.size();
-}
-
-void MetricsRegistry::sum_atomics(MetricsSnapshot& snap,
-                                  const std::vector<Shard*>& shards) const {
-  for (const Shard* shard : shards) {
-    for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-      snap.counters[i] +=
-          shard->counters_[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-      snap.gauges[i] += shard->gauges_[i].load(std::memory_order_relaxed);
-    }
-  }
-}
-
-MetricsSnapshot MetricsRegistry::snapshot_counters(TimeNs sim_time) const {
-  std::vector<Shard*> shards;
-  std::size_t counters = 0;
-  std::size_t gauges = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& shard : shards_) shards.push_back(shard.get());
-    counters = counter_names_.size();
-    gauges = gauge_names_.size();
-  }
+MetricsSnapshot MetricsRegistry::snapshot(TimeNs sim_time) {
   MetricsSnapshot snap;
   snap.sim_time = sim_time;
-  snap.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  snap.counters.assign(counters, 0);
-  snap.gauges.assign(gauges, 0);
-  sum_atomics(snap, shards);
-  return snap;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot(TimeNs sim_time) const {
-  MetricsSnapshot snap = snapshot_counters(sim_time);
-  std::vector<Shard*> shards;
-  std::size_t histograms = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& shard : shards_) shards.push_back(shard.get());
-    histograms = histogram_names_.size();
-  }
-  snap.histograms.resize(histograms);
-  const auto summarize = [](const Histogram& h, HistogramSummary& summary) {
-    summary.count = h.count();
-    summary.sum = h.sum();
-    summary.max = h.max();
-    summary.p50 = h.quantile(0.50);
-    summary.p90 = h.quantile(0.90);
-    summary.p99 = h.quantile(0.99);
-  };
-  for (std::size_t i = 0; i < histograms; ++i) {
-    if (shards.size() == 1) {
-      // The single-writer case (one sim thread) is also the snapshot-heavy
-      // one: summarize in place instead of allocating and merging a
-      // multi-KB bucket copy per epoch.
-      summarize(shards[0]->histograms_[i], snap.histograms[i]);
-      continue;
-    }
-    Histogram merged;
-    for (const Shard* shard : shards) merged.merge(shard->histograms_[i]);
-    summarize(merged, snap.histograms[i]);
+  snap.seq = next_seq_++;
+  snap.counters = counters_;
+  snap.gauges = gauges_;
+  snap.histograms.reserve(histograms_.size());
+  for (const Histogram& h : histograms_) {
+    snap.histograms.push_back({h.count(), h.sum(), h.max(), h.quantile(0.50),
+                               h.quantile(0.90), h.quantile(0.99)});
   }
   return snap;
-}
-
-Histogram MetricsRegistry::merged_histogram(HistogramId id) const {
-  std::vector<Shard*> shards;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& shard : shards_) shards.push_back(shard.get());
-  }
-  Histogram merged;
-  for (const Shard* shard : shards) merged.merge(shard->histograms_[id.index]);
-  return merged;
 }
 
 }  // namespace laps::telemetry

@@ -52,10 +52,10 @@ void TelemetryProbe::on_run_begin(const RunInfo& info) {
   snapshots_.clear();
   next_snapshot_ = config_.interval;
 
-  // Late registration happens here, before the first local_shard() call
-  // freezes the instrument set: per-core queue gauges, and the sched.*
-  // fields this policy actually exports (telemetry_sample() returns -1
-  // for mechanisms it does not own — those gauges are never created).
+  // Late registration happens here, before the cell pointers below freeze
+  // the instrument set: per-core queue gauges, and the sched.* fields this
+  // policy actually exports (telemetry_sample() returns -1 for mechanisms
+  // it does not own — those gauges are never created).
   const std::size_t per_core = std::min(info.num_cores, kMaxPerCoreGauges);
   g_queue_core_.clear();
   for (std::size_t c = 0; c < per_core; ++c) {
@@ -85,49 +85,35 @@ void TelemetryProbe::on_run_begin(const RunInfo& info) {
     }
   }
 
-  shard_ = &registry_.local_shard();
-  cell_offered_ = shard_->counter_cell(c_offered_);
-  cell_dropped_ = shard_->counter_cell(c_dropped_);
-  cell_dispatched_ = shard_->counter_cell(c_dispatched_);
-  cell_delivered_ = shard_->counter_cell(c_delivered_);
-  cell_ooo_ = shard_->counter_cell(c_ooo_);
-  cell_migrations_ = shard_->counter_cell(c_migrations_);
-  latency_cell_ = shard_->histogram_cell(h_latency_);
-  n_offered_ = n_dropped_ = n_dispatched_ = 0;
-  n_delivered_ = n_ooo_ = n_migrations_ = 0;
+  registry_.reset();
+  offered_ = registry_.counter_cell(c_offered_);
+  dropped_ = registry_.counter_cell(c_dropped_);
+  dispatched_ = registry_.counter_cell(c_dispatched_);
+  delivered_ = registry_.counter_cell(c_delivered_);
+  ooo_ = registry_.counter_cell(c_ooo_);
+  migrations_ = registry_.counter_cell(c_migrations_);
+  latency_ = registry_.histogram_cell(h_latency_);
   last_completions_ = 0;
   outages_in_flight_ = 0;
 }
 
-void TelemetryProbe::on_arrival(TimeNs, const SimPacket&) { ++n_offered_; }
+void TelemetryProbe::on_arrival(TimeNs, const SimPacket&) { ++*offered_; }
 
 void TelemetryProbe::on_drop(TimeNs, const SimPacket&, CoreId) {
-  ++n_dropped_;
+  ++*dropped_;
 }
 
 void TelemetryProbe::on_dispatch(TimeNs, const SimPacket&, CoreId,
                                  bool migrated) {
-  ++n_dispatched_;
-  if (migrated) ++n_migrations_;
+  ++*dispatched_;
+  if (migrated) ++*migrations_;
 }
 
 void TelemetryProbe::on_departure(TimeNs now, const SimPacket& pkt, CoreId,
                                   std::uint32_t new_ooo) {
-  ++n_delivered_;
-  if (new_ooo != 0) n_ooo_ += new_ooo;
-  latency_cell_->record(now - pkt.arrival);
-}
-
-void TelemetryProbe::publish_packet_counters() {
-  // Single-writer publication of the local totals (absolute stores, not
-  // deltas: the local cells ARE the counters; the registry cells mirror
-  // them at boundary cadence).
-  cell_offered_->store(n_offered_, std::memory_order_relaxed);
-  cell_dropped_->store(n_dropped_, std::memory_order_relaxed);
-  cell_dispatched_->store(n_dispatched_, std::memory_order_relaxed);
-  cell_delivered_->store(n_delivered_, std::memory_order_relaxed);
-  cell_ooo_->store(n_ooo_, std::memory_order_relaxed);
-  cell_migrations_->store(n_migrations_, std::memory_order_relaxed);
+  ++*delivered_;
+  if (new_ooo != 0) *ooo_ += new_ooo;
+  latency_->record(now - pkt.arrival);
 }
 
 void TelemetryProbe::on_epoch(TimeNs, std::span<const CoreView> cores) {
@@ -137,37 +123,35 @@ void TelemetryProbe::on_epoch(TimeNs, std::span<const CoreView> cores) {
     const std::int64_t depth = static_cast<std::int64_t>(cores[c].queue_len);
     total += depth;
     if (depth > max) max = depth;
-    if (c < g_queue_core_.size()) shard_->set(g_queue_core_[c], depth);
+    if (c < g_queue_core_.size()) registry_.set(g_queue_core_[c], depth);
   }
-  shard_->set(g_queue_total_, total);
-  shard_->set(g_queue_max_, max);
+  registry_.set(g_queue_total_, total);
+  registry_.set(g_queue_max_, max);
 
   if (scheduler_ != nullptr) {
     const SchedTelemetry t = scheduler_->telemetry_sample();
-    if (g_afc_occupancy_.valid()) shard_->set(g_afc_occupancy_, t.afc_occupancy);
-    if (g_afd_hits_.valid()) shard_->set(g_afd_hits_, t.afd_hits);
-    if (g_afd_evictions_.valid()) {
-      shard_->set(g_afd_evictions_, t.afd_evictions);
-    }
-    if (g_pinned_flows_.valid()) shard_->set(g_pinned_flows_, t.pinned_flows);
-    if (g_parked_cores_.valid()) shard_->set(g_parked_cores_, t.parked_cores);
-    if (g_wake_strikes_.valid()) shard_->set(g_wake_strikes_, t.wake_strikes);
-    if (g_core_transitions_.valid()) {
-      shard_->set(g_core_transitions_, t.core_transitions);
-    }
+    const auto set_if_registered = [&](GaugeId id, std::int64_t v) {
+      if (id.valid()) registry_.set(id, v);
+    };
+    set_if_registered(g_afc_occupancy_, t.afc_occupancy);
+    set_if_registered(g_afd_hits_, t.afd_hits);
+    set_if_registered(g_afd_evictions_, t.afd_evictions);
+    set_if_registered(g_pinned_flows_, t.pinned_flows);
+    set_if_registered(g_parked_cores_, t.parked_cores);
+    set_if_registered(g_wake_strikes_, t.wake_strikes);
+    set_if_registered(g_core_transitions_, t.core_transitions);
   }
 }
 
 void TelemetryProbe::on_engine_sample(TimeNs now, const EngineSample& sample) {
-  publish_packet_counters();
   // Cumulative engine meters arrive as totals; publish deltas so the
   // instruments stay monotone counters in every exposition.
-  shard_->add(c_completions_, sample.completions - last_completions_);
+  registry_.add(c_completions_, sample.completions - last_completions_);
   last_completions_ = sample.completions;
-  shard_->set(g_live_cores_, static_cast<std::int64_t>(sample.live_cores));
-  shard_->set(g_rob_occupancy_,
-              static_cast<std::int64_t>(sample.rob_occupancy));
-  shard_->set(g_flows_, static_cast<std::int64_t>(sample.flows));
+  registry_.set(g_live_cores_, static_cast<std::int64_t>(sample.live_cores));
+  registry_.set(g_rob_occupancy_,
+                static_cast<std::int64_t>(sample.rob_occupancy));
+  registry_.set(g_flows_, static_cast<std::int64_t>(sample.flows));
 
   // The snapshot decision rides the engine sample (not on_epoch) so the
   // published snapshot always carries the engine gauges set just above.
@@ -180,22 +164,22 @@ void TelemetryProbe::on_engine_sample(TimeNs now, const EngineSample& sample) {
 void TelemetryProbe::on_sched_event(TimeNs, const SchedEvent& event) {
   switch (event.kind) {
     case SchedEvent::Kind::kCoreGrant:
-      shard_->add(c_core_grants_);
+      registry_.add(c_core_grants_);
       break;
     case SchedEvent::Kind::kCoreDenied:
-      shard_->add(c_core_denied_);
+      registry_.add(c_core_denied_);
       break;
     case SchedEvent::Kind::kAggressiveMigration:
-      shard_->add(c_aggressive_migrations_);
+      registry_.add(c_aggressive_migrations_);
       break;
     case SchedEvent::Kind::kAfdPromotion:
-      shard_->add(c_afd_promotions_);
+      registry_.add(c_afd_promotions_);
       break;
     case SchedEvent::Kind::kPark:
-      shard_->add(c_parks_);
+      registry_.add(c_parks_);
       break;
     case SchedEvent::Kind::kWake:
-      shard_->add(c_wakes_);
+      registry_.add(c_wakes_);
       break;
     default:
       break;  // fault-injection markers are counted via on_fault
@@ -203,26 +187,21 @@ void TelemetryProbe::on_sched_event(TimeNs, const SchedEvent& event) {
 }
 
 void TelemetryProbe::on_fault(TimeNs, const FaultEvent& event, std::uint32_t) {
-  shard_->add(c_fault_events_);
+  registry_.add(c_fault_events_);
   if (event.kind == FaultKind::kCoreDown) {
     ++outages_in_flight_;
   } else if (event.kind == FaultKind::kCoreUp && outages_in_flight_ > 0) {
     --outages_in_flight_;
   }
-  shard_->set(g_outages_, outages_in_flight_);
+  registry_.set(g_outages_, outages_in_flight_);
 }
 
 void TelemetryProbe::on_run_end(const RunEnd& end) {
-  // The engine emits a final engine sample before on_run_end, but publish
-  // again so a probe driven directly by hooks (tests) is exact too.
-  publish_packet_counters();
   final_ = registry_.snapshot(end.end);
   finished_ = true;
 }
 
 void TelemetryProbe::take_snapshot(TimeNs now) {
-  // Same thread as every writer hook, so the full (histogram-inclusive)
-  // snapshot is safe here; see MetricsRegistry's concurrency model.
   MetricsSnapshot snap = registry_.snapshot(now);
   if (trace_ != nullptr) emit_trace_counters(now, snap);
   snapshots_.push_back(std::move(snap));

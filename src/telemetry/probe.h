@@ -23,22 +23,22 @@ struct TelemetryConfig {
 /// kept, so memory grows with simulated time / interval.
 ///
 /// Hot-path cost is the design constraint: the four per-packet hooks do one
-/// or two plain increments on probe-local cells (plus one histogram record
-/// on departure) and nothing else — no atomics, no string work, no branches
-/// on configuration. The local totals are published into the registry's
-/// atomic cells at every engine-sample boundary, always before a snapshot
-/// is taken, so every published snapshot (and the final one) is exact;
-/// between boundaries a concurrent snapshot_counters() observer sees
-/// values at most one epoch stale, which is the monitoring contract.
-/// Everything else state-shaped (gauges, scheduler samples, snapshot
-/// publication, Chrome counter tracks) also happens at epoch boundaries,
-/// which the engine only emits when probes are attached. A telemetry-off
-/// run is bit-identical by construction.
+/// or two plain increments through cached registry cell pointers (plus one
+/// histogram record on departure) and nothing else: no string work, no
+/// branches on configuration. Everything else state-shaped (gauges,
+/// scheduler samples, snapshots, Chrome counter tracks) happens at epoch
+/// boundaries, which the engine only emits when probes are attached. A
+/// telemetry-off run is bit-identical by construction.
 ///
-/// One probe observes one run (like ReportProbe). Counter totals reconcile
-/// exactly with the SimReport: offered/dropped/delivered/out_of_order/
-/// flow_migrations and the latency histogram's count/sum/max are counted at
-/// the same hook sites ReportProbe uses.
+/// The probe and its registry belong to the thread that runs the
+/// simulation: every hook, every snapshot and both exporters run there,
+/// so nothing is synchronised.
+///
+/// One probe observes one run at a time (like ReportProbe): on_run_begin
+/// zeroes every instrument and restarts the snapshot sequence. Counter
+/// totals reconcile exactly with the SimReport: offered/dropped/delivered/
+/// out_of_order/flow_migrations and the latency histogram's count/sum/max
+/// are counted at the same hook sites ReportProbe uses.
 class TelemetryProbe final : public SimProbe {
  public:
   /// `scheduler` (optional) enables the sched.* gauge family, sampled via
@@ -64,7 +64,6 @@ class TelemetryProbe final : public SimProbe {
                 std::uint32_t flushed) override;
   void on_run_end(const RunEnd& end) override;
 
-  MetricsRegistry& registry() { return registry_; }
   const MetricsRegistry& registry() const { return registry_; }
 
   const TelemetryConfig& config() const { return config_; }
@@ -77,14 +76,8 @@ class TelemetryProbe final : public SimProbe {
   /// series' last window.
   const MetricsSnapshot& final_snapshot() const { return final_; }
 
-  /// The latency histogram with full buckets (for Prometheus exposition).
-  Histogram latency_histogram() const {
-    return registry_.merged_histogram(h_latency_);
-  }
-
  private:
   void register_instruments();
-  void publish_packet_counters();
   void take_snapshot(TimeNs now);
   void emit_trace_counters(TimeNs now, const MetricsSnapshot& snap);
 
@@ -98,28 +91,14 @@ class TelemetryProbe final : public SimProbe {
   MetricsSnapshot final_;
   bool finished_ = false;
 
-  // Per-packet totals live in plain probe-local cells (single writer: the
-  // sim thread) and are flushed into the registry's atomic cells via the
-  // cached pointers below at every engine-sample boundary — a plain
-  // increment per hook beats an atomic load+store pair when the engine
-  // processes a packet in ~100 ns.
-  std::uint64_t n_offered_ = 0;
-  std::uint64_t n_dropped_ = 0;
-  std::uint64_t n_dispatched_ = 0;
-  std::uint64_t n_delivered_ = 0;
-  std::uint64_t n_ooo_ = 0;
-  std::uint64_t n_migrations_ = 0;
-
-  // Cached registry cells (valid from on_run_begin). The histogram cell is
-  // written directly on the hot path: it is plain memory already.
-  MetricsRegistry::Shard* shard_ = nullptr;
-  std::atomic<std::uint64_t>* cell_offered_ = nullptr;
-  std::atomic<std::uint64_t>* cell_dropped_ = nullptr;
-  std::atomic<std::uint64_t>* cell_dispatched_ = nullptr;
-  std::atomic<std::uint64_t>* cell_delivered_ = nullptr;
-  std::atomic<std::uint64_t>* cell_ooo_ = nullptr;
-  std::atomic<std::uint64_t>* cell_migrations_ = nullptr;
-  Histogram* latency_cell_ = nullptr;
+  // The per-packet hooks' registry cells, cached at on_run_begin.
+  std::uint64_t* offered_ = nullptr;
+  std::uint64_t* dropped_ = nullptr;
+  std::uint64_t* dispatched_ = nullptr;
+  std::uint64_t* delivered_ = nullptr;
+  std::uint64_t* ooo_ = nullptr;
+  std::uint64_t* migrations_ = nullptr;
+  Histogram* latency_ = nullptr;
 
   // Instrument ids (registered in the constructor).
   CounterId c_offered_, c_dropped_, c_dispatched_, c_delivered_;

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -236,7 +240,8 @@ ScenarioConfig tiny_config(const std::string& name, std::uint64_t seed,
 }
 
 ExperimentPlan tiny_plan(std::shared_ptr<TraceStore> store,
-                         std::uint64_t plan_seed = 7) {
+                         std::uint64_t plan_seed = 7,
+                         ExperimentPlan::JobRunner runner = {}) {
   const std::vector<SchedulerSpec> schedulers = {
       {"FCFS", [] { return std::make_unique<FcfsScheduler>(); }},
       {"StaticHash", [] { return std::make_unique<StaticHashScheduler>(); }},
@@ -245,7 +250,8 @@ ExperimentPlan tiny_plan(std::shared_ptr<TraceStore> store,
   plan.add_grid({"auck1", "auck2"}, schedulers, plan.replicate_seeds(2),
                 [store](const std::string& trace, std::uint64_t seed) {
                   return tiny_config(trace, seed, store->open(trace));
-                });
+                },
+                std::move(runner));
   return plan;
 }
 
@@ -342,6 +348,47 @@ TEST(ParallelRunner, ArtifactBytesIdenticalAcrossThreadCounts) {
   const std::string serial = artifact_at(1);
   EXPECT_EQ(serial, artifact_at(4));
   EXPECT_EQ(serial, artifact_at(0));  // hardware concurrency
+}
+
+// The per-run telemetry files obey the same contract. Every worker builds,
+// writes, snapshots and exports its own probe, so under TSan this is the
+// check that no telemetry state is shared between grid threads.
+TEST(ObservedGrid, TelemetryFilesIdenticalAcrossJobCounts) {
+  namespace fs = std::filesystem;
+  auto files_at = [](const std::string& jobs) {
+    const fs::path dir =
+        fs::path(testing::TempDir()) / ("observed_grid_jobs" + jobs);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string jobs_flag = "--jobs=" + jobs;
+    const std::string out_flag =
+        "--telemetry-out=" + (dir / "t.jsonl").string();
+    const std::string prom_flag =
+        "--telemetry-prom=" + (dir / "t.prom").string();
+    const char* argv[] = {"prog", jobs_flag.c_str(), out_flag.c_str(),
+                          prom_flag.c_str()};
+    Flags flags(4, argv);
+    const HarnessOptions opts = parse_harness_flags(flags);
+    flags.finish();
+    auto store = std::make_shared<TraceStore>();
+    const auto plan = tiny_plan(store, 7, observed_runner(opts));
+    ParallelRunner runner = make_runner(opts);
+    for (const JobResult& r : runner.run(plan)) {
+      EXPECT_TRUE(r.ok()) << r.scenario << "/" << r.scheduler;
+    }
+    std::map<std::string, std::string> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files[entry.path().filename().string()] = bytes.str();
+    }
+    fs::remove_all(dir);
+    return files;
+  };
+  const auto serial = files_at("1");
+  EXPECT_EQ(serial.size(), 16u);  // 8 runs x (JSONL + Prometheus)
+  EXPECT_EQ(serial, files_at("3"));
 }
 
 // A tiny shared budget forces some jobs through the overflow path; the

@@ -465,9 +465,6 @@ std::vector<ShardId> dispatch_decisions(Dispatcher& d, std::size_t shards,
   picks.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     view.now = static_cast<TimeNs>(i) * 500;
-    for (std::size_t s = 0; s < shards; ++s) {
-      gauges[s].queue_len = static_cast<std::uint32_t>((i + 7 * s) % 40);
-    }
     GeneratedPacket pkt;
     pkt.time = view.now;
     pkt.gflow = i % 2 == 0 ? i % 4 : 50u + i % 400;

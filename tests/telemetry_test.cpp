@@ -1,9 +1,10 @@
-// Tests for the live-telemetry subsystem: MetricsRegistry (sharded
-// single-writer instruments, relaxed-atomic publication, freeze-on-shard),
+// Tests for the live-telemetry subsystem: MetricsRegistry (plain cells
+// owned by one thread, freeze once a cell pointer is handed out, reset),
 // TelemetryProbe (epoch snapshots, exact end-of-run reconciliation,
-// per-policy gauge discovery), the JSONL windowed series and its golden
-// digest, the Prometheus / Chrome-trace exporters, the shared duration
-// grammar, and PerfCounterScope's graceful degradation.
+// per-policy gauge discovery, reuse across runs), the JSONL windowed series
+// and its golden digest, the golden bytes of both file exporters, the
+// Prometheus / Chrome-trace exporters, the shared duration grammar, and
+// PerfCounterScope's graceful degradation.
 //
 // The load-bearing assertions are:
 //  * GoldenGridFinalSnapshotMatchesReport — on the golden determinism grid
@@ -13,12 +14,13 @@
 //    epochs on) leaves the physics byte-identical,
 //  * SeriesGolden — the per-window rows rebuilt from the JSONL stream match
 //    tests/golden/series_digest.tsv,
+//  * TelemetryBytesGolden — the JSONL and Prometheus bytes of the same
+//    cells match tests/golden/telemetry_bytes.tsv,
 //  * ExactAggregatesAlongsideBuckets — the Prometheus exposition carries
 //    exact count/sum/max next to the <= 1/32-error bucket bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +30,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/afs.h"
@@ -121,6 +122,21 @@ std::string read_file(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+// What the two file exporters write for a finished run: the JSONL series
+// (through a file, as the harness writes it) and the Prometheus text.
+struct Exports {
+  std::string jsonl;
+  std::string prom;
+};
+
+Exports exports_of(const TelemetryProbe& probe) {
+  const std::string path = testing::TempDir() + "telemetry_exports.jsonl";
+  telemetry::write_telemetry_jsonl(path, probe);
+  Exports out{read_file(path), telemetry::prometheus_text(probe)};
+  std::remove(path.c_str());
+  return out;
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -229,101 +245,58 @@ TEST(MetricsRegistry, RegistrationIsIdempotentAndOrdered) {
   EXPECT_EQ(reg.histogram_names(), (std::vector<std::string>{"lat"}));
 }
 
-TEST(MetricsRegistry, FreezesNewNamesOnceShardsExist) {
+TEST(MetricsRegistry, FreezesNewNamesOnceACellIsHandedOut) {
   MetricsRegistry reg;
   const auto a = reg.counter("alpha");
-  MetricsRegistry::Shard& shard = reg.local_shard();
-  shard.add(a, 3);
-  // Existing names still resolve; new names are structural changes that
-  // would race shard sizing, so they throw.
+  *reg.counter_cell(a) += 3;
+  // Existing names still resolve; a new name would reallocate the cells
+  // under the pointer just handed out, so it throws.
   EXPECT_EQ(reg.counter("alpha").index, a.index);
   EXPECT_THROW(reg.counter("fresh"), std::logic_error);
   EXPECT_THROW(reg.gauge("fresh"), std::logic_error);
   EXPECT_THROW(reg.histogram("fresh"), std::logic_error);
-  EXPECT_EQ(reg.snapshot_counters(0).counters[a.index], 3u);
-}
-
-TEST(MetricsRegistry, LocalShardIsStablePerThread) {
-  MetricsRegistry reg;
-  reg.counter("c");
-  MetricsRegistry::Shard& s1 = reg.local_shard();
-  MetricsRegistry::Shard& s2 = reg.local_shard();
-  EXPECT_EQ(&s1, &s2);
-  EXPECT_EQ(reg.num_shards(), 1u);
+  EXPECT_EQ(reg.snapshot(0).counters[a.index], 3u);
 }
 
 TEST(MetricsRegistry, GaugeIsLastWriteWins) {
   MetricsRegistry reg;
   const auto g = reg.gauge("depth");
-  MetricsRegistry::Shard& shard = reg.local_shard();
-  shard.set(g, 41);
-  shard.set(g, -7);
-  EXPECT_EQ(reg.snapshot_counters(0).gauges[g.index], -7);
-}
-
-TEST(MetricsRegistry, SnapshotSumsAcrossShardsExactly) {
-  // The TSan-pinned contract: N writer threads each own a shard and hammer
-  // counters/gauges/histograms while the main thread runs concurrent
-  // counters-only snapshots (race-free by construction); the full snapshot
-  // after join must be exact.
-  MetricsRegistry reg;
-  const auto c = reg.counter("events");
-  const auto g = reg.gauge("level");
-  const auto h = reg.histogram("size");
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 50'000;
-
-  std::atomic<bool> go{false};
-  std::atomic<int> running{0};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      MetricsRegistry::Shard& shard = reg.local_shard();
-      running.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        shard.add(c);
-        shard.set(g, static_cast<std::int64_t>(t + 1));
-        shard.record(h, static_cast<std::int64_t>(i % 1024));
-      }
-    });
-  }
-  while (running.load() != kThreads) {
-  }
-  go.store(true, std::memory_order_release);
-  // Concurrent observer: totals must be monotone and never torn past the
-  // final sum. (Under TSan this loop is the race detector's probe.)
-  std::uint64_t last = 0;
-  for (int i = 0; i < 100; ++i) {
-    const MetricsSnapshot snap = reg.snapshot_counters(i);
-    EXPECT_GE(snap.counters[c.index], last);
-    EXPECT_LE(snap.counters[c.index], kThreads * kPerThread);
-    last = snap.counters[c.index];
-  }
-  for (std::thread& w : writers) w.join();
-
-  const MetricsSnapshot snap = reg.snapshot(0);
-  EXPECT_EQ(snap.counters[c.index], kThreads * kPerThread);
-  // Gauges sum across shards; each thread last wrote t+1.
-  EXPECT_EQ(snap.gauges[g.index], 1 + 2 + 3 + 4);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, kThreads * kPerThread);
-  EXPECT_EQ(snap.histograms[0].max, 1023);
-  const Histogram merged = reg.merged_histogram(h);
-  EXPECT_EQ(merged.count(), kThreads * kPerThread);
-  EXPECT_EQ(reg.num_shards(), static_cast<std::size_t>(kThreads));
+  reg.set(g, 41);
+  reg.set(g, -7);
+  EXPECT_EQ(reg.snapshot(0).gauges[g.index], -7);
 }
 
 TEST(MetricsRegistry, SnapshotSequenceIsMonotone) {
   MetricsRegistry reg;
   reg.counter("c");
-  const auto s1 = reg.snapshot_counters(10);
+  const auto s1 = reg.snapshot(10);
   const auto s2 = reg.snapshot(20);
-  const auto s3 = reg.snapshot_counters(30);
+  const auto s3 = reg.snapshot(30);
   EXPECT_LT(s1.seq, s2.seq);
   EXPECT_LT(s2.seq, s3.seq);
   EXPECT_EQ(s2.sim_time, 20);
+}
+
+TEST(MetricsRegistry, ResetZeroesEveryInstrumentAndRestartsTheSequence) {
+  MetricsRegistry reg;
+  const auto c = reg.counter("c");
+  const auto g = reg.gauge("g");
+  const auto h = reg.histogram("h");
+  reg.add(c, 5);
+  reg.set(g, -3);
+  reg.histogram_cell(h)->record(900);
+  reg.snapshot(10);
+  reg.reset();
+  const MetricsSnapshot snap = reg.snapshot(20);
+  EXPECT_EQ(snap.seq, 0u);
+  EXPECT_EQ(snap.counters, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(snap.gauges, (std::vector<std::int64_t>{0}));
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].count, 0u);
+  EXPECT_EQ(snap.histograms[0].max, 0);
+  EXPECT_TRUE(reg.histogram(h).buckets().empty());
+  // The instrument set survives a reset.
+  EXPECT_EQ(reg.counter_names(), (std::vector<std::string>{"c"}));
 }
 
 // ------------------------------------------------------------ duration flags ---
@@ -501,6 +474,26 @@ TEST(TelemetryProbe, DropsOnlyWindowIsCounted) {
   EXPECT_EQ(rows[2].drops, 0u);
 }
 
+TEST(TelemetryProbe, ReusedProbeReportsOnlyItsLastRun) {
+  // on_run_begin starts every counter, gauge and histogram from zero and
+  // restarts the snapshot sequence, so a probe that observed an earlier
+  // run exports exactly what a fresh probe exports for the same run.
+  const ScenarioConfig cfg = golden_scenario("plain", 42, 12.0);
+  auto sched = make_sched("LAPS");
+  TelemetryProbe reused({}, sched.get());
+  run_scenario(cfg, *sched, ProbeSet{&reused}, 100 * kMicrosecond);
+  run_scenario(cfg, *sched, ProbeSet{&reused}, 100 * kMicrosecond);
+
+  auto fresh_sched = make_sched("LAPS");
+  TelemetryProbe fresh({}, fresh_sched.get());
+  run_scenario(cfg, *fresh_sched, ProbeSet{&fresh}, 100 * kMicrosecond);
+
+  const Exports second = exports_of(reused);
+  const Exports expected = exports_of(fresh);
+  EXPECT_EQ(second.jsonl, expected.jsonl);
+  EXPECT_EQ(second.prom, expected.prom);
+}
+
 TEST(TelemetryProbe, DiscoversGaugesPerSchedulerPolicy) {
   // sched.* gauges exist only for mechanisms the policy owns: LAPS has the
   // AFD cache and pinner; StaticHash only the liveness bitmap; FCFS nothing.
@@ -658,7 +651,7 @@ std::string series_key(const SeriesCell& cell) {
          (cell.faulted ? "faults" : "clean");
 }
 
-std::vector<SeriesRow> run_series_cell(const SeriesCell& cell) {
+Exports run_series_cell(const SeriesCell& cell) {
   ScenarioOptions options;
   options.seconds = 0.005;
   ScenarioConfig config = make_paper_scenario(cell.scenario, options);
@@ -674,16 +667,17 @@ std::vector<SeriesRow> run_series_cell(const SeriesCell& cell) {
   tcfg.interval = kSeriesWindow;
   TelemetryProbe probe(tcfg, sched.get());
   run_scenario(config, *sched, ProbeSet{&probe}, kSeriesWindow);
+  return exports_of(probe);
+}
 
-  const std::string path = testing::TempDir() + "telemetry_series.jsonl";
-  telemetry::write_telemetry_jsonl(path, probe);
-  std::vector<SeriesRow> rows = series_rows(split_lines(read_file(path)));
-  std::remove(path.c_str());
-  return rows;
+std::uint32_t crc_of(const std::string& bytes) {
+  return crc32_ieee(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
 }
 
 std::string series_digest_line(const SeriesCell& cell) {
-  const std::vector<SeriesRow> rows = run_series_cell(cell);
+  const std::vector<SeriesRow> rows =
+      series_rows(split_lines(run_series_cell(cell).jsonl));
   std::ostringstream text;
   text.precision(17);
   SeriesRow total;
@@ -700,13 +694,10 @@ std::string series_digest_line(const SeriesCell& cell) {
     total.parks += r.parks;
     total.wakes += r.wakes;
   }
-  const std::string bytes = text.str();
   std::ostringstream line;
   line << series_key(cell) << '\t' << rows.size() << '\t'
-       << crc32_ieee({reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                      bytes.size()})
-       << '\t' << total.arrivals << '\t' << total.drops << '\t'
-       << total.migrations << '\t' << total.core_grants << '\t'
+       << crc_of(text.str()) << '\t' << total.arrivals << '\t' << total.drops
+       << '\t' << total.migrations << '\t' << total.core_grants << '\t'
        << total.parks << '\t' << total.wakes;
   return line.str();
 }
@@ -716,28 +707,21 @@ bool series_regen_requested() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-TEST(SeriesGolden, Regenerate) {
-  if (!series_regen_requested()) {
-    GTEST_SKIP() << "set LAPS_REGEN_GOLDEN=1 to rewrite " << kSeriesGoldenPath;
-  }
-  std::ofstream out(kSeriesGoldenPath, std::ios::trunc);
-  ASSERT_TRUE(out) << "cannot write " << kSeriesGoldenPath;
-  out << "# windowed-series goldens: key, windows, CRC32(rows), arrivals, "
-         "drops, migrations, core_grants, parks, wakes\n"
-      << "# regenerate with: LAPS_REGEN_GOLDEN=1 ./telemetry_test "
-         "--gtest_filter='SeriesGolden.Regenerate'\n";
-  for (const SeriesCell& cell : series_grid()) {
-    out << series_digest_line(cell) << "\n";
-  }
+using DigestLine = std::string (*)(const SeriesCell&);
+
+// Rewrites `path`: the `header` comment lines, then one digest line per
+// series_grid() cell.
+void write_golden(const char* path, const char* header, DigestLine digest) {
+  std::ofstream out(path, std::ios::trunc);
+  ASSERT_TRUE(out) << "cannot write " << path;
+  out << header;
+  for (const SeriesCell& cell : series_grid()) out << digest(cell) << "\n";
   ASSERT_TRUE(out.good());
 }
 
-TEST(SeriesGolden, StreamDifferencesMatchGolden) {
-  if (series_regen_requested()) {
-    GTEST_SKIP() << "regeneration run; comparisons are meaningless";
-  }
-  std::ifstream in(kSeriesGoldenPath);
-  ASSERT_TRUE(in) << "cannot read " << kSeriesGoldenPath;
+void expect_golden(const char* path, DigestLine digest) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot read " << path;
   std::vector<std::string> golden;
   for (std::string line; std::getline(in, line);) {
     if (!line.empty() && line[0] != '#') golden.push_back(line);
@@ -746,9 +730,67 @@ TEST(SeriesGolden, StreamDifferencesMatchGolden) {
   ASSERT_EQ(golden.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     // Each line starts with its cell's key, so a mismatch names the cell.
-    EXPECT_EQ(golden[i], series_digest_line(cells[i]))
-        << "the windowed series diverged from " << kSeriesGoldenPath;
+    EXPECT_EQ(golden[i], digest(cells[i])) << "diverged from " << path;
   }
+}
+
+TEST(SeriesGolden, Regenerate) {
+  if (!series_regen_requested()) {
+    GTEST_SKIP() << "set LAPS_REGEN_GOLDEN=1 to rewrite " << kSeriesGoldenPath;
+  }
+  write_golden(kSeriesGoldenPath,
+               "# windowed-series goldens: key, windows, CRC32(rows), "
+               "arrivals, drops, migrations, core_grants, parks, wakes\n"
+               "# regenerate with: LAPS_REGEN_GOLDEN=1 ./telemetry_test "
+               "--gtest_filter='SeriesGolden.Regenerate'\n",
+               series_digest_line);
+}
+
+TEST(SeriesGolden, StreamDifferencesMatchGolden) {
+  if (series_regen_requested()) {
+    GTEST_SKIP() << "regeneration run; comparisons are meaningless";
+  }
+  expect_golden(kSeriesGoldenPath, series_digest_line);
+}
+
+// ---------------------------------------------------------- exporter bytes ---
+
+// Pins every byte the two file exporters write for the SeriesGolden cells,
+// including what the window columns above leave out: the per-core and
+// sched.* gauges, each line's p50/p90/p99 and seq, the final line's labels,
+// and the whole Prometheus text. One line per cell: key, then length and
+// CRC32 of the JSONL file, then of the Prometheus text. Regenerate (only
+// when a change intends to alter the exported bytes) with
+// LAPS_REGEN_GOLDEN=1 ./telemetry_test --gtest_filter='TelemetryBytesGolden.Regenerate'.
+const char* kBytesGoldenPath =
+    LAPS_SOURCE_DIR "/tests/golden/telemetry_bytes.tsv";
+
+std::string bytes_digest_line(const SeriesCell& cell) {
+  const Exports out = run_series_cell(cell);
+  std::ostringstream line;
+  line << series_key(cell) << '\t' << out.jsonl.size() << '\t'
+       << crc_of(out.jsonl) << '\t' << out.prom.size() << '\t'
+       << crc_of(out.prom);
+  return line.str();
+}
+
+TEST(TelemetryBytesGolden, Regenerate) {
+  if (!series_regen_requested()) {
+    GTEST_SKIP() << "set LAPS_REGEN_GOLDEN=1 to rewrite " << kBytesGoldenPath;
+  }
+  write_golden(kBytesGoldenPath,
+               "# telemetry exporter goldens: key, JSONL bytes, CRC32(JSONL), "
+               "Prometheus bytes, CRC32(Prometheus)\n"
+               "# regenerate with: LAPS_REGEN_GOLDEN=1 ./telemetry_test "
+               "--gtest_filter='TelemetryBytesGolden.Regenerate'\n",
+               bytes_digest_line);
+}
+
+TEST(TelemetryBytesGolden, ExportsMatchGolden) {
+  if (series_regen_requested()) {
+    GTEST_SKIP() << "regeneration run; comparisons are meaningless";
+  }
+  expect_golden(kBytesGoldenPath, bytes_digest_line);
 }
 
 // -------------------------------------------------------- Prometheus export ---
