@@ -100,7 +100,7 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "abl_adaptive_hashing",
                             results, {{"adaptive_hashing", &out}});
-  return laps::grid_exit_code(runner, results);
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "abl_laps_sensitivity",
                             results, {{"sensitivity", &out}});
-  return laps::grid_exit_code(runner, results);
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "abl_order_restoration",
                             results, {{"order_restoration", &out}});
-  return laps::grid_exit_code(runner, results);
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

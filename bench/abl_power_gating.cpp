@@ -101,7 +101,7 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "abl_power_gating", results,
                             {{"power_gating", &out}});
-  return laps::grid_exit_code(runner, results);
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

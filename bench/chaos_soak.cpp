@@ -184,8 +184,8 @@ int run(laps::Flags& flags) {
         }
       }
 
-      // Built locally and assigned whole: a cell retried after a transient
-      // failure (e.g. --runner-chaos) must not double-accumulate.
+      // Built locally and assigned whole once every check above passed, so
+      // a failed schedule's row stays all zeros.
       ScheduleOutcome local;
       const auto events = report.extra.find("fault_events");
       local.fault_events = events != report.extra.end()
@@ -237,10 +237,10 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "chaos_soak", results,
                             {{"chaos", &table}});
-  // Invariant violations throw inside jobs; the resilient runner contains
-  // them as per-cell errors, so the binary's verdict comes from the results
+  // Invariant violations throw inside jobs; the runner contains them as
+  // per-cell errors, so the binary's verdict comes from the results
   // (grid_exit_code lists every failed schedule and returns nonzero).
-  const int rc = laps::grid_exit_code(runner, results);
+  const int rc = laps::grid_exit_code(results);
   if (rc == 0) {
     std::printf("\nchaos_soak: all %zu schedules passed conservation, "
                 "dead-core routing, non-migrated-flow ordering, and "

@@ -132,7 +132,7 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "fig7_scheduler_comparison",
                             results, {{"fig7", &fig}});
-  return laps::grid_exit_code(runner, results);
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

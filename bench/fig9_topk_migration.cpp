@@ -122,7 +122,7 @@ int run(laps::Flags& flags) {
 
   laps::write_json_artifact(harness.json_path, "fig9_topk_migration", results,
                             {{"fig9", &fig}});
-  return laps::grid_exit_code(runner, results);
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

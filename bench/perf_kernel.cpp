@@ -2,10 +2,9 @@
 //
 // Traffic is generated ONCE into a ReplayStream, then replayed through
 // every kernel below, so the (dominant) cost of online packet generation is
-// out of the timed loop and the numbers compare pure kernel throughput:
+// out of the timed loop and the numbers compare pure kernel throughput;
+// every ratio is against the bare engine row:
 //
-//   npu            the retained seed kernel (std::deque queues, per-flow
-//                  state in four parallel vectors, SimReport built inline)
 //   engine         the SimEngine with NO probes attached — the bare
 //                  discrete-event loop on its EventHeap completion queue,
 //                  nothing measured
@@ -47,12 +46,11 @@
 //
 
 // A deliberately trivial scheduler (gflow mod cores) keeps scheduling cost
-// out of the measurement, so the comparison isolates queue structure,
-// flow-state layout, and inline-vs-probe measurement.
+// out of the measurement, so the comparison isolates what each probe or
+// layer adds to the bare event loop.
 //
 // The workload is IP forwarding over a million-flow Zipf trace: large
-// enough that per-flow state outgrows the cache — the regime where the
-// kernels' flow-state layouts actually differ — and representative of the
+// enough that per-flow state outgrows the cache, and representative of the
 // paper's backbone traces. Repetitions interleave the kernels so
 // machine noise hits all of them alike.
 //
@@ -153,8 +151,6 @@ int run(Flags& flags) {
   PacketGenerator generator({traffic}, seed, seconds);
   ReplayStream replay = ReplayStream::record(generator);
 
-  NpuConfig npu_cfg;
-  npu_cfg.num_cores = cores;
   SimEngineConfig eng_cfg;
   eng_cfg.num_cores = cores;
   // The telemetry row needs epoch boundaries for its gauge/snapshot work —
@@ -162,34 +158,20 @@ int run(Flags& flags) {
   SimEngineConfig telem_cfg = eng_cfg;
   telem_cfg.epoch_ns = 100 * kMicrosecond;
 
-  Measurement npu{"npu"}, engine{"engine"}, engine_report{"engine+report"},
+  Measurement engine{"engine"}, engine_report{"engine+report"},
       engine_audit{"engine+audit"}, engine_flight{"engine+flight"},
       engine_laps{"engine+laps"}, engine_telem{"engine+telemetry"},
       cluster_pass{"cluster+pass"}, cluster_rss{"cluster+rss"};
-  npu.packets = engine.packets = engine_report.packets =
-      engine_audit.packets = engine_flight.packets = engine_laps.packets =
-          engine_telem.packets = cluster_pass.packets = cluster_rss.packets =
-              replay.size();
-  SimReport check_npu, check_engine;
-  SimReport check_cluster;
+  engine.packets = engine_report.packets = engine_audit.packets =
+      engine_flight.packets = engine_laps.packets = engine_telem.packets =
+          cluster_pass.packets = cluster_rss.packets = replay.size();
+  SimReport check_engine, check_cluster;
 
   // One scope for all kernels: counters reset at each start(), and the
   // reading of the repetition that won best-of is what the artifact keeps.
   telemetry::PerfCounterScope pmu;
   telemetry::PerfCounterReading last_reading;
 
-  const auto time_npu = [&]() {
-    ModuloScheduler sched;
-    replay.rewind();
-    Npu kernel(npu_cfg, sched);
-    pmu.start();
-    const auto t0 = std::chrono::steady_clock::now();
-    SimReport rep = kernel.run(replay, "perf_kernel");
-    const double s = seconds_since(t0);
-    last_reading = pmu.stop();
-    check_npu = std::move(rep);
-    return s;
-  };
   /// Times one engine pass with `probe` attached (nullptr = bare engine).
   const auto time_engine_cfg = [&](const SimEngineConfig& cfg,
                                    SimProbe* probe) {
@@ -284,7 +266,6 @@ int run(Flags& flags) {
   // leaves enough cache/allocator wake to inflate whichever row follows
   // it by several points, and telemetry is the row with the tightest
   // budget (5%) riding on that comparison.
-  time_npu();
   time_engine();
   time_report();
   time_telemetry();
@@ -300,7 +281,6 @@ int run(Flags& flags) {
     }
   };
   for (int r = 0; r < reps; ++r) {
-    keep_best(npu, time_npu(), r);
     keep_best(engine, time_engine(), r);
     keep_best(engine_report, time_report(), r);
     keep_best(engine_telem, time_telemetry(), r);
@@ -311,19 +291,13 @@ int run(Flags& flags) {
     keep_best(cluster_rss, time_cluster_rss(), r);
   }
 
-  // The two reporting kernels must agree exactly — this bench doubles as a
-  // cheap end-to-end equivalence check (the real one is the golden suite).
-  if (report_to_json(check_npu) != report_to_json(check_engine)) {
-    throw std::logic_error("perf_kernel: npu and engine reports differ");
-  }
-  // And the one-shard pass-through cluster must BE the engine+report run —
-  // the shards=1 identity contract, re-proven on every bench invocation.
+  // The one-shard pass-through cluster must BE the engine+report run — the
+  // shards=1 identity contract, re-proven on every bench invocation.
   if (report_to_json(check_cluster) != report_to_json(check_engine)) {
     throw std::logic_error(
         "perf_kernel: cluster+pass shard report diverged from engine+report");
   }
 
-  const double speedup = npu.best_seconds / engine.best_seconds;
   const auto overhead_vs_engine = [&](const Measurement& m) {
     return m.best_seconds / engine.best_seconds - 1.0;
   };
@@ -337,17 +311,17 @@ int run(Flags& flags) {
       cluster_pass.best_seconds / engine_report.best_seconds - 1.0;
 
   const std::vector<const Measurement*> rows = {
-      &npu,         &engine,      &engine_report, &engine_audit, &engine_flight,
-      &engine_laps, &engine_telem, &cluster_pass,  &cluster_rss};
+      &engine,      &engine_report, &engine_audit, &engine_flight,
+      &engine_laps, &engine_telem,  &cluster_pass, &cluster_rss};
 
   std::printf("=== Kernel throughput: %llu replayed packets/run, %zu cores, "
               "best of %d ===\n\n",
-              static_cast<unsigned long long>(npu.packets), cores, reps);
-  Table out({"kernel", "wall ms", "Mpps", "vs npu"});
+              static_cast<unsigned long long>(engine.packets), cores, reps);
+  Table out({"kernel", "wall ms", "Mpps", "vs engine"});
   for (const Measurement* m : rows) {
     out.add_row({m->variant, Table::num(m->best_seconds * 1e3, 2),
                  Table::num(m->mpps(), 2),
-                 Table::num(npu.best_seconds / m->best_seconds, 2) + "x"});
+                 Table::num(engine.best_seconds / m->best_seconds, 2) + "x"});
   }
   std::printf("%s\n", out.to_string().c_str());
   if (pmu.available()) {
@@ -364,7 +338,6 @@ int run(Flags& flags) {
     std::printf("(hardware counters unavailable: perf_event_open rejected "
                 "or not Linux)\n\n");
   }
-  std::printf("engine speedup over npu (null probes): %.2fx\n", speedup);
   std::printf("ReportProbe overhead over null probes: %.1f%%\n",
               probe_overhead * 100.0);
   std::printf("FlowAuditProbe overhead over null probes: %.1f%%\n",
@@ -382,7 +355,7 @@ int run(Flags& flags) {
     w.begin_object();
     w.field("schema", "laps-perf-v1");
     w.field("tool", "perf_kernel");
-    w.field("packets_per_run", static_cast<std::int64_t>(npu.packets));
+    w.field("packets_per_run", static_cast<std::int64_t>(engine.packets));
     w.field("reps", static_cast<std::int64_t>(reps));
     w.field("perf_counters_available", pmu.available());
     w.key("kernels");
@@ -405,7 +378,6 @@ int run(Flags& flags) {
       w.end_object();
     }
     w.end_array();
-    w.field("engine_speedup_vs_npu", speedup);
     w.field("report_probe_overhead", probe_overhead);
     w.field("audit_probe_overhead", audit_overhead);
     w.field("flight_probe_overhead", flight_overhead);

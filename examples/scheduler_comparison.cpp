@@ -76,7 +76,7 @@ int run(laps::Flags& flags) {
 
   write_json_artifact(harness.json_path, "scheduler_comparison", results,
                       {{"comparison", &table}});
-  return grid_exit_code(runner, results);
+  return grid_exit_code(results);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 # Usage: scripts/check_sanitize.sh [ctest-args...]
 #        scripts/check_sanitize.sh --chaos [chaos_soak-args...]
 #        scripts/check_sanitize.sh --tsan [ctest-args...]
-#        scripts/check_sanitize.sh --resilience
+#        scripts/check_sanitize.sh --resilience [ctest-args...]
 #        scripts/check_sanitize.sh --cluster [fig_cluster_dispatch-args...]
 #
 # --chaos builds and runs the chaos_soak fault-injection grid under the
@@ -17,17 +17,13 @@
 # --tsan builds the ThreadSanitizer configuration (its own build-tsan tree;
 # TSan and ASan cannot share a process) and runs the tests that start
 # threads: the thread pool and ParallelIndexMap, the shared TraceStore's
-# concurrent cursors, the parallel runner (watchdog, retries, chaos), an
-# observed grid writing per-run telemetry files at --jobs=1 and 3, and the
+# concurrent cursors, the parallel runner, an observed grid writing per-run telemetry files at --jobs=1 and 3, and the
 # cluster's threaded-vs-lockstep differential. Pass ctest args to widen or
 # narrow the selection.
 #
-# --resilience runs the resilient-runner proof under ASan+UBSan: the
-# resilience test suite (journal codec round-trips, watchdog/retry state
-# machine, and the SIGTERM/SIGKILL kill-and-resume byte-identity
-# differentials), then a chaos_soak slice with runner-level fault injection
-# on (--runner-chaos: seeded transient throws and watchdog-cancelled hangs
-# against the runner itself, every failure retried to success).
+# --resilience runs the resilient-runner proof under ASan+UBSan: journal
+# codec round-trips, crash containment, and the SIGTERM/SIGKILL
+# kill-and-resume byte-identity differentials.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,15 +37,9 @@ fi
 if [[ "${1:-}" == "--resilience" ]]; then
   shift
   cmake --preset asan
-  cmake --build --preset asan -j "$(nproc)" --target resilience_test chaos_soak
-  ctest --preset asan --output-on-failure \
-    -R 'Journal|HistogramRestore|ParallelRunner|ResumeDifferential'
-  # Runner chaos soak: deterministic seed, transient throws AND hangs
-  # injected into the runner; retries + watchdog must absorb every one
-  # (exit 0) and the invariant checks inside each schedule still hold.
-  exec ./build-asan/bench/chaos_soak --schedules=8 --jobs=2 --seconds=0.004 \
-    --runner-chaos=1905 --runner-chaos-fail=0.2 --runner-chaos-hang=0.05 \
-    --job-timeout=2s --job-retries=6 "$@"
+  cmake --build --preset asan -j "$(nproc)" --target resilience_test exp_test
+  exec ctest --preset asan --output-on-failure \
+    -R 'Journal|HistogramRestore|ParallelRunner|ResumeDifferential' "$@"
 fi
 
 if [[ "${1:-}" == "--cluster" ]]; then

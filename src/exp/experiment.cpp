@@ -5,13 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "exp/journal.h"
-#include "exp/watchdog.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -69,60 +67,6 @@ class SignalGuard {
   struct sigaction old_term_ = {};
 };
 
-// ------------------------------------------------------------------- chaos --
-
-double unit_draw(Rng& rng) {
-  return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
-}
-
-/// Wraps one attempt's job body with the chaos injector. The draw is a pure
-/// function of (chaos seed, job fingerprint, attempt), so a chaos run is
-/// reproducible and each retry of the same cell re-rolls the dice.
-std::function<SimReport()> with_chaos(const std::function<SimReport()>& job,
-                                      const RunnerPolicy::Chaos& chaos,
-                                      std::uint64_t fingerprint,
-                                      std::size_t attempt) {
-  if (!chaos.enabled) return job;
-  return [job, chaos, fingerprint, attempt]() -> SimReport {
-    Rng rng(mix64(mix64(chaos.seed ^ fingerprint) +
-                  static_cast<std::uint64_t>(attempt)));
-    const double u = unit_draw(rng);
-    if (u < chaos.fail_prob) {
-      throw TransientError("chaos: injected transient fault (draw " +
-                           std::to_string(u) + ")");
-    }
-    if (u < chaos.fail_prob + chaos.hang_prob) {
-      // Hang until the watchdog cancels us (checked every millisecond);
-      // check_cancelled throws JobCancelled, classified as a timeout.
-      for (;;) {
-        JobWatchdog::check_cancelled();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    return job();
-  };
-}
-
-bool is_transient(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const TransientError&) {
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-std::string error_message(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown exception";
-  }
-}
-
 }  // namespace
 
 std::uint64_t ExperimentPlan::derive_seed(std::uint64_t plan_seed,
@@ -179,12 +123,6 @@ void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
 
 ParallelRunner::ParallelRunner(std::size_t jobs, RunnerPolicy policy)
     : jobs_(ThreadPool::resolve(jobs)), policy_(std::move(policy)) {
-  if (policy_.chaos.enabled && policy_.chaos.hang_prob > 0 &&
-      policy_.job_timeout <= 0) {
-    throw std::invalid_argument(
-        "ParallelRunner: chaos hang injection requires a job timeout "
-        "(nothing else would ever unblock a hung attempt)");
-  }
   if (policy_.resume && policy_.journal_path.empty()) {
     throw std::invalid_argument("ParallelRunner: resume requires a journal");
   }
@@ -239,78 +177,33 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
                  stats_.restored, total, journal->path().c_str());
   }
 
-  std::optional<JobWatchdog> watchdog;
-  if (policy_.job_timeout > 0) {
-    watchdog.emplace(std::chrono::nanoseconds(policy_.job_timeout));
-  }
-  SignalGuard signals(policy_.handle_signals);
+  // Only a journaled grid can be resumed, so only it trades the default
+  // die-at-once signal behaviour for a clean stop between cells.
+  SignalGuard signals(journal.has_value());
   auto stop_requested = [&] { return signals.signal() != 0; };
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{stats_.restored};
-  std::mutex stats_mutex;  // workers fold failure/retry tallies under this
 
   auto run_cell = [&](std::size_t i) {
     const ExperimentJob& job = plan.jobs()[i];
     JobResult& out = results[i];
     const auto j0 = std::chrono::steady_clock::now();
-    std::size_t cell_timeouts = 0;
-    std::size_t cell_retries = 0;
-    for (std::size_t attempt = 0;; ++attempt) {
-      const AttemptOutcome outcome = run_job_attempt(
-          with_chaos(job.run, policy_.chaos, fingerprints[i], attempt),
-          watchdog ? &*watchdog : nullptr);
-      out.error.reset();
-      if (outcome.ok) {
-        out.report = outcome.report;
-        // Normalize labels so artifacts key on the plan's names even when a
-        // scheduler self-reports differently (e.g. parameterized variants).
-        out.report.scenario = job.scenario;
-        out.report.scheduler = job.scheduler;
-        break;
-      }
-      bool transient = false;
-      if (outcome.timed_out) {
-        ++cell_timeouts;
-        transient = true;
-        out.error = JobError{"timeout",
-                             "watchdog cancelled the attempt" +
-                                 std::string(outcome.abandoned
-                                                 ? " (thread abandoned)"
-                                                 : ""),
-                             attempt + 1};
-      } else {
-        transient = is_transient(outcome.error);
-        out.error = JobError{"exception", error_message(outcome.error),
-                             attempt + 1};
-      }
-      if (!transient || attempt >= policy_.job_retries || stop_requested()) {
-        break;  // permanent failure for this cell; error stays engaged
-      }
-      // Exponential backoff, capped, interruptible by a stop signal.
-      ++cell_retries;
-      TimeNs delay = policy_.retry_backoff;
-      for (std::size_t d = 0; d < attempt && delay < 5 * kSecond; ++d) {
-        delay *= 2;
-      }
-      delay = std::min<TimeNs>(delay, 5 * kSecond);
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::nanoseconds(delay);
-      while (std::chrono::steady_clock::now() < deadline &&
-             !stop_requested()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
+    try {
+      out.report = job.run();
+      // Normalize labels so artifacts key on the plan's names even when a
+      // scheduler self-reports differently (e.g. parameterized variants).
+      out.report.scenario = job.scenario;
+      out.report.scheduler = job.scheduler;
+    } catch (const std::exception& e) {
+      out.error = JobError{"exception", e.what()};
+    } catch (...) {
+      out.error = JobError{"exception", "unknown exception"};
     }
     out.wall_seconds = seconds_since(j0);
     completed[i] = 1;
     if (out.ok() && journal) {
       journal->record(i, fingerprints[i], out.report);
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      stats_.jobs_timed_out += cell_timeouts;
-      stats_.retries += cell_retries;
-      if (!out.ok()) ++stats_.jobs_failed;
     }
     const std::size_t n = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (out.ok()) {
@@ -346,6 +239,7 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
     }
     for (std::thread& w : workers) w.join();
   }
+  for (const JobResult& r : results) stats_.jobs_failed += r.ok() ? 0 : 1;
 
   stop_signal_ = signals.signal();
   if (stop_signal_ != 0) {
@@ -354,8 +248,8 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
     // exactly what --resume continues from.
     for (std::size_t i = 0; i < total; ++i) {
       if (completed[i]) continue;
-      results[i].error = JobError{"interrupted",
-                                  "stopped by signal before this cell ran", 0};
+      results[i].error =
+          JobError{"interrupted", "stopped by signal before this cell ran"};
       ++stats_.interrupted;
     }
     std::fprintf(stderr,

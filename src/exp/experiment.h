@@ -31,11 +31,10 @@ struct ExperimentJob {
 /// the rest of the grid still runs, the artifact still gets written, and
 /// the harness exit code turns nonzero with the failed cells listed.
 struct JobError {
-  /// "exception" (the job threw), "timeout" (watchdog fired on every
-  /// attempt), or "interrupted" (a stop signal arrived before the cell ran).
+  /// "exception" (the job threw) or "interrupted" (a stop signal arrived
+  /// before the cell ran).
   std::string kind;
   std::string message;
-  std::size_t attempts = 0;  ///< attempts actually made (0 for interrupted)
 };
 
 /// Result of one job, in plan order.
@@ -54,22 +53,12 @@ struct JobResult {
   bool ok() const { return !error.has_value(); }
 };
 
-/// Resilience policy for a runner: crash containment is always on; the
-/// watchdog, retries, journal, signal handling, and chaos injection are
-/// opt-in. Defaults reproduce the historical runner exactly (minus
-/// exception propagation — a throwing job now fails its cell instead of
-/// aborting the grid).
+/// Resilience policy for a runner. Crash containment is always on; the
+/// journal is opt-in. A runner with a journal also installs SIGINT/SIGTERM
+/// handlers for the duration of run(): on signal, workers finish (journal)
+/// their current cell and stop claiming new ones, so --resume continues
+/// where the grid stopped.
 struct RunnerPolicy {
-  /// Per-attempt wall-clock budget; 0 disables the watchdog. With a budget,
-  /// each attempt runs on its own thread so a runaway simulation can be
-  /// abandoned; see exp/watchdog.h.
-  TimeNs job_timeout = 0;
-  /// Extra attempts for transient failures (TransientError or a watchdog
-  /// timeout). Deterministic failures are never retried.
-  std::size_t job_retries = 0;
-  /// First retry delay; doubles per retry, capped at 5 s. Interruptible by
-  /// a stop signal.
-  TimeNs retry_backoff = 10 * kMillisecond;
   /// Completion journal path; empty = no journal. See exp/journal.h.
   std::string journal_path;
   /// With a journal: replay already-journaled cells instead of rerunning
@@ -79,21 +68,6 @@ struct RunnerPolicy {
   /// that change job output (fault spec, cluster shape) so a journal from a
   /// differently-configured run never resumes silently.
   std::uint64_t journal_salt = 0;
-  /// Install SIGINT/SIGTERM handlers for the duration of run(): on signal,
-  /// workers finish (journal) their current cell and stop claiming new
-  /// ones. The harness enables this whenever a journal is configured.
-  bool handle_signals = false;
-
-  /// Seeded fault injection against the *runner* (not the simulation):
-  /// before an attempt runs its job, a per-(seed, fingerprint, attempt)
-  /// draw may throw TransientError or hang until the watchdog fires. This
-  /// is how the resilience machinery itself is soaked in CI.
-  struct Chaos {
-    bool enabled = false;
-    std::uint64_t seed = 0;
-    double fail_prob = 0.0;  ///< P(attempt throws TransientError)
-    double hang_prob = 0.0;  ///< P(attempt hangs); requires job_timeout > 0
-  } chaos;
 };
 
 /// An ordered list of independent simulation jobs.
@@ -155,11 +129,9 @@ struct RunnerStats {
   double wall_seconds = 0.0;  ///< end-to-end wall clock of run()
   double job_seconds = 0.0;   ///< sum of per-job wall clocks
   std::size_t jobs_used = 0;  ///< worker threads actually used
-  std::size_t jobs_failed = 0;     ///< cells with a permanent JobError
-  std::size_t jobs_timed_out = 0;  ///< attempts the watchdog cancelled
-  std::size_t retries = 0;         ///< extra attempts after transient failures
-  std::size_t restored = 0;        ///< cells replayed from the journal
-  std::size_t interrupted = 0;     ///< cells never run (stop signal)
+  std::size_t jobs_failed = 0;  ///< cells whose job threw
+  std::size_t restored = 0;     ///< cells replayed from the journal
+  std::size_t interrupted = 0;  ///< cells never run (stop signal)
   double speedup() const {
     return wall_seconds > 0 ? job_seconds / wall_seconds : 0.0;
   }
@@ -176,17 +148,18 @@ struct RunnerStats {
 class ParallelRunner {
  public:
   /// `jobs` = worker threads; 0 = hardware concurrency; 1 = run inline.
-  /// `policy` adds the resilience layer (watchdog, retries, journal,
-  /// signals, chaos); the default policy matches the historical runner.
+  /// `policy` adds the journal (and with it signal handling); the default
+  /// policy runs the grid without one.
   explicit ParallelRunner(std::size_t jobs = 1, RunnerPolicy policy = {});
 
   /// Runs every job; reports progress on stderr as jobs finish.
   ///
-  /// Containment contract: a throwing job never propagates out of run().
-  /// The exception is captured as the cell's JobError, every other cell
-  /// still runs, and callers decide the exit code from the results (see
-  /// harness grid_exit_code). Only plan/setup errors (bad policy, corrupt
-  /// journal) throw.
+  /// Every cell runs once: cells are deterministic, so a rerun would only
+  /// repeat the outcome. Containment contract: a throwing job never
+  /// propagates out of run(). The exception is captured as the cell's
+  /// JobError, every other cell still runs, and callers decide the exit
+  /// code from the results (see harness grid_exit_code). Only plan/setup
+  /// errors (bad policy, corrupt journal) throw.
   std::vector<JobResult> run(const ExperimentPlan& plan);
 
   /// Nonzero when a handled SIGINT/SIGTERM stopped the previous run()

@@ -139,51 +139,16 @@ HarnessOptions parse_harness_flags(Flags& flags) {
     }
   }
 
-  const std::string timeout = flags.get_string("job-timeout", "");
-  if (!timeout.empty()) {
-    opts.job_timeout = util::parse_duration("--job-timeout", timeout);
-    if (opts.job_timeout <= 0) {
-      throw std::invalid_argument("--job-timeout must be > 0");
-    }
-  }
-  const std::int64_t retries = flags.get_int("job-retries", 0);
-  if (retries < 0) throw std::invalid_argument("--job-retries must be >= 0");
-  opts.job_retries = static_cast<std::size_t>(retries);
   opts.journal_path = flags.get_string("journal", "");
   opts.resume = flags.get_bool("resume", false);
   if (opts.resume && opts.journal_path.empty()) {
     throw std::invalid_argument("--resume requires --journal=PATH");
-  }
-  if (flags.has("runner-chaos")) {
-    opts.runner_chaos = true;
-    const std::string seed = flags.get_string("runner-chaos", "");
-    if (!seed.empty()) {
-      opts.runner_chaos_seed = static_cast<std::uint64_t>(
-          flags.get_int("runner-chaos", 0));
-    }
-  }
-  opts.runner_chaos_fail =
-      flags.get_double("runner-chaos-fail", opts.runner_chaos_fail);
-  opts.runner_chaos_hang =
-      flags.get_double("runner-chaos-hang", opts.runner_chaos_hang);
-  if (opts.runner_chaos_fail < 0 || opts.runner_chaos_fail > 1 ||
-      opts.runner_chaos_hang < 0 || opts.runner_chaos_hang > 1) {
-    throw std::invalid_argument(
-        "--runner-chaos-fail/--runner-chaos-hang must be in [0, 1]");
-  }
-  if (opts.runner_chaos && opts.runner_chaos_hang > 0 &&
-      opts.job_timeout <= 0) {
-    throw std::invalid_argument(
-        "--runner-chaos-hang requires --job-timeout (a hung attempt would "
-        "never be cancelled)");
   }
   return opts;
 }
 
 ParallelRunner make_runner(const HarnessOptions& opts) {
   RunnerPolicy policy;
-  policy.job_timeout = opts.job_timeout;
-  policy.job_retries = opts.job_retries;
   policy.journal_path = opts.journal_path;
   policy.resume = opts.resume;
   // Salt the journal with every harness option that changes what a job
@@ -200,13 +165,6 @@ ParallelRunner make_runner(const HarnessOptions& opts) {
   salt = fold(salt, opts.dispatch_spec);
   salt = fold(salt, std::to_string(opts.cluster_sync));
   policy.journal_salt = salt;
-  policy.handle_signals = !opts.journal_path.empty();
-  if (opts.runner_chaos) {
-    policy.chaos.enabled = true;
-    policy.chaos.seed = opts.runner_chaos_seed;
-    policy.chaos.fail_prob = opts.runner_chaos_fail;
-    policy.chaos.hang_prob = opts.runner_chaos_hang;
-  }
   return ParallelRunner(opts.jobs, std::move(policy));
 }
 
@@ -214,25 +172,21 @@ int grid_abort_code(const ParallelRunner& runner) {
   return runner.stop_signal() != 0 ? 128 + runner.stop_signal() : 0;
 }
 
-int grid_exit_code(const ParallelRunner& runner,
-                   const std::vector<JobResult>& results) {
+int grid_exit_code(const std::vector<JobResult>& results) {
   std::size_t failed = 0;
   for (const JobResult& r : results) {
     if (r.ok()) continue;
     ++failed;
-    std::fprintf(stderr,
-                 "FAILED cell %zu: %s/%s seed=%llu: %s: %s (%zu attempt%s)\n",
+    std::fprintf(stderr, "FAILED cell %zu: %s/%s seed=%llu: %s: %s\n",
                  r.index, r.scenario.c_str(), r.scheduler.c_str(),
                  static_cast<unsigned long long>(r.seed), r.error->kind.c_str(),
-                 r.error->message.c_str(), r.error->attempts,
-                 r.error->attempts == 1 ? "" : "s");
+                 r.error->message.c_str());
   }
   if (failed > 0) {
     std::fprintf(stderr, "%zu of %zu grid cell(s) failed\n", failed,
                  results.size());
     return 1;
   }
-  (void)runner;
   return 0;
 }
 
@@ -435,7 +389,6 @@ std::string artifact_json(const std::string& tool,
       w.begin_object();
       w.field("kind", r.error->kind);
       w.field("message", r.error->message);
-      w.field("attempts", static_cast<std::uint64_t>(r.error->attempts));
       w.end_object();
     }
     w.key("report");

@@ -56,16 +56,9 @@ struct HarnessOptions {
                                    ///< eagerly); empty = flag not given and
                                    ///< the binary's defaults apply
   TimeNs cluster_sync = 100 * kMicrosecond;  ///< sync-window width
-  // Resilience (see exp/experiment.h RunnerPolicy, exp/journal.h,
-  // exp/watchdog.h).
-  TimeNs job_timeout = 0;        ///< per-attempt watchdog budget; 0 = off
-  std::size_t job_retries = 0;   ///< extra attempts for transient failures
-  std::string journal_path;      ///< completion journal; empty = none
-  bool resume = false;           ///< replay journaled cells (--resume)
-  bool runner_chaos = false;     ///< --runner-chaos given
-  std::uint64_t runner_chaos_seed = 0;
-  double runner_chaos_fail = 0.05;  ///< P(attempt throws TransientError)
-  double runner_chaos_hang = 0.0;   ///< P(attempt hangs until watchdog)
+  // Resilience (see exp/experiment.h RunnerPolicy, exp/journal.h).
+  std::string journal_path;  ///< completion journal; empty = none
+  bool resume = false;       ///< replay journaled cells (--resume)
 };
 
 /// Consumes the flags every experiment binary shares:
@@ -112,32 +105,20 @@ struct HarnessOptions {
 ///                             (exp/dispatcher_registry.h)
 ///   --cluster-sync=D          cluster sync-window width (parse_duration:
 ///                             "100us", "1ms"; default 100us)
-///   --job-timeout=D           per-attempt watchdog budget (parse_duration:
-///                             "30s", "500ms"); a cell whose attempt exceeds
-///                             it is cancelled (and retried if budget left)
-///   --job-retries=N           extra attempts for transient failures
-///                             (TransientError or watchdog timeouts)
 ///   --journal=P               durable completion journal: one fsync'd
 ///                             record per finished cell, so an interrupted
 ///                             grid (SIGINT/SIGTERM/SIGKILL) can continue
 ///   --resume                  with --journal: replay already-journaled
 ///                             cells; final artifacts are byte-identical to
 ///                             an uninterrupted run
-///   --runner-chaos[=SEED]     seeded fault injection against the runner
-///                             itself (random transient throws/hangs per
-///                             attempt) — soaks the resilience machinery
-///   --runner-chaos-fail=P     chaos: P(attempt throws) (default 0.05)
-///   --runner-chaos-hang=P     chaos: P(attempt hangs until the watchdog
-///                             fires); requires --job-timeout
 /// Call before flags.finish().
 HarnessOptions parse_harness_flags(Flags& flags);
 
 /// Builds the runner for a harness-configured grid: worker count from
-/// --jobs plus a RunnerPolicy carrying the watchdog/retry/journal/chaos
-/// flags. The journal salt hashes every option that changes job output
-/// (fault spec, cluster shape) so a journal recorded under different
-/// options refuses to resume. Signal handling is enabled exactly when a
-/// journal is configured.
+/// --jobs plus a RunnerPolicy carrying --journal and --resume. The journal
+/// salt hashes every option that changes job output (fault spec, cluster
+/// shape) so a journal recorded under different options refuses to resume.
+/// The runner handles SIGINT/SIGTERM exactly when a journal is configured.
 ParallelRunner make_runner(const HarnessOptions& opts);
 
 /// Nonzero (128 + signal) when the previous run() was stopped by a handled
@@ -146,9 +127,8 @@ int grid_abort_code(const ParallelRunner& runner);
 
 /// Final exit code for a completed grid: 0 when every cell succeeded, 1
 /// otherwise — after printing one stderr line per failed cell (scenario,
-/// scheduler, seed, error kind, message, attempts).
-int grid_exit_code(const ParallelRunner& runner,
-                   const std::vector<JobResult>& results);
+/// scheduler, seed, error kind, message).
+int grid_exit_code(const std::vector<JobResult>& results);
 
 /// The schedulers a grid should run: the --scheduler specs when given,
 /// otherwise the binary's built-in `defaults` table. Every bench/example

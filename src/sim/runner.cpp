@@ -54,23 +54,4 @@ SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler,
   return report.take_report();
 }
 
-SimReport run_scenario_reference(const ScenarioConfig& config,
-                                 Scheduler& scheduler) {
-  if (config.faults != nullptr && !config.faults->empty()) {
-    // The retained seed kernel predates fault injection and exists only as
-    // a differential oracle for fault-free physics.
-    throw std::invalid_argument(
-        "run_scenario_reference: fault plans are not supported by the "
-        "reference Npu kernel");
-  }
-  PacketGenerator generator = make_generator(config);
-  NpuConfig npu_config;
-  npu_config.num_cores = config.num_cores;
-  npu_config.queue_capacity = config.queue_capacity;
-  npu_config.delay = config.delay;
-  npu_config.restore_order = config.restore_order;
-  Npu npu(npu_config, scheduler);
-  return npu.run(generator, config.name);
-}
-
 }  // namespace laps

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/engine.h"
-#include "sim/npu.h"
 #include "sim/probe.h"
 #include "sim/report.h"
 #include "sim/scheduler.h"
@@ -50,12 +49,5 @@ SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler);
 /// TelemetryProbe's interval so every epoch publishes one snapshot).
 SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler,
                        const ProbeSet& extra_probes, TimeNs epoch_ns = 0);
-
-/// Runs `config` through the retained seed kernel (Npu) instead of the
-/// SimEngine. Exists for differential testing — the golden suite asserts
-/// run_scenario and run_scenario_reference produce byte-identical report
-/// JSON — and for the perf_kernel speedup baseline. Not for new callers.
-SimReport run_scenario_reference(const ScenarioConfig& config,
-                                 Scheduler& scheduler);
 
 }  // namespace laps

@@ -31,11 +31,13 @@ class IoError : public std::runtime_error {
 };
 
 /// Writes `content` to `path` via the tmp+rename discipline: the bytes land
-/// in `path + ".tmp"` first and are renamed into place only once fully
-/// written, so a crash or full disk mid-write leaves either the old file or
-/// the new one — never a truncated hybrid. Throws IoError (with `what_kind`
-/// naming the artifact, e.g. "JSON artifact" or "flow audit") on failure;
-/// the temp file is removed on every failure path.
+/// in `path + ".tmp.<pid>.<n>"` first and are renamed into place only once
+/// fully written, so a crash or full disk mid-write leaves either the old
+/// file or the new one — never a truncated hybrid. Throws IoError (with
+/// `what_kind` naming the artifact, e.g. "JSON artifact" or "flow audit")
+/// on failure; the temp file is removed on every failure path. After the
+/// rename, temps of `path` left by writers whose process is gone (killed
+/// mid-write) are removed too; a live writer's temp is never touched.
 ///
 /// `durable` additionally fsyncs the temp file before the rename and the
 /// containing directory after it, so the rename survives power loss — the

@@ -14,6 +14,7 @@
 #include "baselines/fcfs.h"
 #include "baselines/static_hash.h"
 #include "core/laps.h"
+#include "reference/npu.h"
 #include "sim/engine.h"
 #include "sim/event_heap.h"
 #include "sim/probes.h"

@@ -11,6 +11,8 @@
 #include "baselines/oracle_topk.h"
 #include "baselines/static_hash.h"
 #include "core/laps.h"
+#include "exp/scheduler_registry.h"
+#include "sim/report_json.h"
 #include "sim/scenarios.h"
 
 namespace laps {
@@ -246,6 +248,31 @@ TEST(Fig9Shape, MoreAfcEntriesMigrateMoreFlows) {
   }
   EXPECT_LE(migs_small, migs_big * 1.5 + 100)
       << "a smaller AFC cannot migrate more flows by much";
+}
+
+// hash-migrate is StaticHash plus the AFD-pinned migration LAPS runs with
+// one service, whose incremental hashing then degenerates to a static
+// partition. Without faults the two make the same decisions, so their
+// reports agree on every field but the scheduler's name and its own extra
+// counters. (Core faults part them: see EXPERIMENTS.md, "Composed
+// hybrids".)
+TEST(Fig9Shape, HashMigrateEqualsSingleServiceLapsWithoutFaults) {
+  ScenarioOptions opt;
+  opt.seconds = 0.02;
+  opt.seed = 99;
+  for (const char* trace : {"caida1", "auck1"}) {
+    SCOPED_TRACE(trace);
+    const auto cfg = make_single_service_scenario(trace, opt, 1.05);
+    SimReport hash_migrate = run_scenario(cfg, *make_scheduler("hash-migrate"));
+    SimReport laps = run_scenario(cfg, *make_scheduler("laps:services=1"));
+    EXPECT_GT(laps.flow_migrations, 0u);
+    EXPECT_GT(laps.dropped, 0u);
+    for (SimReport* r : {&hash_migrate, &laps}) {
+      r->scheduler.clear();
+      r->extra.clear();
+    }
+    EXPECT_EQ(report_to_json(hash_migrate), report_to_json(laps));
+  }
 }
 
 TEST(Fig9Shape, OracleBehavesLikeLaps) {

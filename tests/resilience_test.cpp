@@ -1,7 +1,6 @@
 // Tests for the resilient experiment runner: journal codec exactness,
-// durable record/restore, header and corruption handling, watchdog
-// timeouts, retry/backoff classification, runner chaos determinism — and
-// the two differential proofs the tentpole rests on:
+// durable record/restore, header and corruption handling — and the two
+// differential proofs resume rests on:
 //
 //  * SigtermMidGridThenResumeIsByteIdentical — a grid stopped by SIGTERM
 //    and resumed from its journal produces byte-identical artifacts
@@ -17,7 +16,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -37,7 +35,6 @@
 #include "exp/harness.h"
 #include "exp/journal.h"
 #include "exp/trace_store.h"
-#include "exp/watchdog.h"
 #include "sim/flow_audit.h"
 #include "sim/probe.h"
 #include "sim/report_json.h"
@@ -276,104 +273,6 @@ TEST(Journal, FingerprintSeparatesCellsAndConfigs) {
   EXPECT_NE(fp, job_fingerprint(1, 2, 3, other));
 }
 
-// ------------------------------------------------- watchdog and retries ---
-
-TEST(ParallelRunner, WatchdogTimesOutHangingCellOthersComplete) {
-  ExperimentPlan plan(5);
-  plan.add("hang", "X", 0, []() -> SimReport {
-    // Cooperative hang: spins until the watchdog cancels the attempt.
-    while (true) {
-      JobWatchdog::check_cancelled();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  for (std::size_t i = 1; i < 6; ++i) {
-    plan.add("fine", "X", i, [i] { return fake_report("fine", "X", i); });
-  }
-  RunnerPolicy policy;
-  policy.job_timeout = 50 * kMillisecond;
-  ParallelRunner runner(2, policy);
-  const auto results = runner.run(plan);
-  ASSERT_EQ(results.size(), 6u);
-  ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].error->kind, "timeout");
-  EXPECT_EQ(results[0].error->attempts, 1u);
-  for (std::size_t i = 1; i < 6; ++i) {
-    EXPECT_TRUE(results[i].ok()) << i;
-  }
-  EXPECT_EQ(runner.stats().jobs_failed, 1u);
-  EXPECT_GE(runner.stats().jobs_timed_out, 1u);
-  EXPECT_NE(grid_exit_code(runner, results), 0);
-}
-
-TEST(ParallelRunner, TransientFailuresRetryWithBackoffThenSucceed) {
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  ExperimentPlan plan(5);
-  plan.add("flaky", "X", 3, [attempts]() -> SimReport {
-    if (attempts->fetch_add(1) < 2) {
-      throw TransientError("simulated transient failure");
-    }
-    return fake_report("flaky", "X", 3);
-  });
-  RunnerPolicy policy;
-  policy.job_retries = 3;
-  policy.retry_backoff = kMillisecond;
-  ParallelRunner runner(1, policy);
-  const auto results = runner.run(plan);
-  ASSERT_TRUE(results[0].ok());
-  EXPECT_EQ(attempts->load(), 3);
-  EXPECT_EQ(runner.stats().retries, 2u);
-  EXPECT_EQ(runner.stats().jobs_failed, 0u);
-  EXPECT_EQ(grid_exit_code(runner, results), 0);
-}
-
-TEST(ParallelRunner, DeterministicFailuresAreNeverRetried) {
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  ExperimentPlan plan(5);
-  plan.add("broken", "X", 0, [attempts]() -> SimReport {
-    attempts->fetch_add(1);
-    throw std::logic_error("deterministic bug");
-  });
-  RunnerPolicy policy;
-  policy.job_retries = 5;
-  policy.retry_backoff = kMillisecond;
-  ParallelRunner runner(1, policy);
-  const auto results = runner.run(plan);
-  ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].error->kind, "exception");
-  EXPECT_EQ(results[0].error->message, "deterministic bug");
-  EXPECT_EQ(results[0].error->attempts, 1u);
-  EXPECT_EQ(attempts->load(), 1);
-  EXPECT_EQ(runner.stats().retries, 0u);
-}
-
-TEST(ParallelRunner, ChaosInjectionIsContainedAndDeterministic) {
-  // With retries available, every chaos-injected transient failure is
-  // absorbed and the artifact equals the chaos-free run's bytes.
-  auto artifact_with = [](bool chaos) {
-    RunnerPolicy policy;
-    policy.job_retries = 8;
-    policy.retry_backoff = kMillisecond;
-    if (chaos) {
-      policy.chaos.enabled = true;
-      policy.chaos.seed = 99;
-      policy.chaos.fail_prob = 0.4;
-    }
-    ParallelRunner runner(4, policy);
-    const auto results = runner.run(fake_plan(20, 77));
-    EXPECT_EQ(runner.stats().jobs_failed, 0u);
-    return artifact_json("chaos_test", results);
-  };
-  EXPECT_EQ(artifact_with(true), artifact_with(false));
-}
-
-TEST(ParallelRunner, ChaosHangsRequireAWatchdog) {
-  RunnerPolicy policy;
-  policy.chaos.enabled = true;
-  policy.chaos.hang_prob = 0.5;  // no job_timeout: would hang forever
-  EXPECT_THROW(ParallelRunner(1, policy), std::invalid_argument);
-}
-
 // ------------------------------------------------ resume differentials ---
 
 /// Real-simulation grid (3 traces x 2 schedulers x 5 seeds = 30 cells);
@@ -434,7 +333,7 @@ std::string golden_artifact(const std::string& dir) {
   const auto plan = sim_plan(store, dir, kDifferentialSeed);
   ParallelRunner runner(2);
   const auto results = runner.run(plan);
-  EXPECT_EQ(grid_exit_code(runner, results), 0);
+  EXPECT_EQ(grid_exit_code(results), 0);
   return artifact_json("resume_differential", results);
 }
 
@@ -445,7 +344,6 @@ TEST(ResumeDifferential, SigtermMidGridThenResumeIsByteIdentical) {
 
   RunnerPolicy policy;
   policy.journal_path = run_dir + "/grid.journal";
-  policy.handle_signals = true;
 
   // Phase 1: serial run that SIGTERMs itself after cell 7 completes — the
   // handled signal stops the grid after the in-flight cell is journaled.
@@ -487,7 +385,7 @@ TEST(ResumeDifferential, SigtermMidGridThenResumeIsByteIdentical) {
     const auto results = runner.run(plan);
     EXPECT_EQ(runner.stop_signal(), 0);
     EXPECT_EQ(runner.stats().restored, 8u);
-    EXPECT_EQ(grid_exit_code(runner, results), 0);
+    EXPECT_EQ(grid_exit_code(results), 0);
     for (std::size_t i = 0; i < 8; ++i) EXPECT_TRUE(results[i].from_journal);
     EXPECT_EQ(artifact_json("resume_differential", results), golden);
   }
@@ -556,7 +454,7 @@ TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
   ParallelRunner runner(4, resume_policy);
   const auto results = runner.run(plan);
   EXPECT_GE(runner.stats().restored, 5u);
-  EXPECT_EQ(grid_exit_code(runner, results), 0);
+  EXPECT_EQ(grid_exit_code(results), 0);
   EXPECT_EQ(artifact_json("resume_differential", results), golden);
 
   const auto golden_audits = audit_files(golden_dir);

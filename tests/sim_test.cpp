@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "reference/npu.h"
 #include "sim/event_heap.h"
-#include "sim/npu.h"
 #include "sim/reorder_buffer.h"
 #include "sim/runner.h"
 #include "sim/scheduler.h"

@@ -1,16 +1,23 @@
 // Tests for src/util: CRC, flow tuples, RNG, samplers, histogram, flags,
-// table printing.
+// table printing, atomic file writes.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/crc.h"
+#include "util/fileio.h"
 #include "util/flags.h"
 #include "util/flow.h"
 #include "util/histogram.h"
@@ -567,6 +574,44 @@ TEST(Time, Conversions) {
   EXPECT_EQ(from_seconds(1.0), kSecond);
   EXPECT_DOUBLE_EQ(to_seconds(kSecond), 1.0);
   EXPECT_DOUBLE_EQ(to_us(1'500), 1.5);
+}
+
+// --------------------------------------------------------------- FileIo ---
+
+// A writer killed mid-write leaves `<path>.tmp.<pid>.<n>` behind. The next
+// write of that path removes it once the pid is gone, and leaves alone a
+// temp whose writer is alive and the temps of other paths.
+TEST(WriteFileAtomic, RemovesTempsOfDeadWritersOnly) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("laps_fileio_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << "fork failed";
+  if (child == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);  // reaped: its pid is dead
+
+  const std::string path = (dir / "artifact.json").string();
+  const std::string dead = path + ".tmp." + std::to_string(child) + ".0";
+  // A sequence number this process's own write will not reach.
+  const std::string live =
+      path + ".tmp." + std::to_string(::getpid()) + ".999999";
+  const std::string other =
+      (dir / "other.json.tmp.").string() + std::to_string(child) + ".0";
+  for (const std::string& temp : {dead, live, other}) {
+    std::ofstream(temp) << "partial";
+  }
+  util::write_file_atomic(path, "whole", "test artifact");
+
+  EXPECT_FALSE(fs::exists(dead)) << "temp of a dead writer stayed";
+  EXPECT_TRUE(fs::exists(live)) << "temp of a live writer was removed";
+  EXPECT_TRUE(fs::exists(other)) << "temp of another path was removed";
+  std::ostringstream written;
+  written << std::ifstream(path).rdbuf();
+  EXPECT_EQ(written.str(), "whole");
+  fs::remove_all(dir);
 }
 
 }  // namespace
