@@ -157,7 +157,7 @@ int run(laps::Flags& flags) {
       // Bounded reordering: a flow that never changed cores departs in
       // order, whatever faults hit its core (runs are order-preserving,
       // restore_order=false).
-      for (const auto& entry : audit.sorted_entries()) {
+      for (const auto& entry : audit.rows()) {
         if (entry.migrations == 0 && entry.out_of_order != 0) {
           fail(idx, job_seed, spec_str,
                "flow " + std::to_string(entry.key) + " never migrated but " +

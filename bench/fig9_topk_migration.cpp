@@ -9,6 +9,7 @@
 // Usage: fig9_topk_migration [--seconds=S] [--seed=N] [--cores=N]
 //                            [--load=1.05] [--traces=...|all] [--jobs=N]
 //                            [--json=PATH] [--scheduler=LIST]
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -78,6 +79,16 @@ int run(laps::Flags& flags) {
   }
   defaults.push_back(laps::make_scheduler_spec("oracle"));
   const auto schedulers = laps::schedulers_or(harness, std::move(defaults));
+  // Every ratio is relative to its trace's AFS row: refuse a list without
+  // one before running any cell.
+  const auto afs = std::find_if(
+      schedulers.begin(), schedulers.end(),
+      [](const laps::SchedulerSpec& spec) { return spec.name == "AFS"; });
+  if (afs == schedulers.end()) {
+    throw std::invalid_argument(
+        "fig9: --scheduler must include afs, the base of every ratio");
+  }
+  const auto afs_column = static_cast<std::size_t>(afs - schedulers.begin());
 
   laps::ExperimentPlan plan(options.seed);
   plan.add_grid(traces, schedulers, {options.seed},
@@ -93,22 +104,20 @@ int run(laps::Flags& flags) {
   if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   // Ratios are computed after collection: each trace's AFS row is the base
-  // for every scheduler of that trace (plan order is trace-major, AFS
-  // first, so the base always precedes its dependents).
+  // for every scheduler of that trace (plan order is trace-major, one row
+  // per scheduler, so the base sits at afs_column of the trace's block).
   laps::Table fig({"trace", "scheduler", "drop%", "drops/AFS", "ooo/AFS",
                    "migrations/AFS", "migrations"});
-  const laps::SimReport* afs_base = nullptr;
-  for (const auto& res : results) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& res = results[i];
     const auto& r = res.report;
-    if (res.scheduler == "AFS") afs_base = &r;
-    if (afs_base == nullptr) {
-      throw std::logic_error("fig9: no AFS base row for " + res.scenario);
-    }
+    const laps::SimReport& afs_base =
+        results[i - i % schedulers.size() + afs_column].report;
     fig.add_row({res.scenario, res.scheduler,
                  laps::Table::pct(r.drop_ratio()),
-                 rel(r.dropped, afs_base->dropped),
-                 rel(r.out_of_order, afs_base->out_of_order),
-                 rel(r.flow_migrations, afs_base->flow_migrations),
+                 rel(r.dropped, afs_base.dropped),
+                 rel(r.out_of_order, afs_base.out_of_order),
+                 rel(r.flow_migrations, afs_base.flow_migrations),
                  laps::Table::num(static_cast<std::int64_t>(
                      r.flow_migrations))});
   }

@@ -25,14 +25,17 @@
 //
 // Usage: fig_cluster_dispatch [--shards=4] [--cores=4] [--seconds=0.02]
 //                             [--seed=17] [--load=1.05] [--trace=caida1]
-//                             [--sync=100us] [--jobs=1]
+//                             [--cluster-sync=100us] [--jobs=1]
 //                             [--dispatch=pass;rr;rss;fdir;affinity;load]
 //                             [--scheduler=afs] [--json=PATH]
 //
 // --cores is per shard; --load is relative to the ideal capacity of ALL
-// shards * cores, so shard counts compare at equal offered work. --jobs
-// drives the per-shard-thread executor (bit-identical to --jobs=1 by the
-// cluster determinism contract).
+// shards * cores, so shard counts compare at equal offered work.
+// --dispatch takes semicolon-separated dispatcher registry specs
+// (exp/dispatcher_registry.h, same fail-fast errors as --scheduler), one
+// row each; --cluster-sync is the sync-window width (util::parse_duration:
+// "100us", "1ms"). --jobs drives the per-shard-thread executor
+// (bit-identical to --jobs=1 by the cluster determinism contract).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -59,7 +62,9 @@ int run(laps::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
   const double load = flags.get_double("load", 1.05);
   const std::string trace = flags.get_string("trace", "caida1");
-  const std::string sync_spec = flags.get_string("sync", "");
+  const std::string dispatch =
+      flags.get_string("dispatch", "pass;rr;rss;fdir;affinity;load");
+  const std::string sync = flags.get_string("cluster-sync", "");
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();
   if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
@@ -76,9 +81,7 @@ int run(laps::Flags& flags) {
   const laps::SchedulerSpec& scheduler = scheduler_specs[0];
 
   const std::vector<laps::DispatcherSpec> dispatchers =
-      laps::parse_dispatcher_list(harness.dispatch_spec.empty()
-                                      ? "pass;rr;rss;fdir;affinity;load"
-                                      : harness.dispatch_spec);
+      laps::parse_dispatcher_list(dispatch);
 
   // Load is calibrated against the whole cluster's ideal capacity, then the
   // stream is recorded once; every row forks the same recording.
@@ -103,13 +106,11 @@ int run(laps::Flags& flags) {
   cluster.delay = scenario.delay;
   cluster.threads = harness.jobs;
   cluster.make_scheduler = scheduler.make;
-  if (!sync_spec.empty()) {
-    cluster.sync_ns = laps::util::parse_duration("--sync", sync_spec);
+  if (!sync.empty()) {
+    cluster.sync_ns = laps::util::parse_duration("--cluster-sync", sync);
     if (cluster.sync_ns <= 0) {
-      throw std::invalid_argument("--sync must be > 0");
+      throw std::invalid_argument("--cluster-sync must be > 0");
     }
-  } else {
-    cluster.sync_ns = harness.cluster_sync;
   }
 
   std::printf("=== Cluster dispatch: %zu shards x %zu cores, %s @ %.2f load, "

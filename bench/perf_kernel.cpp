@@ -11,10 +11,11 @@
 //   engine+report  the SimEngine with a ReportProbe, i.e. exactly what
 //                  run_scenario does for every bench and test
 //   engine+audit   the SimEngine with a FlowAuditProbe — exact per-flow
-//                  statistics in the open-addressed audit table; its
-//                  overhead over bare engine is the price of per-flow
-//                  attribution (--flow-audit), gated at <= 15% by
-//                  scripts/compare_bench.py
+//                  attribution (--flow-audit); the hooks append to the
+//                  probe's event log, and the timed run ends before that
+//                  log is folded into per-flow rows, so this row prices
+//                  the append alone (gated at <= 15% by
+//                  scripts/compare_bench.py), not the fold
 //   engine+flight  the SimEngine with a FlightRecorderProbe — the
 //                  always-on postmortem ring (--flight-recorder)
 //   engine+laps    the bare SimEngine driven by a real single-service
@@ -199,9 +200,10 @@ int run(Flags& flags) {
   };
   // Reused across reps so the event log keeps its steady-state pages — the
   // measured cost is the probe's per-event price, not the allocator warming
-  // 32 MiB of fresh pages every rep. Aggregation into the audit table is
-  // deferred to artifact time by design, so it is rightly outside the
-  // kernel row (see FlowAuditProbe docs).
+  // 32 MiB of fresh pages every rep. The fold into per-flow rows is
+  // deferred to artifact time by design and runs after the timer stops
+  // (the next rep's on_run_begin discards the unread log), so it is
+  // outside the kernel row (see FlowAuditProbe docs).
   FlowAuditProbe audit_probe;
   const auto time_audit = [&]() { return time_engine_probe(&audit_probe); };
   const auto time_flight = [&]() {

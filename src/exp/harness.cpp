@@ -6,7 +6,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "exp/dispatcher_registry.h"
 #include "exp/scheduler_registry.h"
 #include "sim/afd_accuracy.h"
 #include "sim/fault.h"
@@ -121,24 +120,6 @@ HarnessOptions parse_harness_flags(Flags& flags) {
     opts.schedulers = parse_scheduler_list(opts.scheduler_list);
   }
 
-  const std::int64_t shards = flags.get_int("shards", 1);
-  if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
-  opts.shards = static_cast<std::size_t>(shards);
-  const std::string dispatch = flags.get_string("dispatch", "");
-  if (!dispatch.empty()) {
-    // Eager validation, same fail-fast contract as --scheduler; kept raw
-    // (cluster binaries split the semicolon list themselves).
-    parse_dispatcher_list(dispatch);
-    opts.dispatch_spec = dispatch;
-  }
-  const std::string sync = flags.get_string("cluster-sync", "");
-  if (!sync.empty()) {
-    opts.cluster_sync = util::parse_duration("--cluster-sync", sync);
-    if (opts.cluster_sync <= 0) {
-      throw std::invalid_argument("--cluster-sync must be > 0");
-    }
-  }
-
   opts.journal_path = flags.get_string("journal", "");
   opts.resume = flags.get_bool("resume", false);
   if (opts.resume && opts.journal_path.empty()) {
@@ -151,20 +132,16 @@ ParallelRunner make_runner(const HarnessOptions& opts) {
   RunnerPolicy policy;
   policy.journal_path = opts.journal_path;
   policy.resume = opts.resume;
-  // Salt the journal with every harness option that changes what a job
-  // computes: resuming under a different fault plan or cluster shape must
-  // invalidate the journal, not silently mix results.
+  // Salt the journal with the harness option that changes what a job
+  // computes: resuming under a different fault plan must invalidate the
+  // journal, not silently mix results.
   auto fold = [](std::uint64_t h, const std::string& s) {
     for (const char c : s) {
       h = mix64(h ^ static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
     }
     return mix64(h ^ s.size());
   };
-  std::uint64_t salt = fold(0x1A95'0001, opts.faults_spec);
-  salt = fold(salt, std::to_string(opts.shards));
-  salt = fold(salt, opts.dispatch_spec);
-  salt = fold(salt, std::to_string(opts.cluster_sync));
-  policy.journal_salt = salt;
+  policy.journal_salt = fold(0x1A95'0001, opts.faults_spec);
   return ParallelRunner(opts.jobs, std::move(policy));
 }
 
@@ -301,11 +278,12 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
     const std::string path = per_run_path(opts.flow_audit_path, config.name,
                                           scheduler.name(), config.seed);
     audit->write(path);
+    const std::size_t flows = audit->rows().size();
     std::fprintf(stderr, "wrote flow audit: %s (%zu flows, %zu rows)\n",
-                 path.c_str(), audit->table().size(),
+                 path.c_str(), flows,
                  opts.flow_audit_rows == 0
-                     ? audit->table().size()
-                     : std::min(opts.flow_audit_rows, audit->table().size()));
+                     ? flows
+                     : std::min(opts.flow_audit_rows, flows));
   }
   if (accuracy) {
     const std::string path = per_run_path(opts.afd_accuracy_path, config.name,

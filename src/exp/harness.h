@@ -48,14 +48,6 @@ struct HarnessOptions {
   /// Parsed --scheduler specs. Empty = the binary's built-in scheduler
   /// table; see schedulers_or().
   std::vector<SchedulerSpec> schedulers;
-  // Cluster mode (src/cluster): shard the engine behind a front-end
-  // dispatcher. shards=1 with the default pass dispatcher is proven
-  // byte-identical to the single-engine path.
-  std::size_t shards = 1;          ///< --shards=N SimEngine shards
-  std::string dispatch_spec;       ///< raw --dispatch spec list (validated
-                                   ///< eagerly); empty = flag not given and
-                                   ///< the binary's defaults apply
-  TimeNs cluster_sync = 100 * kMicrosecond;  ///< sync-window width
   // Resilience (see exp/experiment.h RunnerPolicy, exp/journal.h).
   std::string journal_path;  ///< completion journal; empty = none
   bool resume = false;       ///< replay journaled cells (--resume)
@@ -96,15 +88,6 @@ struct HarnessOptions {
 ///                             replacing the binary's built-in table; an
 ///                             unknown name or parameter fails fast listing
 ///                             the valid ones (exp/scheduler_registry.h)
-///   --shards=N                cluster mode: N independent SimEngine shards
-///                             behind a front-end dispatcher (default 1)
-///   --dispatch=LIST           semicolon-separated dispatcher registry
-///                             specs (e.g. "rss;fdir:slots=4096;affinity"),
-///                             validated eagerly with the same fail-fast
-///                             errors as --scheduler
-///                             (exp/dispatcher_registry.h)
-///   --cluster-sync=D          cluster sync-window width (parse_duration:
-///                             "100us", "1ms"; default 100us)
 ///   --journal=P               durable completion journal: one fsync'd
 ///                             record per finished cell, so an interrupted
 ///                             grid (SIGINT/SIGTERM/SIGKILL) can continue
@@ -116,8 +99,8 @@ HarnessOptions parse_harness_flags(Flags& flags);
 
 /// Builds the runner for a harness-configured grid: worker count from
 /// --jobs plus a RunnerPolicy carrying --journal and --resume. The journal
-/// salt hashes every option that changes job output (fault spec, cluster
-/// shape) so a journal recorded under different options refuses to resume.
+/// salt hashes the harness option that changes job output (the fault spec)
+/// so a journal recorded under a different plan refuses to resume.
 /// The runner handles SIGINT/SIGTERM exactly when a journal is configured.
 ParallelRunner make_runner(const HarnessOptions& opts);
 

@@ -10,28 +10,7 @@
 
 namespace laps {
 
-namespace {
-
-/// splitmix64 finalizer: flow keys are raw 5-tuple packs whose low bits
-/// carry port structure; the mix spreads them over the whole table.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-constexpr std::size_t kInitialSlots = 1024;
-
-}  // namespace
-
-// ---------------------------------------------------------- FlowAuditTable ---
-
-FlowAuditTable::FlowAuditTable()
-    : slots_(kInitialSlots), stamp_(kInitialSlots, 0),
-      mask_(kInitialSlots - 1) {}
-
-std::size_t FlowAuditTable::latency_bucket(std::int64_t latency_ns) {
+std::size_t FlowAuditProbe::latency_bucket(std::int64_t latency_ns) {
   if (latency_ns <= 0) return 0;
   const int width = std::bit_width(static_cast<std::uint64_t>(latency_ns));
   if (width <= kLatencyShift) return 0;
@@ -39,100 +18,12 @@ std::size_t FlowAuditTable::latency_bucket(std::int64_t latency_ns) {
   return std::min(b, kLatencyBuckets - 1);
 }
 
-std::int64_t FlowAuditTable::latency_bucket_bound(std::size_t b) {
+std::int64_t FlowAuditProbe::latency_bucket_bound(std::size_t b) {
   if (b + 1 >= kLatencyBuckets) {
     return std::numeric_limits<std::int64_t>::max();
   }
   return std::int64_t{1} << (b + kLatencyShift);
 }
-
-std::size_t FlowAuditTable::find_or_insert_slot(std::uint64_t key) {
-  // Grow before the probe so the insert below always finds a free slot
-  // quickly (load factor stays under 7/8).
-  if ((size_ + 1) * 8 > slots_.size() * 7) grow();
-  std::size_t i = mix(key) & mask_;
-  while (stamp_[i] == epoch_) {
-    if (slots_[i].key == key) return i;
-    i = (i + 1) & mask_;
-  }
-  stamp_[i] = epoch_;
-  ++size_;
-  slots_[i] = Entry{};  // lazy reset: the slot may hold a stale-epoch record
-  slots_[i].key = key;
-  return i;
-}
-
-const FlowAuditTable::Entry* FlowAuditTable::find(std::uint64_t key) const {
-  std::size_t i = mix(key) & mask_;
-  while (stamp_[i] == epoch_) {
-    if (slots_[i].key == key) return &slots_[i];
-    i = (i + 1) & mask_;
-  }
-  return nullptr;
-}
-
-void FlowAuditTable::prefetch_key(std::uint64_t key) const {
-#if defined(__GNUC__) || defined(__clang__)
-  const std::size_t i = mix(key) & mask_;
-  __builtin_prefetch(&stamp_[i]);
-  __builtin_prefetch(&slots_[i]);
-#else
-  (void)key;
-#endif
-}
-
-void FlowAuditTable::prefetch_slot(std::size_t i) const {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(&slots_[i]);
-#else
-  (void)i;
-#endif
-}
-
-void FlowAuditTable::grow() {
-  std::vector<Entry> old_slots = std::move(slots_);
-  std::vector<std::uint32_t> old_stamp = std::move(stamp_);
-  const std::uint32_t old_epoch = epoch_;
-  const std::size_t new_cap = old_slots.size() * 2;
-  slots_.assign(new_cap, Entry{});
-  stamp_.assign(new_cap, 0);
-  epoch_ = 1;
-  mask_ = new_cap - 1;
-  ++generation_;
-  for (std::size_t i = 0; i < old_slots.size(); ++i) {
-    if (old_stamp[i] != old_epoch) continue;
-    std::size_t j = mix(old_slots[i].key) & mask_;
-    while (stamp_[j] == epoch_) j = (j + 1) & mask_;
-    stamp_[j] = epoch_;
-    slots_[j] = old_slots[i];
-  }
-}
-
-std::vector<FlowAuditTable::Entry> FlowAuditTable::entries() const {
-  std::vector<Entry> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (stamp_[i] == epoch_) out.push_back(slots_[i]);
-  }
-  return out;
-}
-
-void FlowAuditTable::clear() {
-  // Capacity is kept (a table that once grew to N flows is about to see a
-  // similar population again) and nothing is zeroed: bumping the epoch
-  // invalidates every stamp in O(1), and reclaimed slots are reset lazily
-  // on insert. The wrap case is unreachable in practice (2^32 - 1 clears)
-  // but handled: stamps are rewound to the never-current epoch 0.
-  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
-    epoch_ = 0;
-  }
-  ++epoch_;
-  size_ = 0;
-  ++generation_;
-}
-
-// ---------------------------------------------------------- FlowAuditProbe ---
 
 FlowAuditProbe::FlowAuditProbe() : FlowAuditProbe(Options{}) {}
 
@@ -149,40 +40,9 @@ FlowAuditProbe::FlowAuditProbe(Options options) : options_(options) {
 
 void FlowAuditProbe::on_run_begin(const RunInfo& info) {
   info_ = info;
-  table_.clear();  // bumps the generation; the slot cache resyncs lazily
+  rows_.clear();
+  row_of_.clear();
   cursor_ = log_.get();
-}
-
-void FlowAuditProbe::resync_memo() const {
-  std::fill(slot_cache_.begin(), slot_cache_.end(), std::uint32_t{0});
-  for (std::size_t i = 0; i < table_.capacity(); ++i) {
-    if (!table_.live(i)) continue;
-    const std::uint32_t g = table_.slot(i).gflow;
-    if (g >= slot_cache_.size()) slot_cache_.resize(g + 1, 0);
-    slot_cache_[g] = static_cast<std::uint32_t>(i) + 1;
-  }
-  cache_generation_ = table_.generation();
-}
-
-FlowAuditTable::Entry& FlowAuditProbe::entry_at(std::uint32_t gflow,
-                                                std::uint64_t key) const {
-  if (gflow >= slot_cache_.size()) {
-    slot_cache_.resize(
-        std::max<std::size_t>(gflow + 1, slot_cache_.size() * 2), 0);
-  }
-  std::uint32_t cached = slot_cache_[gflow];
-  if (cached == 0) {
-    const std::size_t s = table_.find_or_insert_slot(key);
-    // The insert may have rehashed; every cached slot (for the *old*
-    // generation) is then stale, but `s` is valid for the new one. The
-    // memo must be rebuilt, not just dropped: later departures in the same
-    // fold carry no key and can only resolve through it.
-    if (cache_generation_ != table_.generation()) resync_memo();
-    cached = static_cast<std::uint32_t>(s) + 1;
-    slot_cache_[gflow] = cached;
-    table_.slot(s).gflow = gflow;
-  }
-  return table_.slot(cached - 1);
 }
 
 void FlowAuditProbe::flush_pending() const {
@@ -191,58 +51,26 @@ void FlowAuditProbe::flush_pending() const {
   // before reading the log back.
   _mm_sfence();
 #endif
-  const Pending* const log = log_.get();
-  const std::size_t n = static_cast<std::size_t>(cursor_ - log);
-  if (n == 0) return;
-  if (cache_generation_ != table_.generation()) resync_memo();
-  // Two-stage software pipeline over the log: the slot-memo line is
-  // requested ~2x further ahead than the table line it gates, so by the
-  // time an event is applied both its memo word and its Entry line are
-  // (usually) already in flight. A rehash mid-fold invalidates the memo;
-  // the prefetches after it are merely wasted, never wrong.
-  constexpr std::size_t kMemoAhead = 32;
-  constexpr std::size_t kSlotAhead = 16;
-  for (std::size_t i = 0; i < n; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (i + kMemoAhead < n) {
-      const std::uint32_t g = log[i + kMemoAhead].gflow;
-      if (g < slot_cache_.size()) __builtin_prefetch(&slot_cache_[g]);
+  for (const Pending* p = log_.get(); p != cursor_; ++p) {
+    const std::uint32_t type = p->tag & 7u;
+    const std::uint32_t payload = p->tag >> 3;
+    if (p->gflow >= row_of_.size()) {
+      row_of_.resize(std::max(std::size_t{p->gflow} + 1, row_of_.size() * 2));
     }
-    if (i + kSlotAhead < n) {
-      const Pending& p = log[i + kSlotAhead];
-      const std::uint32_t c =
-          p.gflow < slot_cache_.size() ? slot_cache_[p.gflow] : 0;
-      if (c != 0) {
-        table_.prefetch_slot(c - 1);
-      } else if ((p.tag & 7u) != kEvDeparture) {
-        table_.prefetch_key(p.a);
-      }
-    }
-#endif
-    const Pending& p = log[i];
-    const std::uint32_t type = p.tag & 7u;
-    const std::uint32_t payload = p.tag >> 3;
-    if (type == kEvDeparture) {
-      const std::uint32_t c =
-          p.gflow < slot_cache_.size() ? slot_cache_[p.gflow] : 0;
-      if (c == 0) {
-        // A departure's key is not logged; its dispatch must have seeded
-        // the memo. gflow <-> key is 1:1 in every trace source, so this
-        // only fires on a probe-ordering bug — fail loudly over
-        // misattributing.
+    std::uint32_t& row = row_of_[p->gflow];
+    if (row == 0) {
+      // A departure's key is not logged; its dispatch must have opened the
+      // row. The engine dispatches every packet before it departs, so this
+      // only fires on a probe-ordering bug: fail loudly over opening a row
+      // with no key.
+      if (type == kEvDeparture) {
         throw std::logic_error(
             "FlowAuditProbe: departure for a flow that was never dispatched");
       }
-      FlowAuditTable::Entry& e = table_.slot(c - 1);
-      const auto latency = static_cast<std::int64_t>(p.a);
-      ++e.delivered;
-      e.out_of_order += payload;
-      e.latency_sum += latency;
-      if (latency > e.latency_max) e.latency_max = latency;
-      ++e.latency_log2[FlowAuditTable::latency_bucket(latency)];
-      continue;
+      rows_.emplace_back().key = p->a;
+      row = static_cast<std::uint32_t>(rows_.size());
     }
-    FlowAuditTable::Entry& e = entry_at(p.gflow, p.a);
+    Entry& e = rows_[row - 1];
     switch (type) {
       case kEvDispatch:
         // One dispatch == one arrival that was not dropped; the migrated
@@ -259,8 +87,15 @@ void FlowAuditProbe::flush_pending() const {
         if (payload & 1u) ++e.fm_penalties;
         if (payload & 2u) ++e.cold_cache;
         break;
-      default:
+      case kEvDeparture: {
+        const auto latency = static_cast<std::int64_t>(p->a);
+        ++e.delivered;
+        e.out_of_order += payload;
+        e.latency_sum += latency;
+        if (latency > e.latency_max) e.latency_max = latency;
+        ++e.latency_log2[latency_bucket(latency)];
         break;
+      }
     }
   }
   cursor_ = log_.get();
@@ -293,11 +128,8 @@ void FlowAuditProbe::on_departure(TimeNs now, const SimPacket& pkt, CoreId,
        kEvDeparture | (new_ooo << 3));
 }
 
-void FlowAuditProbe::on_run_end(const RunEnd&) {}
-
-std::vector<FlowAuditTable::Entry> FlowAuditProbe::sorted_entries() const {
-  flush_pending();
-  std::vector<FlowAuditTable::Entry> out = table_.entries();
+std::vector<FlowAuditProbe::Entry> FlowAuditProbe::sorted_entries() const {
+  std::vector<Entry> out = rows();
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.packets != b.packets) return a.packets > b.packets;
     return a.key < b.key;
@@ -306,10 +138,9 @@ std::vector<FlowAuditTable::Entry> FlowAuditProbe::sorted_entries() const {
 }
 
 FlowAuditSummary FlowAuditProbe::summary() const {
-  flush_pending();
   FlowAuditSummary s;
   s.top_k = options_.top_k;
-  std::vector<FlowAuditTable::Entry> entries = table_.entries();
+  std::vector<Entry> entries = rows();
   s.flows = entries.size();
 
   std::uint64_t packets_total = 0;
@@ -366,7 +197,7 @@ FlowAuditSummary FlowAuditProbe::summary() const {
 }
 
 std::string FlowAuditProbe::to_json() const {
-  const std::vector<FlowAuditTable::Entry> entries = sorted_entries();
+  const std::vector<Entry> entries = sorted_entries();
   const std::size_t rows = options_.max_rows == 0
                                ? entries.size()
                                : std::min(options_.max_rows, entries.size());
@@ -428,7 +259,7 @@ std::string FlowAuditProbe::to_json() const {
   w.key("rows");
   w.begin_array();
   for (std::size_t i = 0; i < rows; ++i) {
-    const FlowAuditTable::Entry& e = entries[i];
+    const Entry& e = entries[i];
     w.begin_array();
     w.value(e.key);
     w.value(e.packets);
@@ -443,7 +274,7 @@ std::string FlowAuditProbe::to_json() const {
                             : 0.0);
     w.value(static_cast<std::int64_t>(e.latency_max));
     // The per-flow latency histogram: count per power-of-two bucket
-    // (see FlowAuditTable::latency_bucket_bound for the edges). Trailing
+    // (see latency_bucket_bound for the edges). Trailing
     // zero buckets are kept so every row has the same width.
     w.begin_array();
     for (const std::uint32_t c : e.latency_log2) w.value(c);

@@ -14,115 +14,7 @@
 
 namespace laps {
 
-/// Flat open-addressed per-flow statistics table (linear probing, power-of-
-/// two capacity, grown at 7/8 load). Keyed by the 64-bit flow key the
-/// software structures use (FiveTuple::key64), not the dense gflow index, so
-/// rows in the audit artifact are directly comparable with AFC contents,
-/// migration-table pins, and offline trace analysis.
-///
-/// One Entry is a single contiguous record, and the whole table is two
-/// allocations (slots + occupancy stamps) however many flows appear.
-/// Occupancy is epoch-stamped: clear() bumps the epoch instead of zeroing
-/// megabytes of slots, so reusing a grown table across runs is O(1).
-class FlowAuditTable {
- public:
-  /// Compact per-flow latency histogram: power-of-two buckets of the
-  /// ingress->departure latency. Bucket 0 holds latencies below 512 ns
-  /// (under the minimum service time, only possible for tiny delay models);
-  /// bucket b >= 1 holds [2^(b+8), 2^(b+9)) ns; the last bucket is
-  /// open-ended (~69 s and beyond never happens in practice).
-  static constexpr std::size_t kLatencyBuckets = 28;
-  static constexpr int kLatencyShift = 9;  ///< bucket 0 upper bound: 2^9 ns
-
-  /// One flow's record. The counters live in the first 64 bytes (one cache
-  /// line: every aggregation step touches exactly that line), the latency
-  /// histogram in the lines after it (touched once per departure). Narrow
-  /// u32 lanes for the rare counters keep the counter section in one line;
-  /// 4G drops/migrations per *single flow* is beyond any simulated run, and
-  /// run-level sums are accumulated in u64.
-  struct alignas(64) Entry {
-    std::uint64_t key = 0;            ///< 5-tuple flow key
-    std::uint64_t packets = 0;        ///< arrivals presented to the scheduler
-    std::uint64_t delivered = 0;      ///< completed processing
-    std::int64_t latency_sum = 0;     ///< exact sum over delivered packets
-    std::int64_t latency_max = 0;     ///< exact max
-    std::uint32_t dropped = 0;        ///< lost to full input queues
-    std::uint32_t migrations = 0;     ///< dispatches to a different core
-    std::uint32_t out_of_order = 0;   ///< OOO departures charged to this flow
-    std::uint32_t fm_penalties = 0;   ///< Eq. 3 FM_penalty charges
-    std::uint32_t cold_cache = 0;     ///< Eq. 3 CC_penalty charges
-    /// Dense engine flow index (set by FlowAuditProbe) — lets slot memos be
-    /// rebuilt by scanning the table after a rehash.
-    std::uint32_t gflow = 0;
-    std::array<std::uint32_t, kLatencyBuckets> latency_log2{};
-  };
-
-  FlowAuditTable();
-
-  /// Slot index for `key`, inserted empty on first touch. Slot indices are
-  /// stable until the next rehash or clear — check generation() before
-  /// reusing a cached index.
-  std::size_t find_or_insert_slot(std::uint64_t key);
-
-  /// The slot for `key`, inserted empty on first touch. The reference is
-  /// invalidated by the next insert (growth may rehash).
-  Entry& find_or_insert(std::uint64_t key) {
-    return slots_[find_or_insert_slot(key)];
-  }
-
-  /// Direct slot access for indices from find_or_insert_slot.
-  Entry& slot(std::size_t i) { return slots_[i]; }
-  const Entry& slot(std::size_t i) const { return slots_[i]; }
-
-  /// Slot count (for index-order scans; check live() per slot).
-  std::size_t capacity() const { return slots_.size(); }
-  /// Whether slot i holds a current-epoch record.
-  bool live(std::size_t i) const { return stamp_[i] == epoch_; }
-
-  /// The slot for `key`, or nullptr if the flow was never touched.
-  const Entry* find(std::uint64_t key) const;
-
-  /// Distinct flows in the table.
-  std::size_t size() const { return size_; }
-
-  /// Bumped whenever slot indices move (rehash or clear); callers caching
-  /// slot indices must revalidate against this.
-  std::uint64_t generation() const { return generation_; }
-
-  /// Hints the prefetcher at the probe head for `key` (no-op off GCC/
-  /// clang). Issue ~16 lookups ahead of the matching find_or_insert_slot
-  /// so the slot line is in flight while other work retires.
-  void prefetch_key(std::uint64_t key) const;
-  /// Same for a known slot index (cache-hit path).
-  void prefetch_slot(std::size_t i) const;
-
-  /// Which latency bucket `latency_ns` falls into.
-  static std::size_t latency_bucket(std::int64_t latency_ns);
-  /// Exclusive upper bound of latency bucket `b` in ns (int64 max for the
-  /// open-ended last bucket).
-  static std::int64_t latency_bucket_bound(std::size_t b);
-
-  /// All occupied entries, unordered (table order). For deterministic
-  /// output, callers sort; see FlowAuditProbe::sorted_entries.
-  std::vector<Entry> entries() const;
-
-  void clear();
-
- private:
-  void grow();
-
-  std::vector<Entry> slots_;
-  /// Slot i is live iff stamp_[i] == epoch_. Epoch 0 is never current, so
-  /// fresh (zero) stamps read as empty; stale slots are lazily reset when
-  /// reclaimed by find_or_insert_slot.
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 1;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  std::uint64_t generation_ = 0;
-};
-
-/// Run-level attribution metrics derived from the per-flow table — the
+/// Run-level attribution metrics derived from the per-flow rows — the
 /// paper's headline claim ("reordering is confined to the handful of
 /// migrated aggressive flows") as numbers a dashboard can alert on.
 struct FlowAuditSummary {
@@ -150,37 +42,66 @@ struct FlowAuditSummary {
 /// laps-bench-v1 artifact whose `flow_audit` table holds the top flows and
 /// whose `flow_audit_summary` table holds the attribution numbers.
 ///
-/// Totals across all flows sum exactly to the ReportProbe aggregates of the
-/// same run (asserted by the golden-grid audit test), so per-flow rows can
-/// be trusted as a decomposition of the run report, not a parallel
-/// approximation.
+/// There is one row per engine flow: rows are keyed by the dense flow
+/// index the engine hands every hook (SimPacket::gflow) and carry the
+/// flow's 64-bit 5-tuple key (FiveTuple::key64), so artifact rows are
+/// directly comparable with AFC contents, migration-table pins, and
+/// offline trace analysis. Totals across all rows sum exactly to the
+/// ReportProbe aggregates of the same run (asserted by the golden-grid
+/// audit test), and every row equals a per-flow reference updated in the
+/// hooks themselves, so the rows are a decomposition of the run report,
+/// not a parallel approximation.
 ///
 /// Hot-path design: probe hooks only append fixed 16-byte records to a flat
 /// preallocated log (one raw store and one pointer compare per event, no
 /// random access), so the simulation loop pays nanoseconds per event
 /// regardless of flow population. Arrivals are not logged at all: the
 /// engine follows every arrival with exactly one drop or dispatch, so those
-/// two records carry the per-flow packet count for free.
-/// Aggregation into the open-addressed table is deferred to the first
-/// accessor after the run (artifact-write time) — the same trick tracers
-/// use to keep symbolization off the recorded path — with a bounded log:
-/// past kMaxPending events the log is folded into the table mid-run, so
-/// memory stays O(flows + kMaxPending) for arbitrarily long simulations.
-/// The fold walks the log with software prefetch and a dense gflow -> slot
-/// memo, so even the deferred cost is near memory bandwidth, not latency.
+/// two records carry the per-flow packet count for free. The log is folded
+/// into the rows by the first accessor after the run (artifact-write time),
+/// or mid-run once kMaxPending events are buffered, so memory stays
+/// O(flows + kMaxPending) for arbitrarily long simulations.
 class FlowAuditProbe final : public SimProbe {
  public:
+  /// Compact per-flow latency histogram: power-of-two buckets of the
+  /// ingress->departure latency. Bucket 0 holds latencies below 512 ns
+  /// (under the minimum service time, only possible for tiny delay models);
+  /// bucket b >= 1 holds [2^(b+8), 2^(b+9)) ns; the last bucket is
+  /// open-ended (~69 s and beyond never happens in practice).
+  static constexpr std::size_t kLatencyBuckets = 28;
+  static constexpr int kLatencyShift = 9;  ///< bucket 0 upper bound: 2^9 ns
+
+  /// One flow's row. The counters live in the first 64 bytes (one cache
+  /// line: every folded event touches exactly that line), the latency
+  /// histogram in the lines after it (touched once per departure). Narrow
+  /// u32 lanes for the rare counters keep the counter section in one line;
+  /// 4G drops/migrations per *single flow* is beyond any simulated run, and
+  /// run-level sums are accumulated in u64.
+  struct alignas(64) Entry {
+    std::uint64_t key = 0;            ///< 5-tuple flow key
+    std::uint64_t packets = 0;        ///< arrivals presented to the scheduler
+    std::uint64_t delivered = 0;      ///< completed processing
+    std::int64_t latency_sum = 0;     ///< exact sum over delivered packets
+    std::int64_t latency_max = 0;     ///< exact max
+    std::uint32_t dropped = 0;        ///< lost to full input queues
+    std::uint32_t migrations = 0;     ///< dispatches to a different core
+    std::uint32_t out_of_order = 0;   ///< OOO departures charged to this flow
+    std::uint32_t fm_penalties = 0;   ///< Eq. 3 FM_penalty charges
+    std::uint32_t cold_cache = 0;     ///< Eq. 3 CC_penalty charges
+    std::array<std::uint32_t, kLatencyBuckets> latency_log2{};
+  };
+
   struct Options {
     /// k for the attribution shares (default: the paper's AFC size).
     std::size_t top_k = 16;
     /// Per-flow rows emitted in the artifact, ranked by packet count
     /// (descending; ties by key). 0 = all flows. The artifact always
-    /// records how many flows the table actually held, so capping is
-    /// explicit, never silent.
+    /// records how many flows the run had, so capping is explicit, never
+    /// silent.
     std::size_t max_rows = 256;
   };
 
-  /// Events buffered before a mid-run fold into the table (32 MiB of log).
+  /// Events buffered before a mid-run fold into the rows (32 MiB of log).
   /// Sized so runs up to ~2M probe events — including the perf_kernel
   /// default of 0.02 simulated seconds — never fold inside the simulation
   /// loop: the fold then happens once, at artifact-write time, where its
@@ -199,19 +120,19 @@ class FlowAuditProbe final : public SimProbe {
                         bool cold_cache) override;
   void on_departure(TimeNs now, const SimPacket& pkt, CoreId core,
                     std::uint32_t new_ooo) override;
-  void on_run_end(const RunEnd& end) override;
 
-  /// The aggregated table (folds any pending events first).
-  const FlowAuditTable& table() const {
+  /// One row per flow, in the order the run first saw each flow (folds any
+  /// pending events first).
+  const std::vector<Entry>& rows() const {
     flush_pending();
-    return table_;
+    return rows_;
   }
 
-  /// Occupied entries sorted by (packets desc, key asc) — the artifact row
-  /// order, deterministic for identical runs.
-  std::vector<FlowAuditTable::Entry> sorted_entries() const;
+  /// Rows sorted by (packets desc, key asc) — the artifact row order,
+  /// deterministic for identical runs.
+  std::vector<Entry> sorted_entries() const;
 
-  /// Attribution metrics over the full table (never row-capped).
+  /// Attribution metrics over every row (never row-capped).
   FlowAuditSummary summary() const;
 
   /// Full laps-bench-v1 document (tables `flow_audit` +
@@ -219,6 +140,12 @@ class FlowAuditProbe final : public SimProbe {
   std::string to_json() const;
   /// Writes to_json() to `path`. Throws std::runtime_error on I/O failure.
   void write(const std::string& path) const;
+
+  /// Which latency bucket `latency_ns` falls into.
+  static std::size_t latency_bucket(std::int64_t latency_ns);
+  /// Exclusive upper bound of latency bucket `b` in ns (int64 max for the
+  /// open-ended last bucket).
+  static std::int64_t latency_bucket_bound(std::size_t b);
 
  private:
   enum : std::uint32_t {
@@ -233,8 +160,7 @@ class FlowAuditProbe final : public SimProbe {
   /// penalty fm|cold flags, or departure new_ooo) in the rest. `a` is the
   /// flow key for dispatch-class events and the ingress->departure latency
   /// for departures — a departure never needs the key, because the flow's
-  /// dispatch necessarily precedes it in the log and leaves its slot in
-  /// the memo.
+  /// dispatch necessarily precedes it in the log and opens its row.
   struct alignas(16) Pending {
     std::uint64_t a;
     std::uint32_t gflow;
@@ -263,30 +189,20 @@ class FlowAuditProbe final : public SimProbe {
     if (cursor_ == log_end_) flush_pending();
   }
 
-  /// Folds the pending log into the table. Idempotent; const because every
-  /// read accessor triggers it (the log and table are mutable caches of the
-  /// same information).
+  /// Folds the pending log into the rows. Idempotent; const because every
+  /// read accessor triggers it (the log and the rows are mutable caches of
+  /// the same information).
   void flush_pending() const;
-
-  /// The flow's table entry, via the dense-gflow slot memo: all events for
-  /// a flow after the first resolve its slot with one array index instead
-  /// of a hash probe (the engine hands us the dense index for free).
-  FlowAuditTable::Entry& entry_at(std::uint32_t gflow, std::uint64_t key) const;
-
-  /// Rebuilds the gflow -> slot memo by scanning the table (called after a
-  /// rehash or clear moved every slot).
-  void resync_memo() const;
 
   Options options_;
   RunInfo info_;
-  mutable FlowAuditTable table_;
+  mutable std::vector<Entry> rows_;
+  /// gflow -> index into rows_ + 1 (0 = the flow has no row yet).
+  mutable std::vector<std::uint32_t> row_of_;
   /// Fixed event log of kMaxPending records; cursor_ is the next write.
   mutable std::unique_ptr<Pending[]> log_;
   mutable Pending* cursor_ = nullptr;
   Pending* log_end_ = nullptr;
-  /// gflow -> slot index + 1 (0 = unknown); valid for cache_generation_.
-  mutable std::vector<std::uint32_t> slot_cache_;
-  mutable std::uint64_t cache_generation_ = 0;
 };
 
 }  // namespace laps

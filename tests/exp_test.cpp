@@ -515,6 +515,25 @@ TEST(Harness, NegativeJobsRejected) {
   EXPECT_THROW(parse_harness_flags(flags), std::invalid_argument);
 }
 
+TEST(Harness, ClusterFlagsAreUnknownOutsideTheClusterBinary) {
+  // fig_cluster_dispatch parses --shards, --dispatch and --cluster-sync
+  // itself; every other binary refuses them instead of ignoring them.
+  for (const char* flag :
+       {"--shards=4", "--dispatch=rss", "--cluster-sync=50us"}) {
+    const char* argv[] = {"prog", flag};
+    Flags flags(2, argv);
+    parse_harness_flags(flags);
+    try {
+      flags.finish();
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag(s)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Harness, AccuracyWindowThatDiffersFromTelemetryIntervalIsRejected) {
   // Both probes sample on the engine's one epoch cadence, so a pair of
   // values it cannot honour fails at parse time, naming both flags.

@@ -1,17 +1,23 @@
-// Tests for the flow-audit observability subsystem: FlowAuditTable /
-// FlowAuditProbe (exact per-flow attribution, deferred-fold event log),
-// AfdAccuracyProbe (online Fig. 8 scoring), FlightRecorderProbe (anomaly-
-// triggered postmortem ring), plus JSON-validity pinning for every probe
-// artifact (including hostile scenario names through ChromeTraceProbe).
+// Tests for the flow-audit observability subsystem: FlowAuditProbe (exact
+// per-flow attribution, deferred-fold event log), AfdAccuracyProbe (online
+// Fig. 8 scoring), FlightRecorderProbe (anomaly-triggered postmortem ring),
+// plus JSON-validity pinning for every probe artifact (including hostile
+// scenario names through ChromeTraceProbe).
 //
-// The load-bearing assertion is GoldenGridTotals: on the same grid the
-// golden determinism suite uses, the audit table's per-flow columns must
-// sum *exactly* to the ReportProbe aggregates — the audit is a
-// decomposition of the report, not a parallel approximation.
+// The load-bearing assertions are GoldenGridTotalsMatchReport and
+// RowsMatchAPerFlowReference: on the same grid the golden determinism suite
+// uses, the audit's per-flow columns sum *exactly* to the ReportProbe
+// aggregates, and every row equals a per-flow reference that updates a
+// std::map in each hook — the audit is a decomposition of the report, not
+// a parallel approximation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
+#include <deque>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +31,7 @@
 #include "sim/flow_audit.h"
 #include "sim/probes.h"
 #include "sim/runner.h"
+#include "sim/scenarios.h"
 #include "trace/synthetic.h"
 
 namespace laps {
@@ -215,80 +222,6 @@ SimPacket packet_for(std::uint32_t gflow, TimeNs arrival) {
   return pkt;
 }
 
-// ----------------------------------------------------------- FlowAuditTable ---
-
-TEST(FlowAuditTable, InsertFindAndMiss) {
-  FlowAuditTable t;
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.find(7), nullptr);
-  t.find_or_insert(7).packets = 3;
-  t.find_or_insert(9).packets = 5;
-  EXPECT_EQ(t.size(), 2u);
-  ASSERT_NE(t.find(7), nullptr);
-  EXPECT_EQ(t.find(7)->packets, 3u);
-  EXPECT_EQ(t.find(9)->packets, 5u);
-  EXPECT_EQ(t.find(8), nullptr);
-  // Re-finding must not duplicate.
-  ++t.find_or_insert(7).packets;
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.find(7)->packets, 4u);
-}
-
-TEST(FlowAuditTable, GrowthPreservesEveryRecord) {
-  FlowAuditTable t;
-  // Well past the initial 1024 slots so the table rehashes several times.
-  constexpr std::uint64_t kFlows = 3000;
-  for (std::uint64_t k = 1; k <= kFlows; ++k) {
-    FlowAuditTable::Entry& e = t.find_or_insert(k * 0x9E3779B9ULL);
-    e.packets = k;
-    e.out_of_order = static_cast<std::uint32_t>(k % 7);
-  }
-  EXPECT_EQ(t.size(), kFlows);
-  for (std::uint64_t k = 1; k <= kFlows; ++k) {
-    const FlowAuditTable::Entry* e = t.find(k * 0x9E3779B9ULL);
-    ASSERT_NE(e, nullptr) << k;
-    EXPECT_EQ(e->packets, k);
-    EXPECT_EQ(e->out_of_order, k % 7);
-  }
-  EXPECT_EQ(t.entries().size(), kFlows);
-}
-
-TEST(FlowAuditTable, ClearIsEpochReset) {
-  FlowAuditTable t;
-  for (std::uint64_t k = 1; k <= 500; ++k) t.find_or_insert(k).packets = k;
-  const std::uint64_t gen_before = t.generation();
-  t.clear();
-  EXPECT_GT(t.generation(), gen_before);
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.find(1), nullptr);
-  EXPECT_TRUE(t.entries().empty());
-  // Reclaimed slots must come back zeroed, not with stale-epoch residue.
-  FlowAuditTable::Entry& e = t.find_or_insert(1);
-  EXPECT_EQ(e.packets, 0u);
-  EXPECT_EQ(e.out_of_order, 0u);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(FlowAuditTable, LatencyBucketEdges) {
-  // Bucket 0 is everything below 2^kLatencyShift; bucket b covers
-  // [2^(b+kLatencyShift-1), 2^(b+kLatencyShift)).
-  EXPECT_EQ(FlowAuditTable::latency_bucket(-5), 0u);
-  EXPECT_EQ(FlowAuditTable::latency_bucket(0), 0u);
-  EXPECT_EQ(FlowAuditTable::latency_bucket(511), 0u);
-  EXPECT_EQ(FlowAuditTable::latency_bucket(512), 1u);
-  EXPECT_EQ(FlowAuditTable::latency_bucket(1023), 1u);
-  EXPECT_EQ(FlowAuditTable::latency_bucket(1024), 2u);
-  EXPECT_EQ(FlowAuditTable::latency_bucket(std::int64_t{1} << 62),
-            FlowAuditTable::kLatencyBuckets - 1);
-  // Bounds are the exclusive upper edges of those ranges and monotonic.
-  EXPECT_EQ(FlowAuditTable::latency_bucket_bound(0), 512);
-  EXPECT_EQ(FlowAuditTable::latency_bucket_bound(1), 1024);
-  for (std::size_t b = 0; b + 1 < FlowAuditTable::kLatencyBuckets; ++b) {
-    EXPECT_LT(FlowAuditTable::latency_bucket_bound(b),
-              FlowAuditTable::latency_bucket_bound(b + 1));
-  }
-}
-
 // ----------------------------------------------------------- FlowAuditProbe ---
 
 struct AuditTotals {
@@ -297,9 +230,9 @@ struct AuditTotals {
   std::int64_t latency_sum = 0, latency_max = 0;
 };
 
-AuditTotals sum_table(const FlowAuditProbe& probe) {
+AuditTotals sum_rows(const FlowAuditProbe& probe) {
   AuditTotals t;
-  for (const auto& e : probe.table().entries()) {
+  for (const auto& e : probe.rows()) {
     t.packets += e.packets;
     t.delivered += e.delivered;
     t.dropped += e.dropped;
@@ -314,8 +247,8 @@ AuditTotals sum_table(const FlowAuditProbe& probe) {
   return t;
 }
 
-// The acceptance bar of the tentpole: on every cell of the golden grid the
-// audit table is an exact decomposition of the run report.
+// On every cell of the golden grid the audit rows are an exact
+// decomposition of the run report.
 TEST(FlowAuditProbe, GoldenGridTotalsMatchReport) {
   const std::vector<std::string> traces = {"plain", "churny"};
   const std::vector<std::string> sched_names = {"FCFS", "StaticHash", "AFS",
@@ -328,7 +261,7 @@ TEST(FlowAuditProbe, GoldenGridTotalsMatchReport) {
         FlowAuditProbe audit;
         const SimReport report =
             run_scenario(cfg, *sched, ProbeSet{&audit});
-        const AuditTotals t = sum_table(audit);
+        const AuditTotals t = sum_rows(audit);
         const std::string ctx =
             trace + "/" + sched_name + "/" + std::to_string(seed);
         EXPECT_EQ(t.packets, report.offered) << ctx;
@@ -349,19 +282,19 @@ TEST(FlowAuditProbe, GoldenGridTotalsMatchReport) {
 
 TEST(FlowAuditProbe, ReuseAcrossRunsIsClean) {
   // The same probe instance over two different runs: the second run's
-  // totals must match its own report exactly (epoch-based clear + memo
-  // resync leave no residue from run one).
+  // totals must match its own report exactly (on_run_begin leaves no row
+  // or index entry of run one behind).
   FlowAuditProbe audit;
   {
     const ScenarioConfig cfg = golden_scenario("plain", 1, 12.0, false);
     auto sched = make_sched("AFS");
     run_scenario(cfg, *sched, ProbeSet{&audit});
-    EXPECT_GT(audit.table().size(), 0u);
+    EXPECT_GT(audit.rows().size(), 0u);
   }
   const ScenarioConfig cfg = golden_scenario("churny", 42, 12.0, false);
   auto sched = make_sched("LAPS");
   const SimReport report = run_scenario(cfg, *sched, ProbeSet{&audit});
-  const AuditTotals t = sum_table(audit);
+  const AuditTotals t = sum_rows(audit);
   EXPECT_EQ(t.packets, report.offered);
   EXPECT_EQ(t.delivered, report.delivered);
   EXPECT_EQ(t.dropped, report.dropped);
@@ -373,7 +306,7 @@ TEST(FlowAuditProbe, SummaryAttributionIsConsistent) {
   FlowAuditProbe audit;
   const SimReport report = run_scenario(cfg, *sched, ProbeSet{&audit});
   const FlowAuditSummary s = audit.summary();
-  EXPECT_EQ(s.flows, audit.table().size());
+  EXPECT_EQ(s.flows, audit.rows().size());
   EXPECT_EQ(s.ooo_total, report.out_of_order);
   EXPECT_LE(s.migrated_flows, s.flows);
   EXPECT_LE(s.ooo_flows, s.flows);
@@ -427,9 +360,186 @@ TEST(FlowAuditProbe, ArtifactIsValidJsonAndCapsExplicitly) {
     run_scenario(cfg, *sched, ProbeSet{&audit});
     const std::string doc = audit.to_json();
     EXPECT_TRUE(JsonChecker::valid(doc));
-    const std::string total = std::to_string(audit.table().size());
+    const std::string total = std::to_string(audit.rows().size());
     EXPECT_NE(doc.find("\"flows_total\": " + total), std::string::npos);
     EXPECT_NE(doc.find("\"rows_emitted\": " + total), std::string::npos);
+  }
+}
+
+// The obviously-correct audit: each hook updates its flow's row in a
+// std::map keyed by the 5-tuple key, at once — no log, no fold, no index.
+class ReferenceAudit final : public SimProbe {
+ public:
+  struct Row {
+    std::uint64_t packets = 0, delivered = 0, dropped = 0, migrations = 0,
+                  out_of_order = 0, fm_penalties = 0, cold_cache = 0;
+    std::int64_t latency_sum = 0, latency_max = 0;
+    std::array<std::uint32_t, FlowAuditProbe::kLatencyBuckets>
+        latency_log2{};
+  };
+
+  std::map<std::uint64_t, Row> rows;
+
+  void on_run_begin(const RunInfo&) override { rows.clear(); }
+  void on_drop(TimeNs, const SimPacket& pkt, CoreId) override {
+    Row& r = rows[pkt.flow_key()];
+    ++r.packets;
+    ++r.dropped;
+  }
+  void on_dispatch(TimeNs, const SimPacket& pkt, CoreId,
+                   bool migrated) override {
+    Row& r = rows[pkt.flow_key()];
+    ++r.packets;
+    if (migrated) ++r.migrations;
+  }
+  void on_service_start(TimeNs, const SimPacket& pkt, CoreId, TimeNs,
+                        bool fm_penalty, bool cold_cache) override {
+    Row& r = rows[pkt.flow_key()];
+    if (fm_penalty) ++r.fm_penalties;
+    if (cold_cache) ++r.cold_cache;
+  }
+  void on_departure(TimeNs now, const SimPacket& pkt, CoreId,
+                    std::uint32_t new_ooo) override {
+    Row& r = rows[pkt.flow_key()];
+    const TimeNs latency = now - pkt.arrival;
+    ++r.delivered;
+    r.out_of_order += new_ooo;
+    r.latency_sum += latency;
+    r.latency_max = std::max(r.latency_max, latency);
+    ++r.latency_log2[FlowAuditProbe::latency_bucket(latency)];
+  }
+};
+
+bool same_row(const FlowAuditProbe::Entry& e, const ReferenceAudit::Row& r) {
+  return e.packets == r.packets && e.delivered == r.delivered &&
+         e.dropped == r.dropped && e.migrations == r.migrations &&
+         e.out_of_order == r.out_of_order &&
+         e.fm_penalties == r.fm_penalties && e.cold_cache == r.cold_cache &&
+         e.latency_sum == r.latency_sum && e.latency_max == r.latency_max &&
+         e.latency_log2 == r.latency_log2;
+}
+
+// Every audit row equals the reference row of its key in every counter and
+// latency bucket, and the two hold the same set of flows.
+void expect_rows_match(const FlowAuditProbe& audit, const ReferenceAudit& ref,
+                       const std::string& ctx) {
+  const std::vector<FlowAuditProbe::Entry>& rows = audit.rows();
+  EXPECT_EQ(rows.size(), ref.rows.size()) << ctx;
+  std::set<std::uint64_t> seen;
+  std::size_t differing = 0;
+  std::string first;
+  for (const FlowAuditProbe::Entry& e : rows) {
+    const auto it = ref.rows.find(e.key);
+    const bool found = it != ref.rows.end();
+    if (found && seen.insert(e.key).second && same_row(e, it->second)) {
+      continue;
+    }
+    if (differing++ > 0) continue;
+    first = "key " + std::to_string(e.key) + ": audit " +
+            std::to_string(e.packets) + " packets, " +
+            std::to_string(e.out_of_order) + " ooo; reference " +
+            (found ? std::to_string(it->second.packets) + " packets, " +
+                         std::to_string(it->second.out_of_order) + " ooo"
+                   : std::string("has no such flow"));
+  }
+  EXPECT_EQ(differing, 0u) << ctx << " (first: " << first << ")";
+}
+
+TEST(FlowAuditProbe, RowsMatchAPerFlowReference) {
+  // The 16 cells of GoldenGridTotalsMatchReport.
+  for (const std::string trace : {"plain", "churny"}) {
+    for (const std::string sched_name : {"FCFS", "StaticHash", "AFS", "LAPS"}) {
+      for (std::uint64_t seed : {1ull, 42ull}) {
+        const ScenarioConfig cfg = golden_scenario(trace, seed, 12.0, false);
+        auto sched = make_sched(sched_name);
+        FlowAuditProbe audit;
+        ReferenceAudit ref;
+        run_scenario(cfg, *sched, ProbeSet{&audit, &ref});
+        expect_rows_match(audit, ref,
+                          trace + "/" + sched_name + "/" +
+                              std::to_string(seed));
+      }
+    }
+  }
+
+  // Fig. 9's single-service AFS cell on caida1 at 5 ms: tens of thousands
+  // of flows, so the rows and their gflow index grow many times while the
+  // log is folded.
+  {
+    ScenarioOptions options;
+    options.seconds = 0.005;
+    options.seed = 99;
+    const ScenarioConfig cfg =
+        make_single_service_scenario("caida1", options, 1.05);
+    AfsScheduler sched;
+    FlowAuditProbe audit;
+    ReferenceAudit ref;
+    run_scenario(cfg, sched, ProbeSet{&audit, &ref});
+    EXPECT_GT(audit.rows().size(), 30'000u);
+    expect_rows_match(audit, ref, "caida1/AFS/99");
+  }
+
+  // The hooks driven directly with more than kMaxPending events, so push()
+  // folds the log mid-run with flows in flight across the fold.
+  FlowAuditProbe audit;
+  ReferenceAudit ref;
+  SimProbe* const probes[] = {&audit, &ref};
+  std::uint64_t events = 0;
+  const auto each = [&](const auto& hook) {
+    for (SimProbe* p : probes) hook(*p);
+    ++events;
+  };
+  for (SimProbe* p : probes) p->on_run_begin(RunInfo{});
+  std::deque<SimPacket> in_flight;
+  std::uint64_t x = 12345;
+  const auto depart = [&](TimeNs now, std::uint32_t new_ooo) {
+    const SimPacket pkt = in_flight.front();
+    in_flight.pop_front();
+    each([&](SimProbe& p) { p.on_departure(now, pkt, 0, new_ooo); });
+  };
+  for (std::uint32_t i = 0; i < 1'000'000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const TimeNs now = TimeNs{100} * i;
+    const SimPacket pkt =
+        packet_for(static_cast<std::uint32_t>((x >> 33) % 20'000), now);
+    if (i % 17 == 0) {
+      each([&](SimProbe& p) { p.on_drop(now, pkt, 0); });
+    } else {
+      each([&](SimProbe& p) { p.on_dispatch(now, pkt, 0, i % 13 == 0); });
+      if (i % 5 == 0 || i % 7 == 0) {
+        each([&](SimProbe& p) {
+          p.on_service_start(now, pkt, 0, 0, i % 5 == 0, i % 7 == 0);
+        });
+      }
+      in_flight.push_back(pkt);
+    }
+    if (in_flight.size() > 64) {
+      depart(now + static_cast<TimeNs>((x >> 20) % 1'000'000),
+             i % 11 == 0 ? 1u : 0u);
+    }
+  }
+  while (!in_flight.empty()) depart(TimeNs{200'000'000}, 0);
+  ASSERT_GT(events, FlowAuditProbe::kMaxPending);
+  expect_rows_match(audit, ref, "direct drive");
+}
+
+TEST(FlowAuditProbe, LatencyBucketEdges) {
+  // Bucket 0 is everything below 2^kLatencyShift; bucket b covers
+  // [2^(b+kLatencyShift-1), 2^(b+kLatencyShift)).
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(-5), 0u);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(0), 0u);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(511), 0u);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(512), 1u);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(1023), 1u);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(1024), 2u);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket(std::int64_t{1} << 62),
+            FlowAuditProbe::kLatencyBuckets - 1);
+  // Bounds are the exclusive upper edges of those ranges and monotonic.
+  EXPECT_EQ(FlowAuditProbe::latency_bucket_bound(0), 512);
+  EXPECT_EQ(FlowAuditProbe::latency_bucket_bound(1), 1024);
+  for (std::size_t b = 0; b + 1 < FlowAuditProbe::kLatencyBuckets; ++b) {
+    EXPECT_LT(FlowAuditProbe::latency_bucket_bound(b),
+              FlowAuditProbe::latency_bucket_bound(b + 1));
   }
 }
 
@@ -440,7 +550,7 @@ TEST(FlowAuditProbe, RejectsZeroTopK) {
 }
 
 TEST(FlowAuditProbe, DepartureWithoutDispatchFailsLoudly) {
-  // Departures log no flow key (the dispatch seeds the slot memo); a
+  // Departures log no flow key (the flow's dispatch opens its row); a
   // departure for a never-dispatched flow is a probe-ordering bug and must
   // not be silently misattributed.
   FlowAuditProbe audit;
