@@ -4,8 +4,9 @@
 // software model of each stage and the full decision path; one packet per
 // iteration, so `items_per_second` reads directly in packets/s.
 //
-// Also benchmarks the AFD (off the critical path), the DES substrate, and
-// end-to-end simulation throughput, documenting the harness's own capacity.
+// Also benchmarks the AFD (off the critical path), traffic generation, the
+// DES substrate, and end-to-end simulation throughput, documenting the
+// harness's own capacity.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -16,10 +17,12 @@
 #include "cache/afd.h"
 #include "core/laps.h"
 #include "core/map_table.h"
+#include "exp/trace_store.h"
 #include "sim/event_heap.h"
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
 #include "util/crc.h"
+#include "util/samplers.h"
 #include "util/toeplitz.h"
 
 namespace laps {
@@ -84,6 +87,54 @@ void BM_ToeplitzFiveTuple(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ToeplitzFiveTuple);
+
+// Traffic generation, off the critical path but most of an online grid
+// cell's host time. One Zipf rank draw over caida1's shape (300k ranks,
+// alpha 1.02): the guided inverse-CDF search every synthetic header pays.
+void BM_ZipfSample(benchmark::State& state) {
+  const ZipfSampler zipf(300'000, 1.02);
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.sample(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfSample);
+
+// One PacketGenerator::next() of the paper's T1 mix (four Holt-Winters
+// services over churned caida/auck traces, 250 ms at seed 2013), reading
+// headers from a TraceStore as grid cells do: thinning, the noise term,
+// the service merge and the global flow id. The store is filled before the
+// loop, so trace synthesis is not timed.
+void BM_GeneratorNext(benchmark::State& state) {
+  ScenarioOptions options;
+  options.seconds = 0.25;
+  options.seed = 2013;
+  auto store = std::make_shared<TraceStore>();
+  options.trace_factory = store->factory();
+  const ScenarioConfig config = make_paper_scenario("T1", options);
+  auto fresh = [&config] {
+    for (const ServiceTraffic& s : config.services) s.trace->reset();
+    return std::make_unique<PacketGenerator>(config.services, config.seed,
+                                             config.seconds);
+  };
+  auto generator = fresh();
+  while (generator->next()) {
+  }
+  generator = fresh();
+  for (auto _ : state) {
+    auto pkt = generator->next();
+    if (!pkt) {
+      state.PauseTiming();
+      generator = fresh();
+      state.ResumeTiming();
+      pkt = generator->next();
+    }
+    benchmark::DoNotOptimize(pkt);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GeneratorNext);
 
 // Stage 2: map-table (incremental hashing) bucket lookup.
 void BM_MapTableLookup(benchmark::State& state) {

@@ -30,6 +30,9 @@ struct CoreView {
   /// service); -1 while the core has work. Drives the paper's idle_th
   /// surplus-marking timer (Sec. III-D).
   TimeNs idle_since = -1;
+
+  /// Load proxy: queued packets plus the one in service.
+  std::uint32_t load() const { return queue_len + (busy ? 1u : 0u); }
 };
 
 /// Read-only view of the NPU the scheduler consults per packet.
@@ -47,10 +50,7 @@ class NpuView {
   virtual std::uint32_t queue_capacity() const = 0;
 
   /// Total load proxy for a core: queued packets plus the one in service.
-  std::uint32_t load(CoreId core) const {
-    const CoreView& v = cores()[core];
-    return v.queue_len + (v.busy ? 1u : 0u);
-  }
+  std::uint32_t load(CoreId core) const { return cores()[core].load(); }
 };
 
 /// One scheduler-internal decision, reported through the observability

@@ -29,6 +29,7 @@ PacketGenerator::PacketGenerator(std::vector<ServiceTraffic> services,
     PerService s{
         std::move(traffic),
         HoltWintersRate(rate, mix64(seed + 17 * i + 1)),
+        /*noise=*/{},
         seeder.stream(i),
         /*next_time_s=*/0.0,
         /*bound_mpps=*/0.0,
@@ -61,8 +62,7 @@ void PacketGenerator::advance(PerService& s) {
       s.next_time_s = t;
       return;
     }
-    const double accept =
-        s.curve.rate_mpps(t) / s.bound_mpps;
+    const double accept = s.curve.rate_mpps(t, s.noise) / s.bound_mpps;
     if (s.rng.uniform() < accept) {
       s.next_time_s = t;
       return;
@@ -75,12 +75,15 @@ std::uint32_t PacketGenerator::global_flow(PerService& s,
   if (s.has_hint) {
     return s.gflow_offset + local_id;
   }
-  const auto [it, inserted] = s.dynamic_ids.emplace(local_id, dynamic_next_);
-  if (inserted) {
-    ++dynamic_next_;
+  if (local_id >= s.dynamic_ids.size()) {
+    s.dynamic_ids.resize(std::size_t{local_id} + 1);
+  }
+  std::uint32_t& id = s.dynamic_ids[local_id];
+  if (id == 0) {  // first appearance: next id of the shared pool
+    id = ++dynamic_next_;
     ++total_flows_;
   }
-  return it->second;
+  return id - 1;
 }
 
 ReplayStream ReplayStream::record(ArrivalStream& source) {

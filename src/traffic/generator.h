@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/packet_record.h"
@@ -83,6 +83,8 @@ class PacketGenerator final : public ArrivalStream {
   struct PerService {
     ServiceTraffic traffic;
     HoltWintersRate curve;
+    // The curve's noise term for the interval the thinning loop is in.
+    HoltWintersRate::NoiseMemo noise;
     Rng rng;
     double next_time_s = 0.0;   // tentative next arrival (seconds)
     double bound_mpps = 0.0;    // thinning envelope
@@ -91,8 +93,11 @@ class PacketGenerator final : public ArrivalStream {
     // Cached trace->flow_count_hint() > 0: global_flow runs per packet and
     // must not pay a virtual call to re-learn a static property.
     bool has_hint = false;
-    // Fallback mapping for traces without a flow-count hint.
-    std::unordered_map<std::uint32_t, std::uint32_t> dynamic_ids;
+    // For traces without a flow-count hint: gflow + 1 of each local flow
+    // id seen so far, indexed by the trace's dense local id (0 = not seen
+    // yet). A deque grows in fixed-size blocks, so growing never copies
+    // the table or holds two copies of it.
+    std::deque<std::uint32_t> dynamic_ids;
   };
 
   void advance(PerService& s);

@@ -40,18 +40,24 @@ HoltWintersRate::HoltWintersRate(HoltWintersParams params, std::uint64_t seed,
 }
 
 double HoltWintersRate::mean_rate_mpps(double t) const {
-  const double phase = std::fmod(t, params_.m) / params_.m;
+  // fmod is exact and returns t itself on [0, m), so skip it there.
+  const double in_period =
+      t >= 0 && t < params_.m ? t : std::fmod(t, params_.m);
+  const double phase = in_period / params_.m;
   const double season = std::sin(2.0 * 3.14159265358979323846 * phase);
   const double r = params_.a + params_.b * t + params_.c * season;
   return r > floor_mpps ? r : floor_mpps;
 }
 
-double HoltWintersRate::rate_mpps(double t) const {
+double HoltWintersRate::rate_mpps(double t, NoiseMemo& memo) const {
   double noise = 0.0;
   if (params_.sigma > 0) {
     const auto interval = static_cast<std::uint64_t>(t / noise_interval_);
-    Rng rng(mix64(seed_ ^ mix64(interval + 1)));
-    noise = sample_gaussian(rng, params_.sigma);
+    if (!memo.valid || memo.interval != interval) {
+      Rng rng(mix64(seed_ ^ mix64(interval + 1)));
+      memo = {interval, sample_gaussian(rng, params_.sigma), true};
+    }
+    noise = memo.noise;
   }
   const double r = mean_rate_mpps(t) + noise;
   return r > floor_mpps ? r : floor_mpps;

@@ -42,8 +42,26 @@ class HoltWintersRate {
   HoltWintersRate(HoltWintersParams params, std::uint64_t seed,
                   double noise_interval = 0.1);
 
+  /// The noise term of the last interval a caller evaluated. A caller that
+  /// evaluates the curve at many nearby times (the generator's thinning
+  /// loop) keeps one next to its curve, so the Gaussian is drawn once per
+  /// noise interval instead of once per evaluation.
+  struct NoiseMemo {
+    std::uint64_t interval = 0;
+    double noise = 0.0;
+    bool valid = false;
+  };
+
   /// Rate at time t (seconds), clamped below at `floor_mpps`. Mpps.
-  double rate_mpps(double t) const;
+  double rate_mpps(double t) const {
+    NoiseMemo fresh;
+    return rate_mpps(t, fresh);
+  }
+
+  /// rate_mpps(t), reading the noise term through `memo`: equal to the
+  /// memo-less value for any t, in any order, because the noise is a pure
+  /// function of the interval index the memo is keyed on.
+  double rate_mpps(double t, NoiseMemo& memo) const;
 
   /// Rate without the noise term — used for capacity calibration.
   double mean_rate_mpps(double t) const;

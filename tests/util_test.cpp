@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -299,6 +300,48 @@ TEST(ZipfSampler, HigherAlphaConcentratesHead) {
     head_steep += steep.sample(rng2) < 16;
   }
   EXPECT_GT(head_steep, head_flat);
+}
+
+// The guided search against the plain one it replaces: std::lower_bound
+// over the whole CDF. Probed where a bracket could be off by one (every
+// guide edge j/G and the doubles either side of it), at both ends of
+// Rng::uniform()'s range, and on a million seeded draws, for sizes from a
+// single rank to a caida-sized population.
+std::size_t full_search(const ZipfSampler& z, double u) {
+  const std::vector<double>& cdf = z.cdf();
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(ZipfRank, MatchesFullSearchAtGuideEdgesEndsAndSeededDraws) {
+  const double last_uniform = 1.0 - 0x1.0p-53;  // largest Rng::uniform()
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 1000u, 300'000u}) {
+    for (const double alpha : {1.02, 1.3}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " alpha=" +
+                   std::to_string(alpha));
+      const ZipfSampler z(n, alpha);
+      const std::size_t slices = z.guide_slices();
+      ASSERT_EQ(slices & (slices - 1), 0u);  // a power of two
+      ASSERT_EQ(z.cdf().back(), 1.0);
+      for (std::size_t j = 0; j <= slices; ++j) {
+        const double edge = static_cast<double>(j) / slices;
+        for (const double u : {std::nextafter(edge, 0.0), edge,
+                               std::nextafter(edge, 1.0)}) {
+          if (u < 0.0 || u > last_uniform) continue;
+          ASSERT_EQ(z.rank(u), full_search(z, u)) << "u=" << u << " j=" << j;
+        }
+      }
+      for (const double u : {0.0, last_uniform}) {
+        ASSERT_EQ(z.rank(u), full_search(z, u)) << "u=" << u;
+      }
+      Rng rng(mix64(n) ^ 0x5EED);
+      Rng same(mix64(n) ^ 0x5EED);
+      for (int i = 0; i < 1'000'000; ++i) {
+        const double u = same.uniform();
+        ASSERT_EQ(z.sample(rng), full_search(z, u)) << "draw " << i;
+      }
+    }
+  }
 }
 
 TEST(Exponential, MeanMatchesRate) {
