@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,17 +19,6 @@
 #include "util/tableio.h"
 
 namespace {
-
-std::vector<std::string> parse_traces(const std::string& arg) {
-  if (arg == "all") return laps::trace_registry_names();
-  std::vector<std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 // The "bundle moves/shifts" column pulls a scheduler-specific counter.
 double moves_of(const laps::SimReport& r) {
@@ -46,7 +34,8 @@ int run(laps::Flags& flags) {
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 55));
   options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
   const double load = flags.get_double("load", 1.05);
-  const auto traces = parse_traces(flags.get_string("traces", "caida1,auck1"));
+  const auto traces =
+      flags.get_list("traces", "caida1,auck1", laps::trace_registry_names());
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();
 

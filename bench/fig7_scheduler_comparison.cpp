@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,25 +27,13 @@
 
 namespace {
 
-std::vector<std::string> parse_list(const std::string& arg,
-                                    std::vector<std::string> all) {
-  if (arg == "all") return all;
-  std::vector<std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.25);
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2013));
   options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
-  const auto scenario_ids = parse_list(flags.get_string("scenarios", "all"),
-                                       laps::paper_scenario_ids());
+  const auto scenario_ids =
+      flags.get_list("scenarios", "all", laps::paper_scenario_ids());
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();
 

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,22 +24,12 @@
 
 namespace {
 
-std::vector<std::string> parse_traces(const std::string& arg) {
-  if (arg == "all") return laps::trace_registry_names();
-  std::vector<std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 int run(laps::Flags& flags) {
   const auto packets =
       static_cast<std::uint64_t>(flags.get_int("packets", 2'000'000));
   const auto traces =
-      parse_traces(flags.get_string("traces", "caida1,caida2,auck1,auck2"));
+      flags.get_list("traces", "caida1,caida2,auck1,auck2",
+                     laps::trace_registry_names());
   const auto afc_entries = static_cast<std::size_t>(flags.get_int("afc", 16));
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();

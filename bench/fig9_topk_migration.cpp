@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,17 +26,6 @@
 #include "util/tableio.h"
 
 namespace {
-
-std::vector<std::string> parse_traces(const std::string& arg) {
-  if (arg == "all") return laps::trace_registry_names();
-  std::vector<std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 std::string rel(std::uint64_t value, std::uint64_t base) {
   if (base == 0) return value == 0 ? "1.00" : "inf";
@@ -53,7 +41,8 @@ int run(laps::Flags& flags) {
   options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
   const double load = flags.get_double("load", 1.05);
   const auto traces =
-      parse_traces(flags.get_string("traces", "caida1,caida2,auck1,auck2"));
+      flags.get_list("traces", "caida1,caida2,auck1,auck2",
+                     laps::trace_registry_names());
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();
 

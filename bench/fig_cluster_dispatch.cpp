@@ -76,6 +76,7 @@ int run(laps::Flags& flags) {
   if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
   if (cores < 1) throw std::invalid_argument("--cores must be >= 1");
   if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
+  if (!json_path.empty()) laps::util::require_writable_dir("--json", json_path);
 
   // One scheduler spec for every shard of every row (fresh instance per
   // shard — shards are independent NPs). An empty list means the default,

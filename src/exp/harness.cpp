@@ -5,13 +5,13 @@
 #include <exception>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "exp/scheduler_registry.h"
 #include "sim/afd_accuracy.h"
 #include "sim/fault.h"
 #include "sim/flight_recorder.h"
 #include "sim/flow_audit.h"
-#include "sim/probes.h"
 #include "sim/report_json.h"
 #include "telemetry/export.h"
 #include "telemetry/probe.h"
@@ -125,6 +125,23 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   if (opts.resume && opts.journal_path.empty()) {
     throw std::invalid_argument("--resume requires --journal=PATH");
   }
+
+  // Per-run files land beside their stem, so a directory that cannot take
+  // them fails here, before any cell runs.
+  const std::pair<const char*, const std::string*> paths[] = {
+      {"--json", &opts.json_path},
+      {"--trace-out", &opts.trace_path},
+      {"--flow-audit", &opts.flow_audit_path},
+      {"--afd-accuracy", &opts.afd_accuracy_path},
+      {"--flight-recorder", &opts.flight_path},
+      {"--telemetry-out", &opts.telemetry_out},
+      {"--telemetry-prom", &opts.telemetry_prom},
+      {"--fault-timeline", &opts.fault_timeline_path},
+      {"--journal", &opts.journal_path},
+  };
+  for (const auto& [flag, path] : paths) {
+    if (!path->empty()) util::require_writable_dir(flag, *path);
+  }
   return opts;
 }
 
@@ -216,7 +233,7 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
   if (!any_probe_configured(opts) && opts.fault_timeline_path.empty()) {
     return run_scenario(*effective, scheduler);
   }
-  std::optional<ChromeTraceProbe> trace;
+  std::optional<FlightRecorderProbe> trace;
   std::optional<FlowAuditProbe> audit;
   std::optional<AfdAccuracyProbe> accuracy;
   std::optional<FlightRecorderProbe> flight;
@@ -227,7 +244,7 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
   // accuracy window that differs from the telemetry interval.
   TimeNs epoch_ns = 0;
   if (!opts.trace_path.empty()) {
-    trace.emplace();
+    trace.emplace(FlightRecorderConfig::whole_run());
     extra.add(&*trace);
   }
   if (!opts.flow_audit_path.empty()) {

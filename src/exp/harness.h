@@ -17,7 +17,7 @@ struct HarnessOptions {
   std::string json_path;  ///< empty = no JSON artifact
   /// Per-run observability probes (SimEngine tentpole). Paths are stems:
   /// each simulation run writes <stem>.<scenario>.<scheduler>.<seed><ext>.
-  std::string trace_path;              ///< empty = no ChromeTraceProbe
+  std::string trace_path;              ///< empty = no whole-run trace
   // Flow-audit observability (see sim/flow_audit.h, sim/afd_accuracy.h,
   // sim/flight_recorder.h).
   std::string flow_audit_path;         ///< empty = no FlowAuditProbe
@@ -56,7 +56,8 @@ struct HarnessOptions {
 /// Consumes the flags every experiment binary shares:
 ///   --jobs=N                  worker threads (default 1; 0 = hardware conc.)
 ///   --json=P                  write a laps-bench-v1 JSON artifact to P
-///   --trace-out=P             per-run chrome://tracing JSON (stem P)
+///   --trace-out=P             per-run chrome://tracing JSON (stem P): an
+///                             unbounded FlightRecorderProbe, every event
 ///   --flow-audit=P            per-run per-flow audit JSON (stem P)
 ///   --flow-audit-top=K        attribution top-k (default 16)
 ///   --flow-audit-rows=N       per-flow rows in the artifact (0 = all)

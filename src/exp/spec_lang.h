@@ -18,6 +18,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -139,7 +140,13 @@ class Params {
     return static_cast<std::size_t>(get_u64(key, def));
   }
   std::uint32_t get_u32(const char* key, std::uint32_t def) {
-    return static_cast<std::uint32_t>(get_u64(key, def));
+    const std::uint64_t v = get_u64(key, def);
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      throw Error(std::string(kind_) + " '" + name_ + "': parameter '" + key +
+                  "' wants an integer <= 4294967295, got '" +
+                  std::to_string(v) + "'");
+    }
+    return static_cast<std::uint32_t>(v);
   }
   double get_double(const char* key, double def) {
     const std::string* v = consume(key);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/duration.h"
 #include "util/fileio.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
@@ -42,26 +43,6 @@ std::string format_double(double v) {
                               component + "'");
 }
 
-/// "10ms" -> ticks. Accepts ns/us/ms/s suffixes and fractional numbers.
-TimeNs parse_time(const std::string& text, const std::string& component) {
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &pos);
-  } catch (const std::exception&) {
-    bad_spec(component, "bad time '" + text + "'");
-  }
-  const std::string unit = text.substr(pos);
-  double scale = 0.0;
-  if (unit == "ns") scale = 1.0;
-  else if (unit == "us") scale = static_cast<double>(kMicrosecond);
-  else if (unit == "ms") scale = static_cast<double>(kMillisecond);
-  else if (unit == "s") scale = static_cast<double>(kSecond);
-  else bad_spec(component, "time '" + text + "' needs a ns/us/ms/s suffix");
-  if (value < 0) bad_spec(component, "negative time '" + text + "'");
-  return static_cast<TimeNs>(value * scale + 0.5);
-}
-
 double parse_double(const std::string& text, const std::string& component,
                     const char* what) {
   std::size_t pos = 0;
@@ -86,18 +67,21 @@ std::int32_t parse_core(const std::string& text,
   return static_cast<std::int32_t>(v);
 }
 
-/// "TIME+DUR" -> pair; DUR required iff `need_duration`.
+/// The util::parse_duration context for the times of `component`.
+std::string time_context(const std::string& component) {
+  return "parse_fault_plan: time in '" + component + "'";
+}
+
+/// "TIME+DURATION" -> pair.
 void parse_time_span(const std::string& text, const std::string& component,
-                     bool need_duration, TimeNs& time, TimeNs& duration) {
+                     TimeNs& time, TimeNs& duration) {
   const std::size_t plus = text.find('+');
   if (plus == std::string::npos) {
-    if (need_duration) bad_spec(component, "expected TIME+DURATION");
-    time = parse_time(text, component);
-    duration = 0;
-    return;
+    bad_spec(component, "expected TIME+DURATION");
   }
-  time = parse_time(text.substr(0, plus), component);
-  duration = parse_time(text.substr(plus + 1), component);
+  time = util::parse_duration(time_context(component), text.substr(0, plus));
+  duration =
+      util::parse_duration(time_context(component), text.substr(plus + 1));
   if (duration <= 0) bad_spec(component, "duration must be positive");
 }
 
@@ -142,7 +126,7 @@ FaultEvent parse_component(const std::string& component) {
     const bool down = head[0] == 'd';
     ev.kind = down ? FaultKind::kCoreDown : FaultKind::kCoreUp;
     ev.core = parse_core(head.substr(down ? 5 : 3), component);
-    ev.time = parse_time(tail, component);
+    ev.time = util::parse_duration(time_context(component), tail);
   } else if (head.rfind("slow:", 0) == 0) {
     ev.kind = FaultKind::kCoreSlowdown;
     const std::string body = head.substr(5);
@@ -151,12 +135,11 @@ FaultEvent parse_component(const std::string& component) {
     ev.core = parse_core(body.substr(0, x), component);
     ev.factor = parse_double(body.substr(x + 1), component, "factor");
     if (ev.factor <= 0) bad_spec(component, "factor must be positive");
-    ev.time = parse_time(tail, component);
+    ev.time = util::parse_duration(time_context(component), tail);
   } else if (head.rfind("stall:", 0) == 0) {
     ev.kind = FaultKind::kCoreStall;
     ev.core = parse_core(head.substr(6), component);
-    parse_time_span(tail, component, /*need_duration=*/true, ev.time,
-                    ev.duration);
+    parse_time_span(tail, component, ev.time, ev.duration);
   } else if (head == "burst" || head == "crowd") {
     ev.kind = head == "burst" ? FaultKind::kCollisionBurst
                               : FaultKind::kFlashCrowd;
@@ -164,8 +147,7 @@ FaultEvent parse_component(const std::string& component) {
     if (colon == std::string::npos) {
       bad_spec(component, "expected TIME+DUR:rate=...,flows=...");
     }
-    parse_time_span(tail.substr(0, colon), component, /*need_duration=*/true,
-                    ev.time, ev.duration);
+    parse_time_span(tail.substr(0, colon), component, ev.time, ev.duration);
     parse_traffic_args(tail.substr(colon + 1), component, ev);
   } else {
     bad_spec(component, "unknown fault kind");

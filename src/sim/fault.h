@@ -73,8 +73,9 @@ struct FaultPlan {
 };
 
 /// Parses the --faults grammar into a sorted plan. Components are separated
-/// by ';' (surrounding spaces ignored); times and durations take a ns/us/
-/// ms/s suffix:
+/// by ';' (surrounding spaces ignored); times and durations are
+/// util::parse_duration literals (ns/us/ms/s suffix, bare numbers are
+/// nanoseconds):
 ///
 ///   down:CORE@TIME               core fails at TIME
 ///   up:CORE@TIME                 core recovers at TIME

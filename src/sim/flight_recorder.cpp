@@ -16,15 +16,15 @@ FlightRecorderProbe::FlightRecorderProbe(FlightRecorderConfig config)
   if (config_.window_ns <= 0) {
     throw std::invalid_argument("FlightRecorder: window must be positive");
   }
-  ring_.resize(config_.capacity);
 }
 
 void FlightRecorderProbe::on_run_begin(const RunInfo& info) {
   info_ = info;
+  ring_.clear();
   head_ = 0;
-  count_ = 0;
   frozen_ = false;
   post_trigger_left_ = 0;
+  counters_.clear();
   window_index_ = 0;
   window_drops_ = 0;
   window_ooo_ = 0;
@@ -35,9 +35,14 @@ void FlightRecorderProbe::on_run_begin(const RunInfo& info) {
 
 void FlightRecorderProbe::push(const Event& e) {
   if (frozen_) return;
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) ++count_;
+  // The log grows until it holds `capacity` events and only then wraps,
+  // overwriting the oldest.
+  if (ring_.size() < config_.capacity) {
+    ring_.push_back(e);
+  } else {
+    ring_[head_] = e;
+    if (++head_ == ring_.size()) head_ = 0;
+  }
   if (triggered_ && post_trigger_left_ > 0 && --post_trigger_left_ == 0) {
     frozen_ = true;
   }
@@ -57,7 +62,7 @@ void FlightRecorderProbe::trip(const char* reason, TimeNs now) {
   triggered_ = true;
   reason_ = reason;
   trigger_time_ = now;
-  post_trigger_left_ = ring_.size() / 2;
+  post_trigger_left_ = config_.capacity / 2;
   if (post_trigger_left_ == 0) frozen_ = true;
 }
 
@@ -124,27 +129,35 @@ void FlightRecorderProbe::on_sched_event(TimeNs now, const SchedEvent& event) {
   push(e);
 }
 
-std::size_t FlightRecorderProbe::num_events() const { return count_; }
+void FlightRecorderProbe::add_counter(TimeNs now, const std::string& name,
+                                      const std::string& args_json) {
+  counters_.push_back("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":" +
+                      std::to_string(to_us(now)) +
+                      ",\"name\":" + JsonWriter::quote(name) +
+                      ",\"args\":" + args_json + "}");
+}
 
-std::string FlightRecorderProbe::to_json() const {
-  // Same hand-assembled compact form as ChromeTraceProbe: one event per
-  // line, names and labels escaped through JsonWriter::quote.
-  std::string out;
-  out.reserve(count_ * 96 + 1024);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+template <typename Out>
+void FlightRecorderProbe::render(Out& out) const {
+  // Hand-assembled compact form: one event per line, names and labels
+  // escaped through JsonWriter::quote. Each line goes to `out` as soon as
+  // it is built.
+  out.append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
   bool first = true;
   auto append = [&](const std::string& line) {
-    if (!first) out += ",\n";
+    if (!first) out.append(",\n");
     first = false;
-    out += line;
+    out.append(line);
   };
-  std::string title = info_.scenario + " / " + info_.scheduler +
-                      " [flight recorder";
-  if (triggered_) {
-    title += ": " + reason_ + " @ " + std::to_string(to_us(trigger_time_)) +
-             " us";
+  std::string title = info_.scenario + " / " + info_.scheduler;
+  if (config_.capacity != SIZE_MAX) {
+    title += " [flight recorder";
+    if (triggered_) {
+      title += ": " + reason_ + " @ " +
+               std::to_string(to_us(trigger_time_)) + " us";
+    }
+    title += "]";
   }
-  title += "]";
   append("{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{"
          "\"name\":" +
          JsonWriter::quote(title) + "}}");
@@ -163,9 +176,8 @@ std::string FlightRecorderProbe::to_json() const {
            ",\"s\":\"g\",\"name\":" + JsonWriter::quote(reason_) + "}");
   }
 
-  const std::size_t start = count_ < ring_.size() ? 0 : head_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Event& e = ring_[(start + i) % ring_.size()];
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const Event& e = ring_[(head_ + i) % ring_.size()];
     std::string line = "{\"ph\":\"";
     std::string name;
     std::string args;
@@ -224,12 +236,20 @@ std::string FlightRecorderProbe::to_json() const {
     line += "}";
     append(line);
   }
-  out += "\n]}\n";
+  for (const std::string& counter : counters_) append(counter);
+  out.append("\n]}\n");
+}
+
+std::string FlightRecorderProbe::to_json() const {
+  std::string out;
+  render(out);
   return out;
 }
 
 void FlightRecorderProbe::write(const std::string& path) const {
-  util::write_file_atomic(path, to_json(), "flight-recorder dump");
+  util::AtomicFileWriter out(path, "Chrome trace");
+  render(out);
+  out.commit();
 }
 
 }  // namespace laps

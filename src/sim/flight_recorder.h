@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,8 @@ namespace laps {
 struct FlightRecorderConfig {
   /// Ring capacity in events. After a trigger the recorder keeps running
   /// for capacity/2 more events and then freezes, so the dump holds
-  /// roughly half a ring of lead-up and half of aftermath.
+  /// roughly half a ring of lead-up and half of aftermath. SIZE_MAX never
+  /// wraps: the recorder then keeps every event of the run (--trace-out).
   std::size_t capacity = 4096;
   /// Drops within one window that count as a drop storm. 0 disables.
   std::uint64_t drop_storm = 64;
@@ -26,17 +28,25 @@ struct FlightRecorderConfig {
   /// Dump even when no anomaly triggered (--flight-dump): turns the
   /// recorder into a cheap "last N events" trace of any run.
   bool always_dump = false;
+
+  /// The --trace-out recorder: every event of the run, no triggers.
+  static FlightRecorderConfig whole_run() {
+    return {SIZE_MAX, 0, 0, from_us(100.0), true};
+  }
 };
 
-/// Fixed-capacity ring of the most recent probe events, dumped as a Chrome
-/// trace-event JSON on anomaly triggers — the postmortem value of a full
-/// ChromeTraceProbe without its unbounded memory cost.
+/// The Chrome trace-event recorder (chrome://tracing, ui.perfetto.dev):
+/// one row per core plus a scheduler row. With a bounded capacity it is
+/// the postmortem ring of --flight-recorder; unbounded (whole_run()) it
+/// records all of a --trace-out run. The log grows in fixed-size blocks up
+/// to `capacity`, so it never copies its events, and only then wraps.
 ///
 /// Recorded events (chosen for postmortem signal per byte): drops, service
 /// spans (with FM/cold-cache penalty flags), OOO departures, and
-/// scheduler-internal decisions. Clean departures and plain dispatches are
-/// not recorded — they dominate event volume and say nothing about an
-/// anomaly.
+/// scheduler-internal decisions. Spans, drops and OOO instants carry the
+/// packet's `flow_key`, the key of the flow-audit rows and of LAPS's
+/// scheduler events. Clean departures and plain dispatches are not
+/// recorded — they dominate event volume and say nothing about an anomaly.
 ///
 /// Triggers: a drop storm (>= drop_storm drops within one window) or an
 /// OOO spike (>= ooo_spike OOO departures within one window). On trigger
@@ -56,6 +66,12 @@ class FlightRecorderProbe final : public SimProbe {
                     std::uint32_t new_ooo) override;
   void on_sched_event(TimeNs now, const SchedEvent& event) override;
 
+  /// Adds a 'C' (counter) sample at `now`, kept beside the log where no
+  /// ring evicts it. `args_json` is the pre-rendered numeric args object,
+  /// e.g. `{"depth":3,"max":7}`: each key renders as one counter track.
+  void add_counter(TimeNs now, const std::string& name,
+                   const std::string& args_json);
+
   bool triggered() const { return triggered_; }
   /// "drop_storm", "ooo_spike", or "" when nothing triggered.
   const std::string& trigger_reason() const { return reason_; }
@@ -64,19 +80,20 @@ class FlightRecorderProbe final : public SimProbe {
   /// always_dump).
   bool should_dump() const { return triggered_ || config_.always_dump; }
 
-  /// Events currently held (<= capacity).
-  std::size_t num_events() const;
+  /// Events currently held (<= capacity); counter samples not included.
+  std::size_t num_events() const { return ring_.size(); }
 
-  /// The {"traceEvents": [...]} document (oldest event first), with
-  /// trigger metadata in the process name.
+  /// The {"traceEvents": [...]} document (oldest event first, counter
+  /// samples last); a bounded recorder names its trigger in the title.
   std::string to_json() const;
-  /// Writes to_json() to `path`. Throws std::runtime_error on I/O failure.
+  /// Streams the to_json() bytes to `path` line by line
+  /// (util::AtomicFileWriter). Throws util::IoError on I/O failure.
   void write(const std::string& path) const;
 
  private:
   enum class Type : std::uint8_t { kDrop, kService, kOoo, kSched };
 
-  /// One ring slot: 32 bytes, no heap — recording must stay cheap enough
+  /// One log slot: 32 bytes, no heap — recording must stay cheap enough
   /// to leave on during long runs.
   struct Event {
     TimeNs t = 0;
@@ -91,14 +108,16 @@ class FlightRecorderProbe final : public SimProbe {
   void push(const Event& e);
   void roll_window(TimeNs now);
   void trip(const char* reason, TimeNs now);
+  template <typename Out>
+  void render(Out& out) const;
 
   FlightRecorderConfig config_;
   RunInfo info_;
-  std::vector<Event> ring_;
-  std::size_t head_ = 0;   ///< next write position
-  std::size_t count_ = 0;  ///< events held (saturates at capacity)
+  std::deque<Event> ring_;
+  std::size_t head_ = 0;  ///< oldest event once the ring has wrapped
   bool frozen_ = false;
   std::size_t post_trigger_left_ = 0;
+  std::vector<std::string> counters_;  ///< rendered 'C' lines
 
   TimeNs window_index_ = 0;
   std::uint64_t window_drops_ = 0;

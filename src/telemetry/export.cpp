@@ -52,10 +52,9 @@ std::string snapshot_jsonl_line(const MetricsRegistry& registry,
 
 std::size_t write_telemetry_jsonl(const std::string& path,
                                   const TelemetryProbe& probe) {
-  std::string out;
+  util::AtomicFileWriter out(path, "telemetry JSONL");
   for (const MetricsSnapshot& snap : probe.snapshots()) {
-    out += snapshot_jsonl_line(probe.registry(), snap);
-    out += "\n";
+    out.append(snapshot_jsonl_line(probe.registry(), snap) + "\n");
   }
   // The final line also labels the run, so a stream file stands alone:
   // num_cores turns engine.queue_depth_total into a per-core mean.
@@ -66,10 +65,10 @@ std::size_t write_telemetry_jsonl(const std::string& path,
           JsonWriter::quote(probe.info().scenario) +
           ",\"scheduler\":" + JsonWriter::quote(probe.info().scheduler) +
           ",\"num_cores\":" + std::to_string(probe.info().num_cores) +
-          ",\"interval_ns\":" + std::to_string(probe.config().interval) + "}";
-  out += last;
-  out += "\n";
-  util::write_file_atomic(path, out, "telemetry JSONL");
+          ",\"interval_ns\":" + std::to_string(probe.config().interval) +
+          "}\n";
+  out.append(last);
+  out.commit();
   return probe.snapshots().size() + 1;
 }
 

@@ -25,8 +25,9 @@ std::string snapshot_jsonl_line(const MetricsRegistry& registry,
 /// counts are differences of consecutive lines; the final line closes the
 /// rest of the run. The final line also carries `"final":true` and the
 /// run's `"scenario"`, `"scheduler"`, `"num_cores"` and `"interval_ns"`.
-/// Atomic: written to `path.tmp`, then renamed. Throws std::runtime_error
-/// on I/O failure. Returns the number of lines written.
+/// Each line is appended to the file's temp as it is rendered, and the
+/// temp is renamed onto `path` at the end (util::AtomicFileWriter). Throws
+/// util::IoError on I/O failure. Returns the number of lines written.
 std::size_t write_telemetry_jsonl(const std::string& path,
                                   const TelemetryProbe& probe);
 

@@ -17,7 +17,7 @@ constexpr std::size_t kMaxPerCoreGauges = 64;
 
 TelemetryProbe::TelemetryProbe(TelemetryConfig config,
                                const Scheduler* scheduler,
-                               ChromeTraceProbe* trace)
+                               FlightRecorderProbe* trace)
     : config_(config), scheduler_(scheduler), trace_(trace) {
   register_instruments();
 }

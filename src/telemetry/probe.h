@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/flight_recorder.h"
 #include "sim/probe.h"
-#include "sim/probes.h"
 #include "telemetry/metrics.h"
 
 namespace laps::telemetry {
@@ -44,11 +44,11 @@ class TelemetryProbe final : public SimProbe {
   /// `scheduler` (optional) enables the sched.* gauge family, sampled via
   /// Scheduler::telemetry_sample() at epoch cadence; fields the policy
   /// reported as N/A in the run-begin sample are never registered.
-  /// `trace` (optional) merges counter tracks into a ChromeTraceProbe
-  /// timeline at each snapshot.
+  /// `trace` (optional) merges counter tracks into that recorder's Chrome
+  /// trace at each snapshot.
   explicit TelemetryProbe(TelemetryConfig config = {},
                           const Scheduler* scheduler = nullptr,
-                          ChromeTraceProbe* trace = nullptr);
+                          FlightRecorderProbe* trace = nullptr);
 
   void on_run_begin(const RunInfo& info) override;
   void on_arrival(TimeNs now, const SimPacket& pkt) override;
@@ -83,7 +83,7 @@ class TelemetryProbe final : public SimProbe {
 
   TelemetryConfig config_;
   const Scheduler* scheduler_;
-  ChromeTraceProbe* trace_;
+  FlightRecorderProbe* trace_;
 
   MetricsRegistry registry_;
   std::vector<MetricsSnapshot> snapshots_;

@@ -1,6 +1,7 @@
 #include "util/duration.h"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace laps::util {
@@ -37,7 +38,15 @@ TimeNs parse_duration(const std::string& context, const std::string& value) {
     throw std::invalid_argument(context + " wants a non-negative duration, got '" +
                                 value + "'");
   }
-  return static_cast<TimeNs>(number * scale + 0.5);
+  // NaN and infinities parse as numbers, and a float-to-integer cast of a
+  // value past 2^63 is undefined, so both are refused here.
+  const double ticks = number * scale + 0.5;
+  if (!std::isfinite(number) || ticks >= 0x1p63) {
+    throw std::invalid_argument(
+        context + " wants a finite duration below 2^63 ns, got '" + value +
+        "'");
+  }
+  return static_cast<TimeNs>(ticks);
 }
 
 }  // namespace laps::util

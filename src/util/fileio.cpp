@@ -10,7 +10,9 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string_view>
+#include <utility>
 
 namespace laps::util {
 
@@ -93,49 +95,63 @@ IoError::IoError(const std::string& what_kind, const std::string& path,
       operation_(operation),
       errno_(saved_errno) {}
 
-void write_file_atomic(const std::string& path, const std::string& content,
-                       const char* what_kind, bool durable) {
+AtomicFileWriter::AtomicFileWriter(std::string path, const char* what_kind,
+                                   bool durable)
+    : path_(std::move(path)), what_kind_(what_kind), durable_(durable) {
   // The temp name carries pid + a process-wide counter, so concurrent
   // writers of one destination (threads of one grid, or separate
   // processes) never share a temp file, and a later writer can tell a
   // leftover temp of a dead process from one still being written.
   static std::atomic<std::uint64_t> seq{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(seq.fetch_add(1));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw IoError(what_kind, tmp, "open", errno);
+  tmp_ = path_ + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(seq.fetch_add(1));
+  file_ = std::fopen(tmp_.c_str(), "wb");
+  if (file_ == nullptr) fail("open", errno);
+}
+
+AtomicFileWriter::~AtomicFileWriter() {
+  if (file_ != nullptr) std::fclose(file_);
+  if (!tmp_.empty()) std::remove(tmp_.c_str());
+}
+
+void AtomicFileWriter::append(std::string_view bytes) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+    fail("write", errno);
   }
-  if (std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
-    const int saved = errno;
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    throw IoError(what_kind, tmp, "write", saved);
+}
+
+void AtomicFileWriter::commit() {
+  if (std::fflush(file_) != 0) fail("flush", errno);
+  if (durable_ && ::fsync(::fileno(file_)) != 0) fail("fsync", errno);
+  const int closed = std::fclose(std::exchange(file_, nullptr));
+  if (closed != 0) fail("close", errno);
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) fail("rename", errno);
+  tmp_.clear();
+  if (durable_) sync_parent_dir(path_);
+  remove_stale_temps(path_);
+}
+
+void AtomicFileWriter::fail(const char* operation, int saved_errno) {
+  if (file_ != nullptr) std::fclose(std::exchange(file_, nullptr));
+  if (!tmp_.empty()) std::remove(tmp_.c_str());
+  tmp_.clear();
+  throw IoError(what_kind_, path_, operation, saved_errno);
+}
+
+void write_file_atomic(const std::string& path, const std::string& content,
+                       const char* what_kind, bool durable) {
+  AtomicFileWriter out(path, what_kind, durable);
+  out.append(content);
+  out.commit();
+}
+
+void require_writable_dir(const std::string& what, const std::string& path) {
+  const std::string dir = parent_dir(path);
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) {
+    throw std::invalid_argument(what + ": cannot write '" + path +
+                                "': directory '" + dir +
+                                "': " + std::strerror(errno));
   }
-  if (std::fflush(f) != 0) {
-    const int saved = errno;
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    throw IoError(what_kind, tmp, "flush", saved);
-  }
-  if (durable && ::fsync(::fileno(f)) != 0) {
-    const int saved = errno;
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    throw IoError(what_kind, tmp, "fsync", saved);
-  }
-  if (std::fclose(f) != 0) {
-    const int saved = errno;
-    std::remove(tmp.c_str());
-    throw IoError(what_kind, tmp, "close", saved);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int saved = errno;
-    std::remove(tmp.c_str());
-    throw IoError(what_kind, path, "rename", saved);
-  }
-  if (durable) sync_parent_dir(path);
-  remove_stale_temps(path);
 }
 
 bool read_file_if_exists(const std::string& path, std::string& content) {

@@ -1,6 +1,8 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 namespace laps {
@@ -51,6 +53,26 @@ bool Flags::get_bool(const std::string& name, bool def) {
   if (it == values_.end()) return def;
   const std::string& v = it->second;
   return v.empty() || v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+std::vector<std::string> Flags::get_list(
+    const std::string& name, const std::string& def,
+    const std::vector<std::string>& valid) {
+  const std::string value = get_string(name, def);
+  if (value == "all") return valid;
+  std::vector<std::string> out;
+  std::stringstream ss(value);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) continue;
+    if (std::find(valid.begin(), valid.end(), item) == valid.end()) {
+      std::string msg = "--" + name + ": unknown value '" + item + "'; valid:";
+      for (const std::string& v : valid) msg += " " + v;
+      throw std::invalid_argument(msg + " (or all)");
+    }
+    out.push_back(item);
+  }
+  return out;
 }
 
 void Flags::finish() const {

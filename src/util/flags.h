@@ -30,6 +30,13 @@ class Flags {
   double get_double(const std::string& name, double def);
   /// Boolean flag: `--name`, `--name=true/false/1/0`. Default `def`.
   bool get_bool(const std::string& name, bool def);
+  /// Comma-separated list of names drawn from `valid` (`--traces=a,b`):
+  /// "all" expands to `valid`, the given order is kept and empty items are
+  /// skipped. An unknown name throws std::invalid_argument naming it and
+  /// listing `valid`, so a typo fails before any work starts.
+  std::vector<std::string> get_list(const std::string& name,
+                                    const std::string& def,
+                                    const std::vector<std::string>& valid);
 
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -17,6 +17,7 @@
 #include "reference/npu.h"
 #include "sim/engine.h"
 #include "sim/event_heap.h"
+#include "sim/flight_recorder.h"
 #include "sim/probes.h"
 #include "sim/report_json.h"
 #include "sim/ring_queue.h"
@@ -383,10 +384,10 @@ TEST(SimProbe, EpochsDoNotAlterPhysics) {
   EXPECT_EQ(report_to_json(with_epochs), report_to_json(without));
 }
 
-TEST(ChromeTraceProbe, EmitsServiceSpans) {
+TEST(FlightRecorderProbe, WholeRunTraceEmitsServiceSpans) {
   const ScenarioConfig cfg = golden_scenario("plain", 12, 2.0, false, 64);
   auto sched = make_sched("LAPS");
-  ChromeTraceProbe trace;
+  FlightRecorderProbe trace(FlightRecorderConfig::whole_run());
   ProbeSet extra;
   extra.add(&trace);
   run_scenario(cfg, *sched, extra);

@@ -558,6 +558,27 @@ TEST(Harness, AccuracyWindowThatDiffersFromTelemetryIntervalIsRejected) {
   }
 }
 
+TEST(Harness, UnwritableArtifactDirectoryFailsBeforeAnyCellRuns) {
+  // Every path flag is checked at parse time, naming the flag, so a
+  // missing directory fails before any cell runs.
+  for (const char* flag :
+       {"--json", "--trace-out", "--flow-audit", "--afd-accuracy",
+        "--flight-recorder", "--telemetry-out", "--telemetry-prom",
+        "--fault-timeline", "--journal"}) {
+    const std::string arg = std::string(flag) + "=/no/such/dir/x.json";
+    const char* argv[] = {"prog", arg.c_str(), "--faults=down:1@1ms"};
+    Flags flags(3, argv);
+    try {
+      parse_harness_flags(flags);
+      ADD_FAILURE() << flag << " accepted a missing directory";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(std::string(flag) + ": cannot write", 0), 0u)
+          << what;
+    }
+  }
+}
+
 TEST(Harness, AccuracyWindowEqualToTelemetryIntervalIsAccepted) {
   const char* argv[] = {"prog", "--telemetry-out=t.jsonl", "--telemetry=200us",
                         "--afd-accuracy=acc.json",

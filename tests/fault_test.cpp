@@ -40,6 +40,8 @@ TEST(FaultPlanParse, RoundTripsCanonicalSpec) {
   EXPECT_EQ(plan.to_spec(), spec);
   // parse(to_spec()) is exact.
   EXPECT_EQ(parse_fault_plan(plan.to_spec()).to_spec(), spec);
+  // Bare numbers are nanoseconds, as in every other duration.
+  EXPECT_EQ(parse_fault_plan("down:1@2500").to_spec(), "down:1@2500ns");
 }
 
 TEST(FaultPlanParse, SortsOutOfOrderComponents) {
@@ -63,6 +65,11 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("crowd@1ms:rate=1.0,flows=4"),
                std::invalid_argument);
+  // Times go through util::parse_duration: no NaN, infinity or overflow.
+  EXPECT_THROW(parse_fault_plan("down:1@nanms"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("up:1@infs"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("stall:1@1ms+1e30s"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("down:1@-5ms"), std::invalid_argument);
 }
 
 TEST(FaultPlanParse, ValidateChecksCoreRange) {

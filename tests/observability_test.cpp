@@ -2,7 +2,7 @@
 // per-flow attribution, deferred-fold event log), AfdAccuracyProbe (online
 // Fig. 8 scoring), FlightRecorderProbe (anomaly-triggered postmortem ring),
 // plus JSON-validity pinning for every probe artifact (including hostile
-// scenario names through ChromeTraceProbe).
+// scenario names through the whole-run trace recorder).
 //
 // The load-bearing assertions are GoldenGridTotalsMatchReport and
 // RowsMatchAPerFlowReference: on the same grid the golden determinism suite
@@ -12,13 +12,20 @@
 // a parallel approximation.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cctype>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/afs.h"
@@ -27,12 +34,14 @@
 #include "core/laps.h"
 #include "sim/afd_accuracy.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
 #include "sim/flight_recorder.h"
 #include "sim/flow_audit.h"
 #include "sim/probes.h"
 #include "sim/runner.h"
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
+#include "util/fileio.h"
 
 namespace laps {
 namespace {
@@ -715,15 +724,199 @@ TEST(FlightRecorderProbe, TriggersInsideRealOverloadRun) {
   EXPECT_TRUE(JsonChecker::valid(rec.to_json()));
 }
 
-// ------------------------------------- ChromeTrace JSON escaping (pinned) ---
+// ------------------------------------------------- the whole-run trace ---
 
-TEST(ChromeTraceProbe, HostileRunLabelsStayValidJson) {
+// One event line of a recorder dump, reduced to the fields the reference
+// below can predict.
+struct TraceLine {
+  char ph = 0;
+  std::string name;
+  std::int64_t tid = -1;
+  std::optional<std::uint64_t> flow_key, seq, count;
+};
+
+std::optional<std::uint64_t> uint_field(const std::string& line,
+                                        const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoull(line.substr(at + key.size() + 3));
+}
+
+std::vector<TraceLine> event_lines(const std::string& doc) {
+  std::vector<TraceLine> out;
+  std::istringstream in(doc);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"ph\":\"", 0) != 0 || line[7] == 'M') continue;
+    TraceLine t;
+    t.ph = line[7];
+    const std::size_t name = line.find("\"name\":\"") + 8;
+    t.name = line.substr(name, line.find('"', name) - name);
+    t.tid = static_cast<std::int64_t>(*uint_field(line, "tid"));
+    t.flow_key = uint_field(line, "flow_key");
+    t.seq = uint_field(line, "seq");
+    t.count = uint_field(line, "count");
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+using EventKey = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+
+// Counts each hook the recorder renders, as (row, flow_key, seq|count).
+class CountingReference final : public SimProbe {
+ public:
+  std::multiset<EventKey> spans, drops, ooo;
+  std::map<std::string, std::size_t> sched;
+  std::uint64_t flushed = 0;
+
+  void on_drop(TimeNs, const SimPacket& pkt, CoreId core) override {
+    drops.emplace(core, pkt.flow_key(), pkt.seq);
+  }
+  void on_service_start(TimeNs, const SimPacket& pkt, CoreId core, TimeNs,
+                        bool, bool) override {
+    spans.emplace(core, pkt.flow_key(), pkt.seq);
+  }
+  void on_departure(TimeNs, const SimPacket& pkt, CoreId core,
+                    std::uint32_t new_ooo) override {
+    if (new_ooo != 0) ooo.emplace(core, pkt.flow_key(), new_ooo);
+  }
+  void on_sched_event(TimeNs, const SchedEvent& event) override {
+    ++sched[SchedEvent::kind_name(event.kind)];
+  }
+  void on_fault(TimeNs, const FaultEvent&, std::uint32_t n) override {
+    flushed += n;
+  }
+};
+
+// The --trace-out recorder keeps every event: one span per service start,
+// one drop instant per drop (fault flushes and dead-route drops included),
+// OOO instants that sum to the report, one scheduler-row instant per
+// scheduler event, and only flow keys the run's audit knows.
+TEST(FlightRecorderProbe, WholeRunTraceMatchesACountingReference) {
+  struct Cell {
+    std::string trace, sched;
+    std::uint64_t seed;
+    std::string faults;
+  };
+  const std::vector<Cell> cells = {
+      {"plain", "FCFS", 1, ""},
+      {"churny", "AFS", 42, ""},
+      {"churny", "LAPS", 1, ""},
+      {"plain", "LAPS", 42, "down:1@500us;down:2@700us;up:1@1500us"},
+  };
+  for (const Cell& c : cells) {
+    const std::string ctx = c.trace + "/" + c.sched + "/" +
+                            std::to_string(c.seed) + "/" + c.faults;
+    ScenarioConfig cfg = golden_scenario(c.trace, c.seed, 12.0, false);
+    if (!c.faults.empty()) {
+      cfg.faults = std::make_shared<const FaultPlan>(parse_fault_plan(c.faults));
+    }
+    auto sched = make_sched(c.sched);
+    FlightRecorderProbe trace(FlightRecorderConfig::whole_run());
+    CountingReference ref;
+    FlowAuditProbe audit(FlowAuditProbe::Options{16, 0});
+    const SimReport report =
+        run_scenario(cfg, *sched, ProbeSet{&trace, &ref, &audit});
+
+    std::set<std::uint64_t> audit_keys;
+    for (const auto& row : audit.rows()) audit_keys.insert(row.key);
+    std::multiset<EventKey> spans, drops, ooo;
+    std::map<std::string, std::size_t> sched_rows;
+    std::uint64_t ooo_total = 0;
+    std::size_t unknown_keys = 0;
+    const std::int64_t sched_row = static_cast<std::int64_t>(cfg.num_cores);
+    for (const TraceLine& t : event_lines(trace.to_json())) {
+      if (t.tid == sched_row) {
+        ++sched_rows[t.name];
+        continue;
+      }
+      ASSERT_TRUE(t.flow_key.has_value()) << ctx << ": " << t.name;
+      if (audit_keys.count(*t.flow_key) == 0) ++unknown_keys;
+      if (t.ph == 'X') {
+        spans.emplace(t.tid, *t.flow_key, t.seq.value_or(~0ull));
+      } else if (t.name == "drop") {
+        drops.emplace(t.tid, *t.flow_key, t.seq.value_or(~0ull));
+      } else {
+        ASSERT_EQ(t.name, "ooo") << ctx;
+        ooo.emplace(t.tid, *t.flow_key, t.count.value_or(0));
+        ooo_total += t.count.value_or(0);
+      }
+    }
+    EXPECT_GT(spans.size(), 0u) << ctx;
+    EXPECT_EQ(spans, ref.spans) << ctx;
+    EXPECT_EQ(drops.size(), report.dropped) << ctx;
+    EXPECT_EQ(drops, ref.drops) << ctx;
+    EXPECT_EQ(ooo_total, report.out_of_order) << ctx;
+    EXPECT_EQ(ooo, ref.ooo) << ctx;
+    EXPECT_EQ(sched_rows, ref.sched) << ctx;
+    EXPECT_EQ(unknown_keys, 0u) << ctx;
+    if (!c.faults.empty()) {
+      EXPECT_GT(ref.flushed, 0u) << ctx << ": the faults flushed nothing";
+      EXPECT_EQ(sched_rows["core_down"], 2u) << ctx;
+    }
+  }
+}
+
+// write() streams the to_json() bytes, for the whole-run trace (counter
+// tracks included) and for a ring that triggered and froze; a write that
+// fails leaves no temp behind.
+TEST(FlightRecorderProbe, StreamedWriteMatchesToJson) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("laps_recorder_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto written = [&](const FlightRecorderProbe& rec) {
+    const std::string path = (dir / "trace.json").string();
+    rec.write(path);
+    std::ostringstream bytes;
+    bytes << std::ifstream(path).rdbuf();
+    return bytes.str();
+  };
+
+  const ScenarioConfig cfg = golden_scenario("churny", 1, 12.0, false);
+  auto laps = make_sched("LAPS");
+  FlightRecorderProbe whole(FlightRecorderConfig::whole_run());
+  run_scenario(cfg, *laps, ProbeSet{&whole});
+  whole.add_counter(from_us(50.0), "queue_depth", "{\"total\":3,\"max\":2}");
+  const std::string doc = whole.to_json();
+  EXPECT_TRUE(JsonChecker::valid(doc));
+  EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_EQ(written(whole), doc);
+
+  FlightRecorderConfig rc;
+  rc.capacity = 64;
+  rc.drop_storm = 16;
+  FlightRecorderProbe ring(rc);
+  auto fcfs = make_sched("FCFS");
+  run_scenario(golden_scenario("plain", 1, 12.0, false), *fcfs,
+               ProbeSet{&ring});
+  ASSERT_TRUE(ring.triggered());
+  EXPECT_EQ(ring.num_events(), 64u);
+  EXPECT_EQ(written(ring), ring.to_json());
+
+  // Renaming onto a directory fails after every line was written.
+  fs::create_directories(dir / "taken.json");
+  EXPECT_THROW(whole.write((dir / "taken.json").string()), util::IoError);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  fs::remove_all(dir);
+}
+
+// ------------------------------------- Chrome trace JSON escaping (pinned) ---
+
+TEST(FlightRecorderProbe, HostileRunLabelsStayValidJson) {
   // Scenario names flow into the trace's process_name metadata verbatim;
   // quotes, backslashes, and control characters must come out escaped.
   ScenarioConfig cfg = golden_scenario("plain", 1, 10.0, false);
   cfg.name = "quo\"ted\\back\nslash\ttab";
   auto sched = make_sched("StaticHash");
-  ChromeTraceProbe trace;
+  FlightRecorderProbe trace(FlightRecorderConfig::whole_run());
   run_scenario(cfg, *sched, ProbeSet{&trace});
   ASSERT_GT(trace.num_events(), 0u);
   const std::string doc = trace.to_json();
@@ -731,10 +924,10 @@ TEST(ChromeTraceProbe, HostileRunLabelsStayValidJson) {
   EXPECT_NE(doc.find("quo\\\"ted\\\\back\\nslash\\ttab"), std::string::npos);
 }
 
-TEST(ChromeTraceProbe, GoldenRunProducesValidJson) {
+TEST(FlightRecorderProbe, GoldenRunProducesValidJson) {
   const ScenarioConfig cfg = golden_scenario("churny", 42, 12.0, false);
   auto sched = make_sched("LAPS");
-  ChromeTraceProbe trace;
+  FlightRecorderProbe trace(FlightRecorderConfig::whole_run());
   run_scenario(cfg, *sched, ProbeSet{&trace});
   EXPECT_TRUE(JsonChecker::valid(trace.to_json()));
 }

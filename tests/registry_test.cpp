@@ -95,6 +95,12 @@ TEST(SchedulerSpecErrors, MalformedSpecsAllThrow) {
            "laps:power=maybe",    // non-boolean
            "laps:idle_th=5furlongs",  // unknown duration suffix
            "fcfs:afc=1",          // parameter on a parameterless scheduler
+           "afs:high_th=4294967297",   // 32-bit parameters do not wrap
+           "batch:batch=4294967296",
+           "laps:high_th=4294967320",
+           "laps:idle_th=nan",    // durations are finite and fit TimeNs
+           "laps:idle_th=inf",
+           "laps:idle_th=1e30s",
        }) {
     EXPECT_THROW(make_scheduler(spec), SchedulerSpecError) << spec;
     EXPECT_THROW(canonical_scheduler_spec(spec), SchedulerSpecError) << spec;
@@ -427,6 +433,7 @@ TEST(DispatcherSpecErrors, MalformedSpecsAllThrow) {
            "fdir:slots=64,slots=32",  // duplicate key
            "affinity:drain=maybe",    // non-boolean
            "rss:slots=64",       // parameter on a parameterless dispatcher
+           "pass:shard=4294967296",   // 32-bit parameters do not wrap
        }) {
     EXPECT_THROW(make_dispatcher(spec), DispatcherSpecError) << spec;
     EXPECT_THROW(canonical_dispatcher_spec(spec), DispatcherSpecError)

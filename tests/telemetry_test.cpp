@@ -39,6 +39,7 @@
 #include "exp/scheduler_registry.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
+#include "sim/flight_recorder.h"
 #include "sim/probes.h"
 #include "sim/report_json.h"
 #include "sim/runner.h"
@@ -326,6 +327,18 @@ TEST(DurationGrammar, RejectsGarbageAndNegativesWithContext) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("non-negative duration"), std::string::npos) << what;
+  }
+  // Non-finite values and values past TimeNs are refused, not cast.
+  for (const char* value : {"inf", "nan", "1e30s", "9.3e18"}) {
+    try {
+      util::parse_duration("--telemetry", value);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--telemetry wants a finite duration"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -896,7 +909,7 @@ TEST(TelemetryPrometheus, QuantileErrorStaysWithinBucketBound) {
 TEST(TelemetryProbe, MergesCounterTracksIntoChromeTrace) {
   const ScenarioConfig cfg = golden_scenario("plain", 1, 12.0);
   auto sched = make_sched("LAPS");
-  ChromeTraceProbe trace;
+  FlightRecorderProbe trace(FlightRecorderConfig::whole_run());
   TelemetryProbe probe({}, sched.get(), &trace);
   run_scenario(cfg, *sched, ProbeSet{&probe, &trace}, 100 * kMicrosecond);
 

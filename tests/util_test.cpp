@@ -576,6 +576,25 @@ TEST(Flags, HexIntegers) {
   f.finish();
 }
 
+TEST(Flags, ListExpandsAllKeepsOrderAndRejectsUnknownNames) {
+  const std::vector<std::string> valid = {"T1", "T2", "T5"};
+  const char* argv[] = {"prog", "--a=T5,,T1", "--b=all", "--c=T1,T9"};
+  Flags f(4, argv);
+  EXPECT_EQ(f.get_list("a", "T1", valid),
+            (std::vector<std::string>{"T5", "T1"}));
+  EXPECT_EQ(f.get_list("b", "T1", valid), valid);
+  EXPECT_EQ(f.get_list("absent", "T2,T1", valid),
+            (std::vector<std::string>{"T2", "T1"}));
+  try {
+    f.get_list("c", "T1", valid);
+    ADD_FAILURE() << "an unknown name was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--c: unknown value 'T9'; valid: T1 T2 T5 (or all)");
+  }
+  f.finish();
+}
+
 // ---------------------------------------------------------------- Table ---
 
 TEST(Table, RejectsEmptyHeadersAndBadRows) {
@@ -655,6 +674,70 @@ TEST(WriteFileAtomic, RemovesTempsOfDeadWritersOnly) {
   written << std::ifstream(path).rdbuf();
   EXPECT_EQ(written.str(), "whole");
   fs::remove_all(dir);
+}
+
+// Appended pieces land in order on commit; a writer dropped before commit
+// (an exception mid-render) leaves neither its temp nor the destination.
+TEST(AtomicFileWriter, CommitsAppendsAndDropsUncommittedTemps) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("laps_appender_" + std::to_string(static_cast<long>(::getpid())));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "out.jsonl").string();
+  const std::string big(3 << 20, 'x');  // many stdio buffers' worth
+  {
+    util::AtomicFileWriter out(path, "test artifact");
+    out.append("a\n");
+    out.append(big);
+    out.append("b\n");
+    out.commit();
+  }
+  std::ostringstream written;
+  written << std::ifstream(path).rdbuf();
+  EXPECT_EQ(written.str(), "a\n" + big + "b\n");
+
+  const std::string dropped = (dir / "dropped.json").string();
+  {
+    util::AtomicFileWriter out(dropped, "test artifact");
+    out.append("partial");
+  }
+  EXPECT_FALSE(fs::exists(dropped));
+  std::size_t entries = 0;
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) {
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u) << "a temp was left behind";
+  fs::remove_all(dir);
+}
+
+// A missing directory fails the up-front check with the flag's name, and
+// the writer's own open error names the destination, not its temp.
+TEST(WriteFileAtomic, UnwritableDirectoryIsNamedBeforeAndAtOpen) {
+  const std::string path = "/no/such/dir/x.json";
+  try {
+    util::require_writable_dir("--json", path);
+    ADD_FAILURE() << "a missing directory passed the check";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("--json: cannot write '/no/such/dir/x.json': "
+                         "directory '/no/such/dir'",
+                         0),
+              0u)
+        << what;
+  }
+  EXPECT_NO_THROW(util::require_writable_dir(
+      "--json", (std::filesystem::temp_directory_path() / "x.json").string()));
+  EXPECT_NO_THROW(util::require_writable_dir("--json", "relative.json"));
+  try {
+    util::write_file_atomic(path, "x", "JSON artifact");
+    ADD_FAILURE() << "a write into a missing directory succeeded";
+  } catch (const util::IoError& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_EQ(std::string(e.what()).find(".tmp."), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
