@@ -31,8 +31,8 @@ double moves_of(const laps::SimReport& r) {
 int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.03);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 55));
-  options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
+  options.seed = flags.get_uint("seed", 55);
+  options.num_cores = flags.get_uint("cores", 16);
   const double load = flags.get_double("load", 1.05);
   const auto traces =
       flags.get_list("traces", "caida1,auck1", laps::trace_registry_names());

@@ -60,7 +60,7 @@ class HashVariantScheduler final : public laps::StaticHashScheduler {
 };
 
 int run(laps::Flags& flags) {
-  const auto flows = static_cast<std::size_t>(flags.get_int("flows", 100'000));
+  const std::size_t flows = flags.get_uint("flows", 100'000);
   const std::string trace_name = flags.get_string("trace", "caida1");
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.02);

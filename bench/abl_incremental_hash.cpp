@@ -20,8 +20,7 @@
 namespace {
 
 int run(laps::Flags& flags) {
-  const auto packets =
-      static_cast<std::uint64_t>(flags.get_int("packets", 500'000));
+  const std::uint64_t packets = flags.get_uint("packets", 500'000);
   const std::string trace_name = flags.get_string("trace", "caida1");
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();

@@ -24,7 +24,7 @@ namespace {
 int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.02);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 99));
+  options.seed = flags.get_uint("seed", 99);
   const std::string trace = flags.get_string("trace", "caida1");
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();

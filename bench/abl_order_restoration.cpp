@@ -22,8 +22,8 @@ namespace {
 int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.03);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
-  options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
+  options.seed = flags.get_uint("seed", 17);
+  options.num_cores = flags.get_uint("cores", 16);
   const double load = flags.get_double("load", 0.9);
   const std::string trace = flags.get_string("trace", "caida1");
   const auto harness = laps::parse_harness_flags(flags);

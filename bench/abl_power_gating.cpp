@@ -38,8 +38,8 @@ double energy(const laps::SimReport& r, std::size_t cores, double seconds) {
 int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.05);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 31));
-  options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
+  options.seed = flags.get_uint("seed", 31);
+  options.num_cores = flags.get_uint("cores", 16);
   const std::string trace = flags.get_string("trace", "caida1");
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();

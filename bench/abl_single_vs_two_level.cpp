@@ -19,14 +19,13 @@
 #include "exp/harness.h"
 #include "trace/synthetic.h"
 #include "util/flags.h"
+#include "util/parallel.h"
 #include "util/tableio.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 int run(laps::Flags& flags) {
-  const auto packets =
-      static_cast<std::uint64_t>(flags.get_int("packets", 2'000'000));
+  const std::uint64_t packets = flags.get_uint("packets", 2'000'000);
   const auto traces =
       flags.get_list("traces", "caida1,auck1", laps::trace_registry_names());
   const auto harness = laps::parse_harness_flags(flags);

@@ -55,11 +55,10 @@ struct ScheduleOutcome {
 int run(laps::Flags& flags) {
   const std::int64_t schedules = flags.get_int("schedules", 60);
   if (schedules < 1) throw std::invalid_argument("--schedules must be >= 1");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const std::uint64_t seed = flags.get_uint("seed", 7);
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.01);
-  options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
+  options.num_cores = flags.get_uint("cores", 16);
   const auto harness = laps::parse_harness_flags(flags);
   flags.finish();
 

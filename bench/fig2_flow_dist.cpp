@@ -14,14 +14,13 @@
 #include "trace/flow_stats.h"
 #include "trace/synthetic.h"
 #include "util/flags.h"
+#include "util/parallel.h"
 #include "util/tableio.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 int run(laps::Flags& flags) {
-  const auto packets =
-      static_cast<std::uint64_t>(flags.get_int("packets", 1'000'000));
+  const std::uint64_t packets = flags.get_uint("packets", 1'000'000);
   const auto traces =
       flags.get_list("traces", "caida1,caida2,auck1,auck2",
                      laps::trace_registry_names());

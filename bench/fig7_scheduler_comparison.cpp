@@ -30,8 +30,8 @@ namespace {
 int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.25);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2013));
-  options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
+  options.seed = flags.get_uint("seed", 2013);
+  options.num_cores = flags.get_uint("cores", 16);
   const auto scenario_ids =
       flags.get_list("scenarios", "all", laps::paper_scenario_ids());
   const auto harness = laps::parse_harness_flags(flags);

@@ -34,9 +34,10 @@
 // --dispatch takes semicolon-separated dispatcher registry specs
 // (exp/dispatcher_registry.h, same fail-fast errors as --scheduler), one
 // row each; --cluster-sync is the sync-window width (util::parse_duration:
-// "100us", "1ms"). --jobs drives the per-shard-thread executor
-// (bit-identical to --jobs=1 by the cluster determinism contract; 0 =
-// hardware concurrency). The binary parses its flags itself: the other
+// "100us", "1ms"). --jobs=N runs up to N dispatcher rows at once, each a
+// lockstep run over its own fork of the recording (0 = hardware
+// concurrency); the table and artifact keep the --dispatch order, and
+// their bytes equal --jobs=1's. The binary parses its flags itself: the other
 // binaries' shared observability, journal and fault flags have no cluster
 // implementation, so they exit 1 as unknown flags instead of being ignored.
 #include <cstdio>
@@ -54,28 +55,27 @@
 #include "util/fileio.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
+#include "util/parallel.h"
 #include "util/tableio.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 int run(laps::Flags& flags) {
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-  const auto cores = static_cast<std::size_t>(flags.get_int("cores", 4));
+  const std::size_t shards = flags.get_uint("shards", 4);
+  const std::size_t cores = flags.get_uint("cores", 4);
   const double seconds = flags.get_double("seconds", 0.02);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
+  const std::uint64_t seed = flags.get_uint("seed", 17);
   const double load = flags.get_double("load", 1.05);
   const std::string trace = flags.get_string("trace", "caida1");
   const std::string dispatch =
       flags.get_string("dispatch", "pass;rr;rss;fdir;affinity;load");
   const std::string sync = flags.get_string("cluster-sync", "");
-  const std::int64_t jobs = flags.get_int("jobs", 1);
+  const std::size_t jobs = laps::resolve_jobs(flags.get_uint("jobs", 1));
   const std::string json_path = flags.get_string("json", "");
   const std::string scheduler_list = flags.get_string("scheduler", "");
   flags.finish();
   if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
   if (cores < 1) throw std::invalid_argument("--cores must be >= 1");
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
   if (!json_path.empty()) laps::util::require_writable_dir("--json", json_path);
 
   // One scheduler spec for every shard of every row (fresh instance per
@@ -113,7 +113,6 @@ int run(laps::Flags& flags) {
   cluster.cores_per_shard = cores;
   cluster.queue_capacity = scenario.queue_capacity;
   cluster.delay = scenario.delay;
-  cluster.threads = laps::ThreadPool::resolve(static_cast<std::size_t>(jobs));
   cluster.make_scheduler = scheduler.make;
   if (!sync.empty()) {
     cluster.sync_ns = laps::util::parse_duration("--cluster-sync", sync);
@@ -128,23 +127,23 @@ int run(laps::Flags& flags) {
               static_cast<unsigned long long>(replay.size()),
               scheduler.name.c_str());
 
-  std::vector<laps::ClusterReport> reports;
-  reports.reserve(dispatchers.size());
+  const std::vector<laps::ClusterReport> reports = laps::parallel_index_map(
+      jobs, dispatchers.size(), [&](std::size_t i) {
+        auto dispatcher = dispatchers[i].make();
+        laps::ReplayStream stream = replay.fork();
+        return laps::run_cluster(cluster, stream, *dispatcher);
+      });
   laps::Table out({"dispatcher", "drop %", "intra-NP ooo %", "cross-NP ooo %",
                    "cross-NP migr", "Mpps"});
-  for (const laps::DispatcherSpec& spec : dispatchers) {
-    auto dispatcher = spec.make();
-    laps::ReplayStream stream = replay.fork();
-    laps::ClusterReport report = laps::run_cluster(cluster, stream,
-                                                   *dispatcher);
-    out.add_row({spec.display, laps::Table::pct(report.drop_ratio()),
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const laps::ClusterReport& report = reports[i];
+    out.add_row({dispatchers[i].display, laps::Table::pct(report.drop_ratio()),
                  laps::Table::pct(static_cast<double>(
                                       report.intra_np_out_of_order) /
                                   std::max<std::uint64_t>(report.delivered, 1)),
                  laps::Table::pct(report.cross_np_ooo_ratio()),
                  std::to_string(report.cross_np_migrations),
                  laps::Table::num(report.throughput_mpps(), 2)});
-    reports.push_back(std::move(report));
   }
   std::printf("%s\n", out.to_string().c_str());
 

@@ -126,11 +126,11 @@ struct Measurement {
 
 int run(Flags& flags) {
   const double seconds = flags.get_double("seconds", 0.02);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
-  const auto cores = static_cast<std::size_t>(flags.get_int("cores", 16));
-  const auto flows = static_cast<std::size_t>(flags.get_int("flows", 1'000'000));
+  const std::uint64_t seed = flags.get_uint("seed", 3);
+  const std::size_t cores = flags.get_uint("cores", 16);
+  const std::size_t flows = flags.get_uint("flows", 1'000'000);
   const double rate = flags.get_double("rate-mpps", 28.0);
-  const int reps = static_cast<int>(flags.get_int("reps", 7));
+  const std::size_t reps = flags.get_uint("reps", 7);
   const auto harness = parse_harness_flags(flags);
   flags.finish();
   if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
@@ -276,13 +276,14 @@ int run(Flags& flags) {
   time_laps();
   time_cluster_pass();
   time_cluster_rss();
-  const auto keep_best = [&last_reading](Measurement& m, double s, int r) {
+  const auto keep_best = [&last_reading](Measurement& m, double s,
+                                          std::size_t r) {
     if (r == 0 || s < m.best_seconds) {
       m.best_seconds = s;
       m.perf = last_reading;  // attribution follows the winning rep
     }
   };
-  for (int r = 0; r < reps; ++r) {
+  for (std::size_t r = 0; r < reps; ++r) {
     keep_best(engine, time_engine(), r);
     keep_best(engine_report, time_report(), r);
     keep_best(engine_telem, time_telemetry(), r);
@@ -317,7 +318,7 @@ int run(Flags& flags) {
       &engine_laps, &engine_telem,  &cluster_pass, &cluster_rss};
 
   std::printf("=== Kernel throughput: %llu replayed packets/run, %zu cores, "
-              "best of %d ===\n\n",
+              "best of %zu ===\n\n",
               static_cast<unsigned long long>(engine.packets), cores, reps);
   Table out({"kernel", "wall ms", "Mpps", "vs engine"});
   for (const Measurement* m : rows) {

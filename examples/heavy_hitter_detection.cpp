@@ -23,8 +23,7 @@ int run(laps::Flags& flags) {
   using namespace laps;
 
   const std::string trace_name = flags.get_string("trace", "caida1");
-  const auto packets =
-      static_cast<std::uint64_t>(flags.get_int("packets", 1'000'000));
+  const std::uint64_t packets = flags.get_uint("packets", 1'000'000);
   const auto harness = parse_harness_flags(flags);
   flags.finish();
 

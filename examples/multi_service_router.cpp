@@ -25,8 +25,8 @@ int run(laps::Flags& flags) {
 
   ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.25);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  options.num_cores = static_cast<std::size_t>(flags.get_int("cores", 16));
+  options.seed = flags.get_uint("seed", 42);
+  options.num_cores = flags.get_uint("cores", 16);
   // This example introspects the scheduler after the run (allocator state),
   // so it stays serial; --jobs is accepted for CLI uniformity.
   const auto harness = parse_harness_flags(flags);

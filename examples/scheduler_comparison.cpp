@@ -23,7 +23,7 @@ int run(laps::Flags& flags) {
 
   ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.1);
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  options.seed = flags.get_uint("seed", 7);
   const std::string id = flags.get_string("scenario", "T5");
   const auto harness = parse_harness_flags(flags);
   flags.finish();

@@ -22,8 +22,7 @@ int run(laps::Flags& flags) {
 
   const std::string pcap_in = flags.get_string("pcap", "");
   const std::string trace_name = flags.get_string("trace", "auck1");
-  const auto packets =
-      static_cast<std::uint64_t>(flags.get_int("packets", 50'000));
+  const std::uint64_t packets = flags.get_uint("packets", 50'000);
   const std::string out = flags.get_string("out", "/tmp/laps_trace.pcap");
   const auto harness = parse_harness_flags(flags);
   flags.finish();

@@ -16,10 +16,11 @@
 #
 # --tsan builds the ThreadSanitizer configuration (its own build-tsan tree;
 # TSan and ASan cannot share a process) and runs the tests that start
-# threads: the thread pool and ParallelIndexMap, the shared TraceStore's
-# concurrent cursors, the parallel runner, an observed grid writing per-run telemetry files at --jobs=1 and 3, and the
-# cluster's threaded-vs-lockstep differential. Pass ctest args to widen or
-# narrow the selection.
+# threads: parallel_for and ParallelIndexMap, the shared TraceStore's
+# concurrent cursors, the parallel runner, an observed grid writing per-run
+# telemetry files at --jobs=1 and 3, and the cluster's parallel-rows
+# differential (concurrent run_cluster calls sharing one recording and one
+# fault plan). Pass ctest args to widen or narrow the selection.
 #
 # --resilience runs the resilient-runner proof under ASan+UBSan: journal
 # codec round-trips, crash containment, and the SIGTERM/SIGKILL
@@ -45,20 +46,29 @@ fi
 if [[ "${1:-}" == "--cluster" ]]; then
   shift
   # Cluster-layer proof under ASan+UBSan: the shards=1 byte-identity and
-  # lockstep-vs-threaded differentials, dispatcher-spec parsing/fuzzing,
-  # the ReplayStream fork regression, and the exactness proofs of the
+  # parallel-rows differentials, dispatcher-spec parsing/fuzzing, the
+  # ReplayStream fork regression, and the exactness proofs of the
   # table-driven Toeplitz (rss/fdir picks) and CRC16 kernels against their
-  # bit-serial and byte-serial references — then a threaded
-  # fig_cluster_dispatch grid so every dispatcher's hot path executes with
-  # memory/UB checking on. Pass fig_cluster_dispatch flags to widen it.
+  # bit-serial and byte-serial references — then the fig_cluster_dispatch
+  # grid at --jobs=1 and --jobs=3, so every dispatcher's hot path executes
+  # with memory/UB checking on and the rows run concurrently must write the
+  # same artifact as the rows run one after another. Pass
+  # fig_cluster_dispatch flags to widen it.
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)" \
     --target cluster_test registry_test traffic_test extensions_test \
     util_test fig_cluster_dispatch
   ctest --preset asan --output-on-failure \
     -R 'Cluster|DispatcherSpec|DispatcherRoundTrip|ReplayFork|Toeplitz|Crc16'
-  exec ./build-asan/bench/fig_cluster_dispatch --shards=3 --cores=2 \
-    --seconds=0.004 --jobs=3 "$@"
+  out="$(mktemp -d)"
+  trap 'rm -rf "$out"' EXIT
+  for jobs in 1 3; do
+    ./build-asan/bench/fig_cluster_dispatch --shards=3 --cores=2 \
+      --seconds=0.004 "$@" --jobs="$jobs" --json="$out/jobs$jobs.json"
+  done
+  cmp "$out/jobs1.json" "$out/jobs3.json"
+  echo "cluster grid: --jobs=1 and --jobs=3 artifacts are byte-identical"
+  exit 0
 fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
@@ -67,7 +77,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   if [[ $# -eq 0 ]]; then
     exec ctest --preset tsan \
-      -R 'ThreadPool|ParallelIndexMap|TraceStore|ParallelRunner|ObservedGrid|ClusterDifferential'
+      -R 'ParallelFor|ParallelIndexMap|TraceStore|ParallelRunner|ObservedGrid|ClusterDifferential.ParallelRows'
   fi
   exec ctest --preset tsan "$@"
 fi

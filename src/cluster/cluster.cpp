@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <future>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/probes.h"
-#include "util/thread_pool.h"
 
 namespace laps {
 namespace {
@@ -142,18 +139,10 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
   std::vector<std::uint32_t> completed;  // per barrier: flows that left
   std::vector<std::size_t> cursor(n);    // per-shard merge positions
 
-  // Declared after `shards` so the pool destructs (joining any in-flight
-  // shard task) before the shard states it references.
-  const std::size_t exec_threads = std::min(config.threads, n);
-  std::optional<ThreadPool> pool;
-  if (exec_threads > 1) pool.emplace(exec_threads);
-
-  // Feed each shard its window batch and settle it to the barrier. Shard
-  // tasks touch only their own ShardState; the futures' get() is both the
-  // barrier and the happens-before edge back to the coordinator — which is
-  // why threaded execution is bit-identical to lockstep.
+  // Feed each shard its window batch and settle it to the barrier. Shards
+  // share no mutable state, so settling them one after another is exact.
   auto run_window = [&](TimeNs window_end) {
-    auto shard_task = [&shards, window_end](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
       ShardState& shard = *shards[i];
       const std::size_t count = shard.batch.size();
       if (count > 0) shard.engine->prefetch_flow(shard.batch[0].gflow);
@@ -165,16 +154,6 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
       }
       shard.batch.clear();
       shard.engine->advance_to(window_end);
-    };
-    if (pool) {
-      std::vector<std::future<void>> done;
-      done.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        done.push_back(pool->submit([&shard_task, i] { shard_task(i); }));
-      }
-      for (auto& f : done) f.get();
-    } else {
-      for (std::size_t i = 0; i < n; ++i) shard_task(i);
     }
   };
 
@@ -262,9 +241,8 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
   auto arrival = arrivals.next();
   TimeNs window_end = config.sync_ns;
   while (arrival) {
-    // Dispatch every arrival in ((k-1)*sync, k*sync] — single-threaded,
-    // from gauges frozen at the last barrier plus the live dispatched
-    // counts, in both execution modes.
+    // Dispatch every arrival in ((k-1)*sync, k*sync] from gauges frozen at
+    // the last barrier plus the live dispatched counts.
     while (arrival && arrival->time <= window_end) {
       view.now = arrival->time;
       const ShardId target = dispatcher.pick(*arrival, view);
@@ -290,7 +268,7 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
     sync_barrier(window_end);
     window_end += config.sync_ns;
     // Idle gap: jump to the window containing the next arrival rather
-    // than turning empty windows (identically in both execution modes).
+    // than turning empty windows.
     if (arrival && arrival->time > window_end) {
       const TimeNs k = (arrival->time + config.sync_ns - 1) / config.sync_ns;
       window_end = k * config.sync_ns;
@@ -299,21 +277,7 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
 
   // Drain: no more arrivals; run every shard to completion, then fold the
   // trailing departures into the merged accounting.
-  {
-    auto finish_task = [&shards](std::size_t i) {
-      shards[i]->engine->finish_run();
-    };
-    if (pool) {
-      std::vector<std::future<void>> done;
-      done.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        done.push_back(pool->submit([&finish_task, i] { finish_task(i); }));
-      }
-      for (auto& f : done) f.get();
-    } else {
-      for (std::size_t i = 0; i < n; ++i) finish_task(i);
-    }
-  }
+  for (const auto& shard : shards) shard->engine->finish_run();
   merge_egress();
 
   ClusterReport out;

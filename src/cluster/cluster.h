@@ -30,6 +30,8 @@ struct ClusterConfig {
   bool restore_order = false;  ///< per-shard egress ReorderBuffer
   /// Unread; perfbench sets it. Goes with the benchmark's next change.
   EventQueueKind event_queue = EventQueueKind::kHeap;
+  /// Unread; perfbench sets it. Goes with the benchmark's next change.
+  std::size_t threads = 1;
 
   /// Sync-window width: the coordinator dispatches all arrivals of one
   /// window, runs every shard to the window end, then merges egress and
@@ -37,14 +39,6 @@ struct ClusterConfig {
   /// feedback, more barriers; the window also bounds how stale a
   /// dispatcher's delivered/dropped gauges can be.
   TimeNs sync_ns = 100 * kMicrosecond;
-
-  /// Shard executor threads: 1 = single-threaded lockstep (the oracle);
-  /// >1 runs the shards of each window on a ThreadPool between barriers.
-  /// Both modes produce bit-identical ClusterReports (shards share no
-  /// mutable state; all dispatch decisions happen on the coordinator from
-  /// barrier-frozen gauges) — asserted by cluster_test's differential
-  /// grid.
-  std::size_t threads = 1;
 
   /// Per-shard fault plans: empty, or exactly num_shards entries (null =
   /// fault-free shard). Plans must outlive the run. Traffic fault events
@@ -62,8 +56,10 @@ struct ClusterConfig {
 /// the coordinator merges their egress into the cluster-level accounting
 /// (intra- vs cross-NP out-of-order, cross-NP migrations).
 ///
-/// Deterministic: same config + same stream + same dispatcher state =>
-/// byte-identical ClusterReport JSON, regardless of config.threads.
+/// Shards settle in lockstep on the calling thread. Deterministic: same
+/// config + same stream + same dispatcher state => byte-identical
+/// ClusterReport JSON. Runs share nothing mutable, so independent runs may
+/// go on separate threads (fig_cluster_dispatch runs its rows that way).
 ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
                           Dispatcher& dispatcher);
 

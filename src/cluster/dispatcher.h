@@ -17,9 +17,7 @@ using ShardId = std::uint32_t;
 /// `dispatched` is live — the coordinator bumps it at every pick, so the
 /// dispatcher always knows exactly what it has sent. `delivered`/`dropped`
 /// are frozen at the last sync barrier: NIC feedback from a backend is
-/// delayed, not instantaneous, and keeping the lag explicit is also what
-/// makes the threaded cluster bit-identical to lockstep (mid-window shard
-/// state is never read).
+/// delayed, not instantaneous, so mid-window shard state is never read.
 struct ShardGauge {
   std::uint64_t delivered = 0;   ///< cumulative departures as of barrier
   std::uint64_t dropped = 0;     ///< cumulative drops as of barrier
@@ -46,9 +44,9 @@ struct ClusterView {
 /// Determinism contract: pick() and on_sync() must be pure functions of
 /// (attach arguments, the sequence of prior pick/on_sync calls and their
 /// arguments) — no wall clocks, no unseeded randomness, ties broken by
-/// lowest shard id. The cluster fabric calls dispatchers exclusively from
-/// the single-threaded coordinator, which is why lockstep and per-shard-
-/// thread execution produce bit-identical ClusterReports (see
+/// lowest shard id. That makes a run_cluster call a pure function of its
+/// inputs, so concurrent runs, each with its own dispatcher, report
+/// byte-identically to the same runs one after another (see
 /// cluster/cluster.h).
 class Dispatcher {
  public:

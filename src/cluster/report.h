@@ -79,8 +79,8 @@ void write_cluster_report_json(JsonWriter& writer,
                                const ClusterReport& report);
 
 /// Full document as a string. Byte-stable for identical reports — the
-/// lockstep-vs-threaded and shards=1 differential tests compare these
-/// strings directly.
+/// parallel-rows and shards=1 differential tests compare these strings
+/// directly.
 std::string cluster_report_to_json(const ClusterReport& report);
 
 /// Writes the JSON document to `path` via the shared atomic tmp+rename

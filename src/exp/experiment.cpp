@@ -6,12 +6,11 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "exp/journal.h"
+#include "util/parallel.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace laps {
 
@@ -122,7 +121,7 @@ void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
 }
 
 ParallelRunner::ParallelRunner(std::size_t jobs, RunnerPolicy policy)
-    : jobs_(ThreadPool::resolve(jobs)), policy_(std::move(policy)) {
+    : jobs_(resolve_jobs(jobs)), policy_(std::move(policy)) {
   if (policy_.resume && policy_.journal_path.empty()) {
     throw std::invalid_argument("ParallelRunner: resume requires a journal");
   }
@@ -132,8 +131,7 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   stats_ = RunnerStats{};
   stop_signal_ = 0;
   const std::size_t total = plan.size();
-  stats_.jobs_used = total <= 1 ? std::min<std::size_t>(1, total)
-                                : std::min(jobs_, total);
+  stats_.jobs_used = std::min(jobs_, total);
   const auto t0 = std::chrono::steady_clock::now();
 
   // Journal + per-cell fingerprints. Opening the journal validates (or
@@ -182,7 +180,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   SignalGuard signals(journal.has_value());
   auto stop_requested = [&] { return signals.signal() != 0; };
 
-  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{stats_.restored};
 
   auto run_cell = [&](std::size_t i) {
@@ -219,26 +216,11 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
     }
   };
 
-  auto worker = [&] {
-    for (;;) {
-      if (stop_requested()) break;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) break;
-      if (completed[i]) continue;  // restored from the journal
-      run_cell(i);
-    }
-  };
-
-  if (stats_.jobs_used <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(stats_.jobs_used);
-    for (std::size_t w = 0; w < stats_.jobs_used; ++w) {
-      workers.emplace_back(worker);
-    }
-    for (std::thread& w : workers) w.join();
-  }
+  // After a stop signal the remaining cells are claimed but not run; cells
+  // restored from the journal are skipped.
+  parallel_for(stats_.jobs_used, total, [&](std::size_t i) {
+    if (!stop_requested() && !completed[i]) run_cell(i);
+  });
   for (const JobResult& r : results) stats_.jobs_failed += r.ok() ? 0 : 1;
 
   stop_signal_ = signals.signal();

@@ -64,8 +64,8 @@ struct RunnerPolicy {
   /// With a journal: replay already-journaled cells instead of rerunning
   /// them. The replayed reports are bit-identical to a fresh run's.
   bool resume = false;
-  /// Folded into every job fingerprint; the harness hashes in the options
-  /// that change job output (fault spec, cluster shape) so a journal from a
+  /// Folded into every job fingerprint; the harness hashes in the option
+  /// that changes job output (the fault spec) so a journal from a
   /// differently-configured run never resumes silently.
   std::uint64_t journal_salt = 0;
 };
@@ -137,8 +137,8 @@ struct RunnerStats {
   }
 };
 
-/// Executes a plan on a work-stealing thread pool and returns results in
-/// plan order.
+/// Executes a plan on `jobs` worker threads (parallel_for, util/parallel.h)
+/// and returns results in plan order.
 ///
 /// Determinism contract: for a fixed plan, the returned reports are
 /// identical whatever `jobs` is — each job is a self-contained closure with

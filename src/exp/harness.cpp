@@ -18,32 +18,28 @@
 #include "util/crc.h"
 #include "util/duration.h"
 #include "util/fileio.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace laps {
 
 HarnessOptions parse_harness_flags(Flags& flags) {
   HarnessOptions opts;
-  const std::int64_t jobs = flags.get_int("jobs", 1);
-  if (jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
-  opts.jobs = ThreadPool::resolve(static_cast<std::size_t>(jobs));
+  opts.jobs = resolve_jobs(flags.get_uint("jobs", 1));
   opts.json_path = flags.get_string("json", "");
   opts.trace_path = flags.get_string("trace-out", "");
 
   opts.flow_audit_path = flags.get_string("flow-audit", "");
-  const std::int64_t audit_top = flags.get_int("flow-audit-top", 16);
-  if (audit_top < 1) throw std::invalid_argument("--flow-audit-top must be >= 1");
-  opts.flow_audit_top = static_cast<std::size_t>(audit_top);
-  const std::int64_t audit_rows = flags.get_int("flow-audit-rows", 256);
-  if (audit_rows < 0) {
-    throw std::invalid_argument("--flow-audit-rows must be >= 0");
+  opts.flow_audit_top = flags.get_uint("flow-audit-top", 16);
+  if (opts.flow_audit_top < 1) {
+    throw std::invalid_argument("--flow-audit-top must be >= 1");
   }
-  opts.flow_audit_rows = static_cast<std::size_t>(audit_rows);
+  opts.flow_audit_rows = flags.get_uint("flow-audit-rows", 256);
 
   opts.afd_accuracy_path = flags.get_string("afd-accuracy", "");
-  const std::int64_t acc_k = flags.get_int("afd-accuracy-k", 16);
-  if (acc_k < 1) throw std::invalid_argument("--afd-accuracy-k must be >= 1");
-  opts.afd_accuracy_k = static_cast<std::size_t>(acc_k);
+  opts.afd_accuracy_k = flags.get_uint("afd-accuracy-k", 16);
+  if (opts.afd_accuracy_k < 1) {
+    throw std::invalid_argument("--afd-accuracy-k must be >= 1");
+  }
   opts.afd_accuracy_window_us =
       flags.get_double("afd-accuracy-window-us", opts.afd_accuracy_window_us);
   if (opts.afd_accuracy_window_us <= 0) {
@@ -51,17 +47,12 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   }
 
   opts.flight_path = flags.get_string("flight-recorder", "");
-  const std::int64_t flight_cap = flags.get_int("flight-capacity", 4096);
-  if (flight_cap < 1) {
+  opts.flight_capacity = flags.get_uint("flight-capacity", 4096);
+  if (opts.flight_capacity < 1) {
     throw std::invalid_argument("--flight-capacity must be >= 1");
   }
-  opts.flight_capacity = static_cast<std::size_t>(flight_cap);
-  const std::int64_t storm = flags.get_int("flight-drop-storm", 64);
-  if (storm < 0) throw std::invalid_argument("--flight-drop-storm must be >= 0");
-  opts.flight_drop_storm = static_cast<std::uint64_t>(storm);
-  const std::int64_t spike = flags.get_int("flight-ooo-spike", 256);
-  if (spike < 0) throw std::invalid_argument("--flight-ooo-spike must be >= 0");
-  opts.flight_ooo_spike = static_cast<std::uint64_t>(spike);
+  opts.flight_drop_storm = flags.get_uint("flight-drop-storm", 64);
+  opts.flight_ooo_spike = flags.get_uint("flight-ooo-spike", 256);
   opts.flight_window_us =
       flags.get_double("flight-window-us", opts.flight_window_us);
   if (opts.flight_window_us <= 0) {

@@ -11,8 +11,9 @@ namespace laps {
 ///
 /// Accepts `--name=value` and boolean `--name`. Unknown
 /// flags are an error (typos in experiment parameters should fail loudly,
-/// not silently run the default). Positional arguments are collected in
-/// order.
+/// not silently run the default), and so is a value its getter cannot read
+/// whole: the getters throw std::invalid_argument naming the flag and the
+/// value. Positional arguments are collected in order.
 ///
 ///   Flags flags(argc, argv);
 ///   const double secs  = flags.get_double("seconds", 2.0);
@@ -26,14 +27,19 @@ class Flags {
   std::string get_string(const std::string& name, const std::string& def);
   /// Integer flag with default (accepts decimal and 0x hex).
   std::int64_t get_int(const std::string& name, std::int64_t def);
-  /// Floating-point flag with default.
+  /// Non-negative integer flag with default (a count, size or seed);
+  /// rejects a negative value instead of wrapping it.
+  std::uint64_t get_uint(const std::string& name, std::uint64_t def);
+  /// Finite floating-point flag with default.
   double get_double(const std::string& name, double def);
-  /// Boolean flag: `--name`, `--name=true/false/1/0`. Default `def`.
+  /// Boolean flag: `--name`, `--name=true/false/1/0/yes/no/on/off`.
+  /// Default `def`.
   bool get_bool(const std::string& name, bool def);
   /// Comma-separated list of names drawn from `valid` (`--traces=a,b`):
   /// "all" expands to `valid`, the given order is kept and empty items are
   /// skipped. An unknown name throws std::invalid_argument naming it and
-  /// listing `valid`, so a typo fails before any work starts.
+  /// listing `valid`, and so does a list that names nothing, so a typo
+  /// fails before any work starts.
   std::vector<std::string> get_list(const std::string& name,
                                     const std::string& def,
                                     const std::vector<std::string>& valid);

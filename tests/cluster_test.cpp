@@ -1,7 +1,7 @@
 // Tests for the sharded multi-NP cluster fabric (src/cluster): the
 // shards=1 pass-through identity against the single-engine path, the
-// lockstep-vs-threaded differential grid, fault isolation between shards,
-// and the cross-NP accounting invariants.
+// parallel-rows differential grid, fault isolation between shards, and the
+// cross-NP accounting invariants.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "sim/runner.h"
 #include "trace/synthetic.h"
 #include "traffic/generator.h"
+#include "util/parallel.h"
 
 namespace laps {
 namespace {
@@ -51,8 +52,7 @@ ReplayStream record_traffic(const ScenarioConfig& cfg) {
   return ReplayStream::record(gen);
 }
 
-ClusterConfig cluster_config(const ScenarioConfig& cfg, std::size_t shards,
-                             std::size_t threads = 1) {
+ClusterConfig cluster_config(const ScenarioConfig& cfg, std::size_t shards) {
   ClusterConfig cluster;
   cluster.name = cfg.name;
   cluster.num_shards = shards;
@@ -60,7 +60,6 @@ ClusterConfig cluster_config(const ScenarioConfig& cfg, std::size_t shards,
   cluster.queue_capacity = cfg.queue_capacity;
   cluster.delay = cfg.delay;
   cluster.restore_order = cfg.restore_order;
-  cluster.threads = threads;
   cluster.make_scheduler = [] { return make_scheduler("afs"); };
   return cluster;
 }
@@ -125,40 +124,53 @@ TEST(ClusterIdentity, PassTargetsTheConfiguredShard) {
   EXPECT_GT(report.offered, 0u);
 }
 
-// ------------------------------------------- lockstep vs threaded grid ---
+// ------------------------------------------------- parallel rows grid ---
 
-// Differential determinism: the per-shard-thread executor must be a pure
-// performance knob. Every dispatcher x shard-count x fault cell produces a
-// ClusterReport byte-identical to the single-threaded lockstep oracle.
-TEST(ClusterDifferential, ThreadedMatchesLockstepByteForByte) {
-  const std::vector<std::string> dispatchers = {
-      "rss", "rr", "fdir:slots=64", "affinity:th=8", "load:th=8"};
+// Differential determinism: concurrent run_cluster calls (as
+// fig_cluster_dispatch --jobs=N runs its rows) share one recording and one
+// fault plan, and each dispatcher x shard-count x fault cell must report
+// byte-identically to the same cells run one after another.
+TEST(ClusterDifferential, ParallelRowsMatchSerialRowsByteForByte) {
+  struct Cell {
+    std::string dispatcher;
+    std::size_t shards;
+    bool faulted;
+  };
+  std::vector<Cell> cells;
   for (const bool faulted : {false, true}) {
-    const ScenarioConfig cfg = small_scenario(faulted ? 1301 : 2013, false);
-    ReplayStream replay = record_traffic(cfg);
-    for (const std::string& spec : dispatchers) {
+    for (const char* spec :
+         {"rss", "rr", "fdir:slots=64", "affinity:th=8", "load:th=8"}) {
       for (const std::size_t shards : {2u, 3u}) {
-        std::string lockstep_json;
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          ClusterConfig cluster = cluster_config(cfg, shards, threads);
-          if (faulted) {
-            cluster.shard_faults.assign(shards, nullptr);
-            cluster.shard_faults[0] = core_fault_plan();
-          }
-          auto dispatcher = make_dispatcher(spec);
-          ReplayStream run = replay.fork();
-          const std::string json = cluster_report_to_json(
-              run_cluster(cluster, run, *dispatcher));
-          if (threads == 1) {
-            lockstep_json = json;
-          } else {
-            ASSERT_EQ(json, lockstep_json)
-                << "dispatch=" << spec << " shards=" << shards
-                << " faulted=" << faulted;
-          }
-        }
+        cells.push_back({spec, shards, faulted});
       }
     }
+  }
+  const ScenarioConfig clean_cfg = small_scenario(2013, false);
+  const ScenarioConfig faulted_cfg = small_scenario(1301, false);
+  const ReplayStream clean = record_traffic(clean_cfg);
+  const ReplayStream faulted = record_traffic(faulted_cfg);
+  const std::shared_ptr<const FaultPlan> plan = core_fault_plan();
+  const auto run_cell = [&](std::size_t i) {
+    const Cell& cell = cells[i];
+    ClusterConfig cluster =
+        cluster_config(cell.faulted ? faulted_cfg : clean_cfg, cell.shards);
+    if (cell.faulted) {
+      cluster.shard_faults.assign(cell.shards, nullptr);
+      cluster.shard_faults[0] = plan;
+    }
+    auto dispatcher = make_dispatcher(cell.dispatcher);
+    ReplayStream run = (cell.faulted ? faulted : clean).fork();
+    return cluster_report_to_json(run_cluster(cluster, run, *dispatcher));
+  };
+  const std::vector<std::string> serial =
+      parallel_index_map(1, cells.size(), run_cell);
+  const std::vector<std::string> parallel =
+      parallel_index_map(4, cells.size(), run_cell);
+  ASSERT_EQ(serial.size(), 20u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(parallel[i], serial[i])
+        << "dispatch=" << cells[i].dispatcher << " shards=" << cells[i].shards
+        << " faulted=" << cells[i].faulted;
   }
 }
 
@@ -167,7 +179,7 @@ TEST(ClusterDifferential, RepeatRunsAreByteIdentical) {
   ReplayStream replay = record_traffic(cfg);
   std::string first;
   for (int rep = 0; rep < 2; ++rep) {
-    ClusterConfig cluster = cluster_config(cfg, 3, /*threads=*/2);
+    ClusterConfig cluster = cluster_config(cfg, 3);
     auto dispatcher = make_dispatcher("affinity:th=8");
     ReplayStream run = replay.fork();
     const std::string json =

@@ -1,14 +1,17 @@
-// Tests for the parallel experiment engine: the thread pool, the shared
+// Tests for the parallel experiment engine: parallel_for, the shared
 // trace store, plan/runner determinism (the bit-identical-across---jobs
 // contract), JSON serialization, and the shared CLI harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -26,53 +29,72 @@
 #include "trace/synthetic.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace laps {
 namespace {
 
-// ------------------------------------------------------------- ThreadPool ---
+// ------------------------------------------------------------ parallel_for ---
 
-TEST(ThreadPool, DestructorDrainsEveryQueuedTask) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 1000; ++i) {
-      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t jobs : {1u, 3u, 8u}) {
+    for (const std::size_t n : {0u, 1u, 2u, 100u}) {
+      std::vector<std::atomic<int>> runs(n);
+      parallel_for(jobs, n, [&](std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "jobs=" << jobs << " n=" << n << " i=" << i;
+      }
     }
-    // Destruction races with execution: shutdown must still run all 1000.
   }
-  EXPECT_EQ(done.load(), 1000);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 21 * 2; });
-  auto bad = pool.submit([]() -> int {
-    throw std::runtime_error("task failed");
-  });
-  EXPECT_EQ(ok.get(), 42);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker survives a throwing task and keeps executing.
-  auto after = pool.submit([] { return 7; });
-  EXPECT_EQ(after.get(), 7);
-}
-
-TEST(ThreadPool, ResolveMapsZeroToHardwareConcurrency) {
-  EXPECT_GE(ThreadPool::resolve(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve(3), 3u);
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ManyProducersOneResultEach) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  futures.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
+TEST(ParallelFor, RunsOnAtMostMinOfJobsAndNThreads) {
+  for (const std::size_t jobs : {1u, 3u, 8u}) {
+    for (const std::size_t n : {1u, 2u, 100u}) {
+      std::mutex mutex;
+      std::set<std::thread::id> seen;
+      parallel_for(jobs, n, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        std::lock_guard<std::mutex> lock(mutex);
+        seen.insert(std::this_thread::get_id());
+      });
+      EXPECT_LE(seen.size(), std::min(jobs, n))
+          << "jobs=" << jobs << " n=" << n;
+      if (jobs == 1 || n == 1) {
+        // Inline: the caller runs everything and no thread starts.
+        EXPECT_EQ(seen, std::set<std::thread::id>{std::this_thread::get_id()});
+      }
+    }
   }
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[i].get(), i * i);
+}
+
+TEST(ParallelFor, LowestThrowingIndexIsRethrownAfterEveryIndexRan) {
+  for (const std::size_t jobs : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> runs(100);
+    try {
+      parallel_for(jobs, runs.size(), [&](std::size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+        // Index 3 throws last when threads run, so "first thrown" would
+        // report 7.
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (i == 7 || i == 3) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at jobs=" << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3") << "jobs=" << jobs;
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "jobs=" << jobs << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelFor, ResolveJobsMapsZeroToHardwareConcurrency) {
+  EXPECT_GE(resolve_jobs(0), 1u);
+  EXPECT_EQ(resolve_jobs(3), 3u);
 }
 
 TEST(ParallelIndexMap, ResultsInIndexOrderRegardlessOfJobs) {
@@ -513,6 +535,26 @@ TEST(Harness, NegativeJobsRejected) {
   const char* argv[] = {"prog", "--jobs=-2"};
   Flags flags(2, argv);
   EXPECT_THROW(parse_harness_flags(flags), std::invalid_argument);
+}
+
+TEST(Harness, MisspelledResumeFailsBeforeAnyJournalIsOpened) {
+  // get_bool used to read any unknown word as false, so --resume=yse
+  // reran every cell and replaced the journal's finished ones.
+  const std::filesystem::path journal =
+      std::filesystem::path(testing::TempDir()) / "resume_typo_journal.log";
+  std::filesystem::remove(journal);
+  const std::string arg = "--journal=" + journal.string();
+  const char* argv[] = {"prog", arg.c_str(), "--resume=yse"};
+  Flags flags(3, argv);
+  try {
+    parse_harness_flags(flags);
+    ADD_FAILURE() << "--resume=yse was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--resume: expected true/false, 1/0, yes/no or on/off, "
+                 "got 'yse'");
+  }
+  EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 TEST(Harness, ClusterFlagsAreUnknownOutsideTheClusterBinary) {

@@ -19,6 +19,7 @@
 //  * ExactAggregatesAlongsideBuckets — the Prometheus exposition carries
 //    exact count/sum/max next to the <= 1/32-error bucket bounds.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -133,7 +134,10 @@ struct Exports {
 };
 
 Exports exports_of(const TelemetryProbe& probe) {
-  const std::string path = testing::TempDir() + "telemetry_exports.jsonl";
+  // Per process: ctest runs each test in its own process, several at once,
+  // and a shared name let one test read or remove another's file.
+  const std::string path = testing::TempDir() + "telemetry_exports." +
+                           std::to_string(::getpid()) + ".jsonl";
   telemetry::write_telemetry_jsonl(path, probe);
   Exports out{read_file(path), telemetry::prometheus_text(probe)};
   std::remove(path.c_str());

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -576,10 +577,79 @@ TEST(Flags, HexIntegers) {
   f.finish();
 }
 
+// Reading `--jobs=<value>` with `get` must throw std::invalid_argument that
+// names the flag and quotes the value, instead of running a different
+// experiment.
+void expect_rejected(const std::string& value, const std::string& expected,
+                     const std::function<void(Flags&)>& get) {
+  const std::string arg = "--jobs=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  Flags f(2, argv);
+  try {
+    get(f);
+    ADD_FAILURE() << arg << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(),
+              "--jobs: expected " + expected + ", got '" + value + "'");
+  }
+}
+
+TEST(Flags, MalformedIntegersAreRejected) {
+  for (const char* value :
+       {"two", "", "5x", " 5", "0x", "1e6", "99999999999999999999"}) {
+    expect_rejected(value, "an integer",
+                    [](Flags& f) { f.get_int("jobs", 1); });
+  }
+}
+
+TEST(Flags, UintRejectsNegativeValues) {
+  for (const char* value : {"-1", "-0x10", "eight"}) {
+    expect_rejected(value, "a non-negative integer",
+                    [](Flags& f) { f.get_uint("jobs", 1); });
+  }
+  const char* argv[] = {"prog", "--a=0", "--b=0x10", "--c=12"};
+  Flags f(4, argv);
+  EXPECT_EQ(f.get_uint("a", 5), 0u);
+  EXPECT_EQ(f.get_uint("b", 5), 16u);
+  EXPECT_EQ(f.get_uint("c", 5), 12u);
+  EXPECT_EQ(f.get_uint("absent", 5), 5u);
+  f.finish();
+}
+
+TEST(Flags, MalformedAndNonFiniteDoublesAreRejected) {
+  for (const char* value :
+       {"0.002x", "1O", "", " 1", "abc", "inf", "-inf", "nan", "1e999"}) {
+    expect_rejected(value, "a finite number",
+                    [](Flags& f) { f.get_double("jobs", 1.0); });
+  }
+  const char* argv[] = {"prog", "--a=10.0", "--b=.5", "--c=2e-3", "--d=-1"};
+  Flags f(5, argv);
+  EXPECT_DOUBLE_EQ(f.get_double("a", 0), 10.0);
+  EXPECT_DOUBLE_EQ(f.get_double("b", 0), 0.5);
+  EXPECT_DOUBLE_EQ(f.get_double("c", 0), 0.002);
+  EXPECT_DOUBLE_EQ(f.get_double("d", 0), -1.0);
+  f.finish();
+}
+
+TEST(Flags, BoolRejectsUnknownSpellings) {
+  for (const char* value : {"yse", "2", "TRUE", "n"}) {
+    expect_rejected(value, "true/false, 1/0, yes/no or on/off",
+                    [](Flags& f) { f.get_bool("jobs", false); });
+  }
+  const char* argv[] = {"prog", "--a=yes", "--b=no", "--c=on", "--d=off"};
+  Flags f(5, argv);
+  EXPECT_TRUE(f.get_bool("a", false));
+  EXPECT_FALSE(f.get_bool("b", true));
+  EXPECT_TRUE(f.get_bool("c", false));
+  EXPECT_FALSE(f.get_bool("d", true));
+  f.finish();
+}
+
 TEST(Flags, ListExpandsAllKeepsOrderAndRejectsUnknownNames) {
   const std::vector<std::string> valid = {"T1", "T2", "T5"};
-  const char* argv[] = {"prog", "--a=T5,,T1", "--b=all", "--c=T1,T9"};
-  Flags f(4, argv);
+  const char* argv[] = {"prog", "--a=T5,,T1", "--b=all", "--c=T1,T9",
+                        "--d=", "--e=,"};
+  Flags f(6, argv);
   EXPECT_EQ(f.get_list("a", "T1", valid),
             (std::vector<std::string>{"T5", "T1"}));
   EXPECT_EQ(f.get_list("b", "T1", valid), valid);
@@ -591,6 +661,16 @@ TEST(Flags, ListExpandsAllKeepsOrderAndRejectsUnknownNames) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
                  "--c: unknown value 'T9'; valid: T1 T2 T5 (or all)");
+  }
+  // A list that names nothing would run an empty grid.
+  for (const char* name : {"d", "e"}) {
+    try {
+      f.get_list(name, "T1", valid);
+      ADD_FAILURE() << "--" << name << " named nothing and was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), std::string("--") + name +
+                              ": empty list; valid: T1 T2 T5 (or all)");
+    }
   }
   f.finish();
 }
