@@ -62,6 +62,7 @@ int run(laps::Flags& flags) {
                   return laps::make_single_service_scenario(trace, o, load);
                 },
                 laps::observed_runner(harness));
+  laps::check_per_run_paths(plan, harness);
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);

@@ -88,6 +88,7 @@ int run(laps::Flags& flags) {
                   return laps::make_paper_scenario(id, o);
                 },
                 laps::observed_runner(harness));
+  laps::check_per_run_paths(plan, harness);
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);

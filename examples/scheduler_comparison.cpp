@@ -53,6 +53,7 @@ int run(laps::Flags& flags) {
                   return make_paper_scenario(scenario, o);
                 },
                 observed_runner(harness));
+  check_per_run_paths(plan, harness);
 
   ParallelRunner runner = make_runner(harness);
   const auto results = runner.run(plan);

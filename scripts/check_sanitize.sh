@@ -18,7 +18,8 @@
 # TSan and ASan cannot share a process) and runs the tests that start
 # threads: parallel_for and ParallelIndexMap, the shared TraceStore's
 # concurrent cursors, the parallel runner, an observed grid writing per-run
-# telemetry files at --jobs=1 and 3, and the cluster's parallel-rows
+# telemetry files at --jobs=1 and 3, a grouped Fig. 7 grid running its
+# lockstep groups on 1 and 3 threads, and the cluster's parallel-rows
 # differential (concurrent run_cluster calls sharing one recording and one
 # fault plan). Pass ctest args to widen or narrow the selection.
 #
@@ -77,7 +78,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   if [[ $# -eq 0 ]]; then
     exec ctest --preset tsan \
-      -R 'ParallelFor|ParallelIndexMap|TraceStore|ParallelRunner|ObservedGrid|ClusterDifferential.ParallelRows'
+      -R 'ParallelFor|ParallelIndexMap|TraceStore|ParallelRunner|ObservedGrid|LockstepGrid|ClusterDifferential.ParallelRows'
   fi
   exec ctest --preset tsan "$@"
 fi

@@ -5,8 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "exp/journal.h"
 #include "util/parallel.h"
@@ -87,14 +90,18 @@ std::vector<std::uint64_t> ExperimentPlan::replicate_seeds(
 void ExperimentPlan::add(std::string scenario, std::string scheduler,
                          std::uint64_t seed, std::function<SimReport()> run) {
   if (!run) throw std::invalid_argument("ExperimentPlan::add: null job");
+  groups_.push_back(ExperimentGroup{
+      {jobs_.size()}, [run](std::span<const std::size_t>) {
+        return std::vector<CellOutcome>{{run(), nullptr}};
+      }});
   jobs_.push_back(ExperimentJob{std::move(scenario), std::move(scheduler),
                                 seed, std::move(run)});
 }
 
-void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
-                              const std::vector<SchedulerSpec>& schedulers,
-                              const std::vector<std::uint64_t>& seeds,
-                              ScenarioBuilder build, JobRunner runner) {
+namespace {
+
+void require_factories(const std::vector<SchedulerSpec>& schedulers,
+                       const ExperimentPlan::ScenarioBuilder& build) {
   if (!build) throw std::invalid_argument("add_grid: null scenario builder");
   for (const SchedulerSpec& spec : schedulers) {
     if (!spec.make) {
@@ -102,6 +109,19 @@ void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
                                   "' has no factory");
     }
   }
+}
+
+}  // namespace
+
+void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
+                              const std::vector<SchedulerSpec>& schedulers,
+                              const std::vector<std::uint64_t>& seeds,
+                              ScenarioBuilder build, JobRunner runner) {
+  if (!runner) {
+    add_grid(scenarios, schedulers, seeds, std::move(build), GroupRunner{});
+    return;
+  }
+  require_factories(schedulers, build);
   for (const std::string& scenario : scenarios) {
     for (const SchedulerSpec& spec : schedulers) {
       for (std::uint64_t seed : seeds) {
@@ -112,10 +132,73 @@ void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
             [scenario, make, seed, build, runner]() -> SimReport {
               const ScenarioConfig cfg = build(scenario, seed);
               auto scheduler = make();
-              if (runner) return runner(cfg, *scheduler);
-              return run_scenario(cfg, *scheduler);
+              return runner(cfg, *scheduler);
             });
       }
+    }
+  }
+}
+
+void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
+                              const std::vector<SchedulerSpec>& schedulers,
+                              const std::vector<std::uint64_t>& seeds,
+                              ScenarioBuilder build, GroupRunner runner) {
+  require_factories(schedulers, build);
+  if (schedulers.empty()) return;
+  if (!runner) runner = run_lockstep;
+  // Scenario-major cell order, as the serial bench loops traverse it: the
+  // cell of (scenario s, scheduler k, seed j) sits at
+  // first + (s * schedulers + k) * seeds + j.
+  const std::size_t first = jobs_.size();
+  const std::size_t per_scenario = schedulers.size() * seeds.size();
+  for (const std::string& scenario : scenarios) {
+    for (const SchedulerSpec& spec : schedulers) {
+      for (std::uint64_t seed : seeds) {
+        jobs_.push_back(ExperimentJob{scenario, spec.name, seed, {}});
+      }
+    }
+  }
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    for (std::size_t j = 0; j < seeds.size(); ++j) {
+      ExperimentGroup group;
+      for (std::size_t k = 0; k < schedulers.size(); ++k) {
+        group.cells.push_back(first + s * per_scenario + k * seeds.size() + j);
+      }
+      // Self-contained, like every job closure: it runs on any worker
+      // thread after this frame is gone.
+      group.run = [scenario = scenarios[s], seed = seeds[j], schedulers,
+                   build, runner](std::span<const std::size_t> members) {
+        const ScenarioConfig config = build(scenario, seed);
+        std::vector<CellOutcome> out(members.size());
+        std::vector<std::unique_ptr<Scheduler>> owned;
+        std::vector<LockstepCell> cells;
+        std::vector<std::size_t> slot;  // member position of each cell
+        for (std::size_t m = 0; m < members.size(); ++m) {
+          const SchedulerSpec& spec = schedulers[members[m]];
+          try {
+            owned.push_back(spec.make());
+          } catch (...) {
+            out[m].error = std::current_exception();
+            continue;
+          }
+          cells.push_back(LockstepCell{owned.back().get(), {}, 0, spec.name});
+          slot.push_back(m);
+        }
+        std::vector<CellOutcome> ran = runner(config, cells);
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+          out[slot[c]] = std::move(ran[c]);
+        }
+        return out;
+      };
+      for (std::size_t k = 0; k < schedulers.size(); ++k) {
+        const std::size_t member = k;
+        jobs_[group.cells[k]].run = [run = group.run, member]() {
+          std::vector<CellOutcome> out = run({&member, 1});
+          if (out.front().error) std::rethrow_exception(out.front().error);
+          return std::move(out.front().report);
+        };
+      }
+      groups_.push_back(std::move(group));
     }
   }
 }
@@ -131,7 +214,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   stats_ = RunnerStats{};
   stop_signal_ = 0;
   const std::size_t total = plan.size();
-  stats_.jobs_used = std::min(jobs_, total);
   const auto t0 = std::chrono::steady_clock::now();
 
   // Journal + per-cell fingerprints. Opening the journal validates (or
@@ -176,28 +258,31 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   }
 
   // Only a journaled grid can be resumed, so only it trades the default
-  // die-at-once signal behaviour for a clean stop between cells.
+  // die-at-once signal behaviour for a clean stop between groups.
   SignalGuard signals(journal.has_value());
   auto stop_requested = [&] { return signals.signal() != 0; };
 
   std::atomic<std::size_t> done{stats_.restored};
 
-  auto run_cell = [&](std::size_t i) {
+  auto finish_cell = [&](std::size_t i, CellOutcome outcome, double wall) {
     const ExperimentJob& job = plan.jobs()[i];
     JobResult& out = results[i];
-    const auto j0 = std::chrono::steady_clock::now();
-    try {
-      out.report = job.run();
+    if (outcome.error) {
+      try {
+        std::rethrow_exception(outcome.error);
+      } catch (const std::exception& e) {
+        out.error = JobError{"exception", e.what()};
+      } catch (...) {
+        out.error = JobError{"exception", "unknown exception"};
+      }
+    } else {
+      out.report = std::move(outcome.report);
       // Normalize labels so artifacts key on the plan's names even when a
       // scheduler self-reports differently (e.g. parameterized variants).
       out.report.scenario = job.scenario;
       out.report.scheduler = job.scheduler;
-    } catch (const std::exception& e) {
-      out.error = JobError{"exception", e.what()};
-    } catch (...) {
-      out.error = JobError{"exception", "unknown exception"};
     }
-    out.wall_seconds = seconds_since(j0);
+    out.wall_seconds = wall;
     completed[i] = 1;
     if (out.ok() && journal) {
       journal->record(i, fingerprints[i], out.report);
@@ -216,10 +301,32 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
     }
   };
 
-  // After a stop signal the remaining cells are claimed but not run; cells
-  // restored from the journal are skipped.
-  parallel_for(stats_.jobs_used, total, [&](std::size_t i) {
-    if (!stop_requested() && !completed[i]) run_cell(i);
+  // Whole groups go to the workers. A group runs only its cells that are
+  // not restored from the journal; after a stop signal the remaining
+  // groups are claimed but not run.
+  const std::vector<ExperimentGroup>& groups = plan.groups();
+  stats_.jobs_used = std::min(jobs_, groups.size());
+  parallel_for(stats_.jobs_used, groups.size(), [&](std::size_t g) {
+    if (stop_requested()) return;
+    const ExperimentGroup& group = groups[g];
+    std::vector<std::size_t> members;
+    for (std::size_t m = 0; m < group.cells.size(); ++m) {
+      if (!completed[group.cells[m]]) members.push_back(m);
+    }
+    if (members.empty()) return;
+    const auto g0 = std::chrono::steady_clock::now();
+    std::vector<CellOutcome> outcomes;
+    try {
+      outcomes = group.run(members);
+    } catch (...) {
+      outcomes.assign(members.size(),
+                      CellOutcome{{}, std::current_exception()});
+    }
+    const double wall =
+        seconds_since(g0) / static_cast<double>(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      finish_cell(group.cells[members[m]], std::move(outcomes[m]), wall);
+    }
   });
   for (const JobResult& r : results) stats_.jobs_failed += r.ok() ? 0 : 1;
 

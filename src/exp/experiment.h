@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,12 +20,29 @@ struct SchedulerSpec {
   std::function<std::unique_ptr<Scheduler>()> make;
 };
 
-/// One independent unit of work: build config + scheduler, run, report.
+/// One grid cell: its labels, and how to run it by itself.
 struct ExperimentJob {
   std::string scenario;
   std::string scheduler;
   std::uint64_t seed = 0;
+  /// Runs this cell alone. A grouped cell runs its group with only itself
+  /// in it, which reports exactly what the cell reports inside the group.
   std::function<SimReport()> run;
+};
+
+/// Cells that run together, in lockstep off one traffic stream
+/// (run_lockstep). Every cell of a plan belongs to exactly one group: an
+/// `add` cell, or a grid cell with a caller-supplied JobRunner, is a group
+/// of one.
+struct ExperimentGroup {
+  std::vector<std::size_t> cells;  ///< plan indices, ascending
+  /// Runs the cells at positions `members` of `cells` (ascending) and
+  /// returns one outcome per member, in order. Throws only when nothing the
+  /// members share could be built or run (the scenario, its traffic); the
+  /// runner then fails every member with that error.
+  std::function<std::vector<CellOutcome>(
+      std::span<const std::size_t> members)>
+      run;
 };
 
 /// Why a grid cell has no (trustworthy) report. A failed cell is contained:
@@ -44,7 +62,9 @@ struct JobResult {
   std::string scheduler;
   std::uint64_t seed = 0;
   SimReport report;
-  double wall_seconds = 0.0;  ///< per-job wall clock (not in JSON artifacts)
+  /// Per-job wall clock: a group's wall clock split evenly over the cells
+  /// it ran (not in JSON artifacts).
+  double wall_seconds = 0.0;
   /// Engaged when the cell failed permanently; `report` is then
   /// default-constructed and must not feed tables.
   std::optional<JobError> error;
@@ -56,7 +76,7 @@ struct JobResult {
 /// Resilience policy for a runner. Crash containment is always on; the
 /// journal is opt-in. A runner with a journal also installs SIGINT/SIGTERM
 /// handlers for the duration of run(): on signal, workers finish (journal)
-/// their current cell and stop claiming new ones, so --resume continues
+/// their current group and stop claiming new ones, so --resume continues
 /// where the grid stopped.
 struct RunnerPolicy {
   /// Completion journal path; empty = no journal. See exp/journal.h.
@@ -70,12 +90,14 @@ struct RunnerPolicy {
   std::uint64_t journal_salt = 0;
 };
 
-/// An ordered list of independent simulation jobs.
+/// An ordered list of simulation jobs (cells), partitioned into groups:
+/// the cells of one scenario and seed run in lockstep off one traffic
+/// stream (run_lockstep), and groups are independent of each other.
 ///
 /// The plan, not the runner, owns randomness: every job's seed is derived
 /// deterministically from `plan_seed` and the job's position in the grid, so
-/// results depend only on the plan — never on thread count or completion
-/// order.
+/// results depend only on the plan — never on thread count, grouping or
+/// completion order.
 class ExperimentPlan {
  public:
   explicit ExperimentPlan(std::uint64_t plan_seed = 2013)
@@ -90,8 +112,8 @@ class ExperimentPlan {
   /// `n` replication seeds: derive_seed(plan_seed, 0..n-1).
   std::vector<std::uint64_t> replicate_seeds(std::size_t n) const;
 
-  /// Adds one job. `run` must be self-contained (capture by value) and
-  /// callable from any thread.
+  /// Adds one job, a group of one. `run` must be self-contained (capture
+  /// by value) and callable from any thread.
   void add(std::string scenario, std::string scheduler, std::uint64_t seed,
            std::function<SimReport()> run);
 
@@ -100,27 +122,46 @@ class ExperimentPlan {
       std::function<ScenarioConfig(const std::string& scenario_id,
                                    std::uint64_t seed)>;
 
-  /// Executes one built job. The default (empty) runner is run_scenario;
-  /// benches that expose observability flags pass a wrapper around
-  /// run_observed instead. Must be callable from any worker thread.
+  /// Executes one built job by itself. A grid given one runs each cell as
+  /// a group of one (perfbench's traced and replayed cells). Must be
+  /// callable from any worker thread.
   using JobRunner =
       std::function<SimReport(const ScenarioConfig&, Scheduler&)>;
 
+  /// Runs the cells of one group over the group's one built config and
+  /// returns one outcome per cell, in order. Each cell arrives with a fresh
+  /// scheduler, its plan label and no probes. The default (empty) runner
+  /// is run_lockstep; benches that expose observability flags pass
+  /// observed_runner (exp/harness.h), which attaches each cell's probes
+  /// and writes its files. Must be callable from any worker thread.
+  using GroupRunner = std::function<std::vector<CellOutcome>(
+      const ScenarioConfig&, std::span<const LockstepCell>)>;
+
   /// Expands the full scenario x scheduler x seed grid, scenario-major (the
   /// traversal order of the serial bench loops, so tables read the same).
-  /// Each job builds its own config and scheduler at run time.
+  /// The cells that share a scenario and a seed form one group: at run
+  /// time the group builds its config once and runs every scheduler over
+  /// one traffic stream. An empty `runner` is the empty GroupRunner; a
+  /// JobRunner runs each cell by itself, building its own config.
   void add_grid(const std::vector<std::string>& scenarios,
                 const std::vector<SchedulerSpec>& schedulers,
                 const std::vector<std::uint64_t>& seeds,
                 ScenarioBuilder build, JobRunner runner = {});
+  void add_grid(const std::vector<std::string>& scenarios,
+                const std::vector<SchedulerSpec>& schedulers,
+                const std::vector<std::uint64_t>& seeds,
+                ScenarioBuilder build, GroupRunner runner);
 
   const std::vector<ExperimentJob>& jobs() const { return jobs_; }
+  /// The plan's groups, ordered by their first cell.
+  const std::vector<ExperimentGroup>& groups() const { return groups_; }
   std::size_t size() const { return jobs_.size(); }
   bool empty() const { return jobs_.empty(); }
 
  private:
   std::uint64_t plan_seed_;
   std::vector<ExperimentJob> jobs_;
+  std::vector<ExperimentGroup> groups_;
 };
 
 /// Aggregate timing of one runner invocation (stderr-only; never part of
@@ -137,14 +178,16 @@ struct RunnerStats {
   }
 };
 
-/// Executes a plan on `jobs` worker threads (parallel_for, util/parallel.h)
-/// and returns results in plan order.
+/// Executes a plan's groups on `jobs` worker threads (parallel_for,
+/// util/parallel.h), whole groups at a time, and returns results in plan
+/// order.
 ///
 /// Determinism contract: for a fixed plan, the returned reports are
-/// identical whatever `jobs` is — each job is a self-contained closure with
-/// its own config, scheduler, and derived seed; nothing about scheduling
-/// order can leak into a SimReport. Only RunnerStats and per-job wall
-/// clocks vary across thread counts.
+/// identical whatever `jobs` is — each group is a self-contained closure
+/// with its own config, schedulers, and derived seed, and a cell reports
+/// the same inside its group as alone; nothing about scheduling order can
+/// leak into a SimReport. Only RunnerStats and per-job wall clocks vary
+/// across thread counts.
 class ParallelRunner {
  public:
   /// `jobs` = worker threads; 0 = hardware concurrency; 1 = run inline.
@@ -152,14 +195,18 @@ class ParallelRunner {
   /// policy runs the grid without one.
   explicit ParallelRunner(std::size_t jobs = 1, RunnerPolicy policy = {});
 
-  /// Runs every job; reports progress on stderr as jobs finish.
+  /// Runs every group; reports progress on stderr as cells finish, and
+  /// journals each cell.
   ///
   /// Every cell runs once: cells are deterministic, so a rerun would only
-  /// repeat the outcome. Containment contract: a throwing job never
-  /// propagates out of run(). The exception is captured as the cell's
-  /// JobError, every other cell still runs, and callers decide the exit
-  /// code from the results (see harness grid_exit_code). Only plan/setup
-  /// errors (bad policy, corrupt journal) throw.
+  /// repeat the outcome. A stop signal is honoured between groups. On
+  /// --resume a group runs again only for its cells the journal lacks.
+  /// Containment contract: a throwing job never propagates out of run().
+  /// The exception is captured as the cell's JobError — a scheduler that
+  /// throws fails its own cell, while its group's siblings finish — every
+  /// other cell still runs, and callers decide the exit code from the
+  /// results (see harness grid_exit_code). Only plan/setup errors (bad
+  /// policy, corrupt journal) throw.
   std::vector<JobResult> run(const ExperimentPlan& plan);
 
   /// Nonzero when a handled SIGINT/SIGTERM stopped the previous run()

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -182,14 +185,20 @@ std::vector<SchedulerSpec> schedulers_or(const HarnessOptions& opts,
 
 namespace {
 
-/// "out.json" + (T1, LAPS, 42) -> "out.T1.LAPS.42.json"; label characters
-/// that would break filenames are replaced with '_'.
-std::string per_run_path(const std::string& stem, const std::string& scenario,
-                         const std::string& scheduler, std::uint64_t seed) {
-  std::string labels = scenario + "." + scheduler + "." + std::to_string(seed);
+/// (T1, LAPS top-4, 42) -> "T1.LAPS_top-4.42": the part of a per-run file
+/// name that tells cells apart. Label characters that would break
+/// filenames are replaced with '_'.
+std::string per_run_labels(const std::string& scenario,
+                           const std::string& label, std::uint64_t seed) {
+  std::string labels = scenario + "." + label + "." + std::to_string(seed);
   for (char& c : labels) {
     if (c == '/' || c == '\\' || c == ' ') c = '_';
   }
+  return labels;
+}
+
+/// "out.json" + "T1.LAPS.42" -> "out.T1.LAPS.42.json".
+std::string per_run_path(const std::string& stem, const std::string& labels) {
   const std::size_t slash = stem.find_last_of('/');
   const std::size_t dot = stem.find_last_of('.');
   if (dot == std::string::npos || (slash != std::string::npos && dot < slash)) {
@@ -198,148 +207,220 @@ std::string per_run_path(const std::string& stem, const std::string& scenario,
   return stem.substr(0, dot) + "." + labels + stem.substr(dot);
 }
 
-}  // namespace
-
-namespace {
-
 bool any_probe_configured(const HarnessOptions& opts) {
   return !opts.trace_path.empty() || !opts.flow_audit_path.empty() ||
          !opts.afd_accuracy_path.empty() || !opts.flight_path.empty() ||
          opts.telemetry;
 }
 
+/// The probes `opts` configures for one cell, attached for its run, and
+/// the per-run files they write after it. Built in place: the probe set
+/// holds the members' addresses.
+class ObservedCell {
+ public:
+  ObservedCell(const HarnessOptions& opts, const ScenarioConfig& config,
+               Scheduler& scheduler)
+      : opts_(opts) {
+    cell_.scheduler = &scheduler;
+    // The engine has one epoch cadence; parse_harness_flags rejects an AFD
+    // accuracy window that differs from the telemetry interval.
+    if (!opts.trace_path.empty()) {
+      trace_.emplace(FlightRecorderConfig::whole_run());
+      cell_.probes.add(&*trace_);
+    }
+    if (!opts.flow_audit_path.empty()) {
+      FlowAuditProbe::Options audit_opts;
+      audit_opts.top_k = opts.flow_audit_top;
+      audit_opts.max_rows = opts.flow_audit_rows;
+      audit_.emplace(audit_opts);
+      cell_.probes.add(&*audit_);
+    }
+    if (!opts.afd_accuracy_path.empty()) {
+      accuracy_.emplace(scheduler, opts.afd_accuracy_k);
+      cell_.probes.add(&*accuracy_);
+      cell_.epoch_ns = from_us(opts.afd_accuracy_window_us);
+    }
+    if (!opts.flight_path.empty()) {
+      FlightRecorderConfig flight_cfg;
+      flight_cfg.capacity = opts.flight_capacity;
+      flight_cfg.drop_storm = opts.flight_drop_storm;
+      flight_cfg.ooo_spike = opts.flight_ooo_spike;
+      flight_cfg.window_ns = from_us(opts.flight_window_us);
+      flight_cfg.always_dump = opts.flight_dump;
+      flight_.emplace(flight_cfg);
+      cell_.probes.add(&*flight_);
+    }
+    if (!opts.fault_timeline_path.empty() && config.faults != nullptr) {
+      fault_probe_.emplace();
+      cell_.probes.add(&*fault_probe_);
+    }
+    if (opts.telemetry) {
+      telemetry::TelemetryConfig telem_cfg;
+      telem_cfg.interval = opts.telemetry_interval;
+      // When a trace is also requested, merge counter tracks (queue depth,
+      // occupancies, drop/migration totals) into its timeline.
+      telem_.emplace(telem_cfg, &scheduler, trace_ ? &*trace_ : nullptr);
+      cell_.probes.add(&*telem_);
+      cell_.epoch_ns = opts.telemetry_interval;
+    }
+  }
+
+  ObservedCell(const ObservedCell&) = delete;
+  ObservedCell& operator=(const ObservedCell&) = delete;
+
+  /// The cell's scheduler with its probes and epoch cadence.
+  const LockstepCell& cell() const { return cell_; }
+
+  /// Writes this cell's files, named by `labels` (per_run_labels).
+  void write(const std::string& labels) const {
+    if (trace_) {
+      const std::string path = per_run_path(opts_.trace_path, labels);
+      trace_->write(path);
+      std::fprintf(stderr, "wrote chrome trace: %s\n", path.c_str());
+    }
+    if (audit_) {
+      const std::string path = per_run_path(opts_.flow_audit_path, labels);
+      audit_->write(path);
+      const std::size_t flows = audit_->rows().size();
+      std::fprintf(stderr, "wrote flow audit: %s (%zu flows, %zu rows)\n",
+                   path.c_str(), flows,
+                   opts_.flow_audit_rows == 0
+                       ? flows
+                       : std::min(opts_.flow_audit_rows, flows));
+    }
+    if (accuracy_) {
+      const std::string path = per_run_path(opts_.afd_accuracy_path, labels);
+      accuracy_->write(path);
+      std::fprintf(stderr, "wrote AFD accuracy series: %s (%zu samples)\n",
+                   path.c_str(), accuracy_->samples().size());
+    }
+    if (flight_ && flight_->should_dump()) {
+      const std::string path = per_run_path(opts_.flight_path, labels);
+      flight_->write(path);
+      std::fprintf(stderr, "wrote flight recording: %s (%zu events%s%s)\n",
+                   path.c_str(), flight_->num_events(),
+                   flight_->triggered() ? ", trigger: " : "",
+                   flight_->triggered() ? flight_->trigger_reason().c_str()
+                                        : "");
+    }
+    if (fault_probe_) {
+      const std::string path =
+          per_run_path(opts_.fault_timeline_path, labels);
+      fault_probe_->write(path);
+      std::fprintf(stderr, "wrote fault timeline: %s (%zu events)\n",
+                   path.c_str(), fault_probe_->timeline().size());
+    }
+    if (telem_) {
+      if (!opts_.telemetry_out.empty()) {
+        const std::string path = per_run_path(opts_.telemetry_out, labels);
+        const std::size_t lines =
+            telemetry::write_telemetry_jsonl(path, *telem_);
+        std::fprintf(stderr, "wrote telemetry stream: %s (%zu snapshots)\n",
+                     path.c_str(), lines);
+      }
+      if (!opts_.telemetry_prom.empty()) {
+        const std::string path = per_run_path(opts_.telemetry_prom, labels);
+        telemetry::write_telemetry_prometheus(path, *telem_);
+        std::fprintf(stderr, "wrote telemetry exposition: %s\n",
+                     path.c_str());
+      }
+    }
+  }
+
+ private:
+  const HarnessOptions& opts_;
+  std::optional<FlightRecorderProbe> trace_;
+  std::optional<FlowAuditProbe> audit_;
+  std::optional<AfdAccuracyProbe> accuracy_;
+  std::optional<FlightRecorderProbe> flight_;
+  std::optional<FaultProbe> fault_probe_;
+  std::optional<telemetry::TelemetryProbe> telem_;
+  LockstepCell cell_;
+};
+
+/// Runs `cells` in lockstep over `config` with each cell's probes
+/// attached, then writes each finished cell's files, named by its label.
+std::vector<CellOutcome> run_observed_group(
+    const ScenarioConfig& config, std::span<const LockstepCell> cells,
+    const HarnessOptions& opts) {
+  // A --faults plan on the command line applies to every scenario in the
+  // grid that does not already carry its own plan.
+  ScenarioConfig effective = config;
+  if (opts.faults != nullptr && config.faults == nullptr) {
+    effective.faults = opts.faults;
+  }
+  std::vector<std::unique_ptr<ObservedCell>> observed;
+  std::vector<LockstepCell> lockstep;
+  for (const LockstepCell& cell : cells) {
+    observed.push_back(
+        std::make_unique<ObservedCell>(opts, effective, *cell.scheduler));
+    lockstep.push_back(observed.back()->cell());
+  }
+  std::vector<CellOutcome> out = run_lockstep(effective, lockstep);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (out[i].error) continue;
+    try {
+      observed[i]->write(
+          per_run_labels(config.name, cells[i].label, config.seed));
+    } catch (...) {
+      out[i].error = std::current_exception();
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
                        const HarnessOptions& opts) {
-  // A --faults plan on the command line applies to every scenario in the
-  // grid that does not already carry its own plan.
-  ScenarioConfig overridden_config;
-  const ScenarioConfig* effective = &config;
-  if (opts.faults != nullptr && config.faults == nullptr) {
-    overridden_config = config;
-    overridden_config.faults = opts.faults;
-    effective = &overridden_config;
-  }
-  if (!any_probe_configured(opts) && opts.fault_timeline_path.empty()) {
-    return run_scenario(*effective, scheduler);
-  }
-  std::optional<FlightRecorderProbe> trace;
-  std::optional<FlowAuditProbe> audit;
-  std::optional<AfdAccuracyProbe> accuracy;
-  std::optional<FlightRecorderProbe> flight;
-  std::optional<FaultProbe> fault_probe;
-  std::optional<telemetry::TelemetryProbe> telem;
-  ProbeSet extra;
-  // The engine has one epoch cadence; parse_harness_flags rejects an AFD
-  // accuracy window that differs from the telemetry interval.
-  TimeNs epoch_ns = 0;
-  if (!opts.trace_path.empty()) {
-    trace.emplace(FlightRecorderConfig::whole_run());
-    extra.add(&*trace);
-  }
-  if (!opts.flow_audit_path.empty()) {
-    FlowAuditProbe::Options audit_opts;
-    audit_opts.top_k = opts.flow_audit_top;
-    audit_opts.max_rows = opts.flow_audit_rows;
-    audit.emplace(audit_opts);
-    extra.add(&*audit);
-  }
-  if (!opts.afd_accuracy_path.empty()) {
-    accuracy.emplace(scheduler, opts.afd_accuracy_k);
-    extra.add(&*accuracy);
-    epoch_ns = from_us(opts.afd_accuracy_window_us);
-  }
-  if (!opts.flight_path.empty()) {
-    FlightRecorderConfig flight_cfg;
-    flight_cfg.capacity = opts.flight_capacity;
-    flight_cfg.drop_storm = opts.flight_drop_storm;
-    flight_cfg.ooo_spike = opts.flight_ooo_spike;
-    flight_cfg.window_ns = from_us(opts.flight_window_us);
-    flight_cfg.always_dump = opts.flight_dump;
-    flight.emplace(flight_cfg);
-    extra.add(&*flight);
-  }
-  if (!opts.fault_timeline_path.empty() && effective->faults != nullptr) {
-    fault_probe.emplace();
-    extra.add(&*fault_probe);
-  }
-  if (opts.telemetry) {
-    telemetry::TelemetryConfig telem_cfg;
-    telem_cfg.interval = opts.telemetry_interval;
-    // When a trace is also requested, merge counter tracks (queue depth,
-    // occupancies, drop/migration totals) into its timeline.
-    telem.emplace(telem_cfg, &scheduler, trace ? &*trace : nullptr);
-    extra.add(&*telem);
-    epoch_ns = opts.telemetry_interval;
-  }
-  // Probes attach before the run so the scheduler name reflects the instance
-  // actually used (grid jobs construct schedulers per job).
-  SimReport report = run_scenario(*effective, scheduler, extra, epoch_ns);
-  if (trace) {
-    const std::string path = per_run_path(opts.trace_path, config.name,
-                                          scheduler.name(), config.seed);
-    trace->write(path);
-    std::fprintf(stderr, "wrote chrome trace: %s\n", path.c_str());
-  }
-  if (audit) {
-    const std::string path = per_run_path(opts.flow_audit_path, config.name,
-                                          scheduler.name(), config.seed);
-    audit->write(path);
-    const std::size_t flows = audit->rows().size();
-    std::fprintf(stderr, "wrote flow audit: %s (%zu flows, %zu rows)\n",
-                 path.c_str(), flows,
-                 opts.flow_audit_rows == 0
-                     ? flows
-                     : std::min(opts.flow_audit_rows, flows));
-  }
-  if (accuracy) {
-    const std::string path = per_run_path(opts.afd_accuracy_path, config.name,
-                                          scheduler.name(), config.seed);
-    accuracy->write(path);
-    std::fprintf(stderr, "wrote AFD accuracy series: %s (%zu samples)\n",
-                 path.c_str(), accuracy->samples().size());
-  }
-  if (flight && flight->should_dump()) {
-    const std::string path = per_run_path(opts.flight_path, config.name,
-                                          scheduler.name(), config.seed);
-    flight->write(path);
-    std::fprintf(stderr, "wrote flight recording: %s (%zu events%s%s)\n",
-                 path.c_str(), flight->num_events(),
-                 flight->triggered() ? ", trigger: " : "",
-                 flight->triggered() ? flight->trigger_reason().c_str() : "");
-  }
-  if (fault_probe) {
-    const std::string path =
-        per_run_path(opts.fault_timeline_path, config.name, scheduler.name(),
-                     config.seed);
-    fault_probe->write(path);
-    std::fprintf(stderr, "wrote fault timeline: %s (%zu events)\n",
-                 path.c_str(), fault_probe->timeline().size());
-  }
-  if (telem) {
-    if (!opts.telemetry_out.empty()) {
-      const std::string path = per_run_path(opts.telemetry_out, config.name,
-                                            scheduler.name(), config.seed);
-      const std::size_t lines = telemetry::write_telemetry_jsonl(path, *telem);
-      std::fprintf(stderr, "wrote telemetry stream: %s (%zu snapshots)\n",
-                   path.c_str(), lines);
-    }
-    if (!opts.telemetry_prom.empty()) {
-      const std::string path = per_run_path(opts.telemetry_prom, config.name,
-                                            scheduler.name(), config.seed);
-      telemetry::write_telemetry_prometheus(path, *telem);
-      std::fprintf(stderr, "wrote telemetry exposition: %s\n", path.c_str());
-    }
-  }
-  return report;
+  const LockstepCell cell{&scheduler, {}, 0, scheduler.name()};
+  std::vector<CellOutcome> out = run_observed_group(config, {&cell, 1}, opts);
+  if (out.front().error) std::rethrow_exception(out.front().error);
+  return std::move(out.front().report);
 }
 
-ExperimentPlan::JobRunner observed_runner(const HarnessOptions& opts) {
+ExperimentPlan::GroupRunner observed_runner(const HarnessOptions& opts) {
   if (!any_probe_configured(opts) && opts.faults == nullptr) return {};
-  return [opts](const ScenarioConfig& config, Scheduler& scheduler) {
-    return run_observed(config, scheduler, opts);
+  return [opts](const ScenarioConfig& config,
+                std::span<const LockstepCell> cells) {
+    return run_observed_group(config, cells, opts);
   };
+}
+
+void check_per_run_paths(const ExperimentPlan& plan,
+                         const HarnessOptions& opts) {
+  const std::pair<const char*, const std::string*> stems[] = {
+      {"--trace-out", &opts.trace_path},
+      {"--flow-audit", &opts.flow_audit_path},
+      {"--afd-accuracy", &opts.afd_accuracy_path},
+      {"--flight-recorder", &opts.flight_path},
+      {"--telemetry-out", &opts.telemetry_out},
+      {"--telemetry-prom", &opts.telemetry_prom},
+      {"--fault-timeline", &opts.fault_timeline_path},
+  };
+  const auto stem =
+      std::find_if(std::begin(stems), std::end(stems),
+                   [](const auto& s) { return !s.second->empty(); });
+  if (stem == std::end(stems)) return;
+  // Two cells collide exactly when their labels do: every stem appends the
+  // same labels.
+  std::map<std::string, std::size_t> owner;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const ExperimentJob& job = plan.jobs()[i];
+    const std::string labels =
+        per_run_labels(job.scenario, job.scheduler, job.seed);
+    const auto [it, fresh] = owner.emplace(labels, i);
+    if (fresh) continue;
+    const ExperimentJob& other = plan.jobs()[it->second];
+    auto describe = [](std::size_t index, const ExperimentJob& j) {
+      return "cell " + std::to_string(index) + " (" + j.scenario + "/" +
+             j.scheduler + " seed " + std::to_string(j.seed) + ")";
+    };
+    throw std::invalid_argument(
+        std::string(stem->first) + ": " + describe(it->second, other) +
+        " and " + describe(i, job) + " would both write '" +
+        per_run_path(*stem->second, labels) + "'");
+  }
 }
 
 int guarded_main(int argc, char** argv, int (*body)(Flags&)) {

@@ -15,8 +15,9 @@ namespace laps {
 struct HarnessOptions {
   std::size_t jobs = 1;   ///< worker threads (0 was resolved to h/w conc.)
   std::string json_path;  ///< empty = no JSON artifact
-  /// Per-run observability probes (SimEngine tentpole). Paths are stems:
-  /// each simulation run writes <stem>.<scenario>.<scheduler>.<seed><ext>.
+  /// Per-run observability probes. Paths are stems: each simulation run
+  /// writes <stem>.<scenario>.<scheduler>.<seed><ext>, where <scheduler>
+  /// is the grid's cell label (see observed_runner).
   std::string trace_path;              ///< empty = no whole-run trace
   // Flow-audit observability (see sim/flow_audit.h, sim/afd_accuracy.h,
   // sim/flight_recorder.h).
@@ -123,17 +124,30 @@ std::vector<SchedulerSpec> schedulers_or(const HarnessOptions& opts,
 
 /// Runs one scenario through the SimEngine with whatever observability
 /// probes `opts` configures attached (none configured = plain
-/// run_scenario, zero probe overhead). Artifact filenames are derived from
-/// the configured stem plus (config.name, scheduler.name(), config.seed),
-/// so concurrent grid jobs write distinct files. Safe to call from any
-/// worker thread.
+/// run_scenario, zero probe overhead): the one-cell case of
+/// observed_runner. Artifact filenames are derived from the configured
+/// stem plus (config.name, scheduler.name(), config.seed). Safe to call
+/// from any worker thread.
 SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
                        const HarnessOptions& opts);
 
-/// `run_observed` packaged for ExperimentPlan::add_grid. Returns an empty
-/// runner when `opts` configures no probes, so unobserved grids keep the
-/// plain run_scenario fast path.
-ExperimentPlan::JobRunner observed_runner(const HarnessOptions& opts);
+/// The group runner of an observed grid (ExperimentPlan::add_grid): every
+/// cell of a group gets the probes `opts` configures, the group runs in
+/// lockstep, and then each finished cell writes its files, named by the
+/// configured stem plus (config.name, the plan's cell label, config.seed)
+/// — so parameterized variants with display names ("LAPS top-4") get
+/// files of their own. Returns an empty runner when `opts` configures no
+/// probe and no fault plan, so unobserved grids take the plain path.
+ExperimentPlan::GroupRunner observed_runner(const HarnessOptions& opts);
+
+/// Throws std::invalid_argument, naming both cells and the path, when two
+/// cells of a grid built with observed_runner would write the same
+/// per-run file (two cells with one label, e.g. `--scheduler=
+/// "laps:afc=4;laps:afc=8"`, which both read "LAPS"). No-op when `opts`
+/// configures no per-run file. Call it after add_grid, before the grid
+/// runs.
+void check_per_run_paths(const ExperimentPlan& plan,
+                         const HarnessOptions& opts);
 
 /// Runs `body`, converting exceptions (unknown flags, bad arguments, failed
 /// calibration) into an error on stderr and a nonzero exit code instead of

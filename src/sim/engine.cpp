@@ -1,7 +1,10 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <new>
 #include <stdexcept>
 
 #include "sim/fault.h"
@@ -9,15 +12,19 @@
 namespace laps {
 
 void FlowBlock::grow(std::size_t need) {
+  static_assert(alignof(Record) <= alignof(std::max_align_t),
+                "calloc must align a Record");
   if (need > cap_) {
     const std::size_t new_cap = std::max<std::size_t>(
         64, std::bit_ceil(need));
     // The all-zeros record is the default (core lanes store id + 1), so
-    // value-init is the entire initialization.
-    std::vector<Record> next(new_cap);
-    std::copy(block_.begin(),
-              block_.begin() + static_cast<std::ptrdiff_t>(size_),
-              next.begin());
+    // calloc's zero pages are the entire initialization.
+    std::unique_ptr<Record[], Free> next(
+        static_cast<Record*>(std::calloc(new_cap, sizeof(Record))));
+    if (next == nullptr) throw std::bad_alloc();
+    if (size_ > 0) {
+      std::memcpy(next.get(), block_.get(), size_ * sizeof(Record));
+    }
     block_ = std::move(next);
     cap_ = new_cap;
   }

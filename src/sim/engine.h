@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,8 +62,10 @@ class FlowBlock {
   /// lines (4 records per 64-byte line, exactly), so the packet lifecycle
   /// pays at most one miss for all four lanes. Core lanes hold core id +
   /// 1, with 0 meaning "no previous core": the empty record is all-zeros,
-  /// so growing the block is a zero-fill plus one memcpy — no scalar
-  /// initialization pass over multi-megabyte flow populations.
+  /// so growing the block is a calloc plus one memcpy — no initialization
+  /// pass over multi-megabyte flow populations, and the capacity past the
+  /// flows seen so far is never written, so pages calloc maps fresh stay
+  /// untouched.
   struct alignas(16) Record {
     std::uint32_t ingress_seq = 0;
     std::uint32_t egress_hi = 0;
@@ -93,7 +97,10 @@ class FlowBlock {
  private:
   void grow(std::size_t need);
 
-  std::vector<Record> block_;
+  struct Free {
+    void operator()(Record* block) const { std::free(block); }
+  };
+  std::unique_ptr<Record[], Free> block_;
   std::size_t cap_ = 0;
   std::size_t size_ = 0;
 };
@@ -136,10 +143,12 @@ class SimEngine final : public NpuView, public SchedEventSink {
   // --- Stepping interface -------------------------------------------------
   // run() is exactly begin_run + feed(one call per arrival, nondecreasing
   // times) + finish_run; the golden determinism suites prove the
-  // decomposition bit-identical. External drivers (the cluster fabric in
-  // src/cluster) use it to interleave several engines on one merged clock:
-  // feed a batch of arrivals, then advance_to(t) to settle every completion
-  // (and due fault) up to the sync barrier. One engine instance still runs
+  // decomposition bit-identical. External drivers use it to run several
+  // engines off one stream: run_lockstep (sim/runner.h) feeds each engine
+  // of a scheduler group the same batch of arrivals, and the cluster
+  // fabric (src/cluster) interleaves shards on one merged clock — feed a
+  // batch of arrivals, then advance_to(t) to settle every completion (and
+  // due fault) up to the sync barrier. One engine instance still runs
   // exactly once.
 
   /// Opens a run: probes' on_run_begin, scheduler attach, flow-block
@@ -160,9 +169,10 @@ class SimEngine final : public NpuView, public SchedEventSink {
   /// frozen, and emits the RunEnd epilogue to probes.
   void finish_run();
   /// Starts fetching `gflow`'s flow record — the same hide-the-miss hint
-  /// run()'s own loop issues one arrival ahead; batch feeders (the cluster
-  /// shard tasks) call it so the stepping path keeps run()'s memory-level
-  /// parallelism. Purely advisory: no effect on results.
+  /// run()'s own loop issues one arrival ahead; batch feeders
+  /// (run_lockstep, the cluster shard tasks) call it so the stepping path
+  /// keeps run()'s memory-level parallelism. Purely advisory: no effect on
+  /// results.
   void prefetch_flow(std::uint32_t gflow) const {
     if (gflow < flows_.size()) __builtin_prefetch(&flows_.at(gflow), 1);
   }

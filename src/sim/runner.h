@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,15 +38,48 @@ struct ScenarioConfig {
   std::vector<ServiceTraffic> services;
 };
 
-/// Builds the generator and SimEngine for `config`, runs `scheduler`
-/// through it with a ReportProbe attached, and returns the report. Traces
-/// inside `config.services` are reset first so the same ScenarioConfig can
-/// be reused across schedulers (the paper compares FCFS/AFS/LAPS on
-/// identical traffic).
+/// One scheduler cell of a lockstep group: the scheduler under test and
+/// what to attach beside the cell's own ReportProbe.
+struct LockstepCell {
+  Scheduler* scheduler = nullptr;
+  ProbeSet probes;      ///< extra probes (telemetry, traces, audits, ...)
+  TimeNs epoch_ns = 0;  ///< > 0: on_epoch at this simulated-time interval
+  /// The grid's name for the cell, which names its per-run files
+  /// (exp/harness.h). run_lockstep does not read it.
+  std::string label;
+};
+
+/// One cell's result: its report, or the exception that failed it alone.
+struct CellOutcome {
+  SimReport report;
+  std::exception_ptr error;  ///< set: `report` is empty and must not be used
+};
+
+/// The one driver behind every single-NP run. It builds `config`'s
+/// PacketGenerator once (wrapped in FaultTrafficStream when the config
+/// carries a fault plan; traces inside `config.services` are reset first,
+/// so the same config can be reused), and feeds every arrival to one
+/// SimEngine per cell: arrivals are pulled in fixed-size batches, and each
+/// engine takes the whole batch before the next engine does, so an
+/// engine's flow records and queues stay in cache across the batch. Every
+/// engine sees the same arrival sequence it would see alone, so each
+/// cell's report and probe output equal a run of that cell by itself — the
+/// paper compares FCFS/AFS/LAPS on identical traffic, and this generates
+/// that traffic once instead of once per scheduler.
+///
+/// Containment: a cell whose engine, scheduler or probe throws leaves the
+/// group with the exception in its outcome, and the other cells finish. An
+/// error in the shared traffic (generator, trace) throws out of the call:
+/// no cell can finish without it.
+std::vector<CellOutcome> run_lockstep(const ScenarioConfig& config,
+                                      std::span<const LockstepCell> cells);
+
+/// run_lockstep with one cell and a ReportProbe only; rethrows the cell's
+/// error.
 SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler);
 
 /// Like run_scenario, but fans events out to `extra_probes` (telemetry,
-/// chrome traces, ...) alongside the ReportProbe. `epoch_ns` > 0 enables
+/// traces, ...) alongside the ReportProbe. `epoch_ns` > 0 enables
 /// on_epoch callbacks at that simulated-time interval (align it with a
 /// TelemetryProbe's interval so every epoch publishes one snapshot).
 SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler,

@@ -47,13 +47,15 @@ Flags::Flags(int argc, const char* const* argv) {
       continue;
     }
     arg = arg.substr(2);
+    // Bare `--name` is boolean true. Values always use `--name=value` so a
+    // flag can never accidentally swallow a positional argument.
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else {
-      // Bare `--name` is boolean true. Values always use `--name=value` so
-      // a flag can never accidentally swallow a positional argument.
-      values_[arg] = "";
+    std::string name = arg.substr(0, eq);
+    std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    // A second value would silently replace the first.
+    if (!values_.emplace(name, std::move(value)).second) {
+      throw std::invalid_argument("--" + name +
+                                  " given more than once; give it once");
     }
   }
 }

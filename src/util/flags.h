@@ -13,7 +13,8 @@ namespace laps {
 /// flags are an error (typos in experiment parameters should fail loudly,
 /// not silently run the default), and so is a value its getter cannot read
 /// whole: the getters throw std::invalid_argument naming the flag and the
-/// value. Positional arguments are collected in order.
+/// value. A flag given twice throws at construction, naming it, instead of
+/// keeping one of the values. Positional arguments are collected in order.
 ///
 ///   Flags flags(argc, argv);
 ///   const double secs  = flags.get_double("seconds", 2.0);

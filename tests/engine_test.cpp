@@ -452,6 +452,35 @@ TEST(FlowBlock, GrowPreservesStateAndDefaults) {
   EXPECT_EQ(flows.egress_hi(100'000), 0u);
   EXPECT_EQ(flows.last_assigned_plus1(100'000), 0u);  // 0 = no previous core
   EXPECT_EQ(flows.last_proc_plus1(100'000), 0u);
+
+  // Across several doublings, every lane of every record written before a
+  // growth survives it, and every record a growth adds reads zero.
+  FlowBlock grown;
+  std::uint32_t written = 0;
+  for (const std::uint32_t top : {0u, 63u, 64u, 200u, 1'000u, 4'097u,
+                                  70'000u, 300'001u}) {
+    grown.ensure(top);
+    ASSERT_EQ(grown.size(), static_cast<std::size_t>(top) + 1);
+    std::size_t bad_old = 0, bad_new = 0;
+    for (std::uint32_t f = 0; f <= top; ++f) {
+      const FlowBlock::Record& r = grown.at(f);
+      if (f < written) {
+        bad_old += r.ingress_seq != 4 * f + 1 || r.egress_hi != 4 * f + 2 ||
+                   r.last_assigned_plus1 != 4 * f + 3 ||
+                   r.last_proc_plus1 != 4 * f + 4;
+      } else {
+        bad_new += r.ingress_seq != 0 || r.egress_hi != 0 ||
+                   r.last_assigned_plus1 != 0 || r.last_proc_plus1 != 0;
+        grown.ingress_seq(f) = 4 * f + 1;
+        grown.egress_hi(f) = 4 * f + 2;
+        grown.last_assigned_plus1(f) = 4 * f + 3;
+        grown.last_proc_plus1(f) = 4 * f + 4;
+      }
+    }
+    EXPECT_EQ(bad_old, 0u) << "records lost a lane growing to " << top;
+    EXPECT_EQ(bad_new, 0u) << "new records not zero growing to " << top;
+    written = top + 1;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "baselines/static_hash.h"
 #include "exp/experiment.h"
 #include "exp/harness.h"
+#include "exp/scheduler_registry.h"
 #include "exp/trace_store.h"
 #include "sim/report_json.h"
 #include "sim/runner.h"
@@ -263,7 +264,7 @@ ScenarioConfig tiny_config(const std::string& name, std::uint64_t seed,
 
 ExperimentPlan tiny_plan(std::shared_ptr<TraceStore> store,
                          std::uint64_t plan_seed = 7,
-                         ExperimentPlan::JobRunner runner = {}) {
+                         ExperimentPlan::GroupRunner runner = {}) {
   const std::vector<SchedulerSpec> schedulers = {
       {"FCFS", [] { return std::make_unique<FcfsScheduler>(); }},
       {"StaticHash", [] { return std::make_unique<StaticHashScheduler>(); }},
@@ -619,6 +620,67 @@ TEST(Harness, UnwritableArtifactDirectoryFailsBeforeAnyCellRuns) {
           << what;
     }
   }
+}
+
+// Per-run files are named by the grid's cell label, so two variants of
+// one scheduler that carry display names write two files, not one.
+TEST(Harness, PerRunFilesAreNamedByTheCellLabel) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "per_run_labels";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  HarnessOptions opts;
+  opts.flow_audit_path = (dir / "audit.json").string();
+  auto store = std::make_shared<TraceStore>();
+  ExperimentPlan plan(5);
+  plan.add_grid({"auck1"},
+                {make_scheduler_spec("laps:services=1,afc=4", "LAPS top-4"),
+                 make_scheduler_spec("laps:services=1,afc=8", "LAPS top-8")},
+                {5},
+                [store](const std::string& trace, std::uint64_t seed) {
+                  return tiny_config(trace, seed, store->open(trace));
+                },
+                observed_runner(opts));
+  check_per_run_paths(plan, opts);
+  ParallelRunner runner(1);
+  for (const JobResult& r : runner.run(plan)) EXPECT_TRUE(r.ok());
+  std::set<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"audit.auck1.LAPS_top-4.5.json",
+                                          "audit.auck1.LAPS_top-8.5.json"}));
+  fs::remove_all(dir);
+}
+
+// Two specs that both read "LAPS" would write one file; the grid is
+// refused before any cell runs, naming both cells and the path.
+TEST(Harness, TwoCellsWritingOnePathFailBeforeAnyCellRuns) {
+  const char* argv[] = {"prog", "--flow-audit=/tmp/audit.json",
+                        "--scheduler=laps:afc=4;laps:afc=8"};
+  Flags flags(3, argv);
+  const HarnessOptions opts = parse_harness_flags(flags);
+  flags.finish();
+  ExperimentPlan plan(2013);
+  plan.add_grid({"T1"}, opts.schedulers, {2013},
+                [](const std::string&, std::uint64_t) -> ScenarioConfig {
+                  ADD_FAILURE() << "a cell was built";
+                  return {};
+                },
+                observed_runner(opts));
+  try {
+    check_per_run_paths(plan, opts);
+    ADD_FAILURE() << "two cells writing one path were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--flow-audit: cell 0 (T1/LAPS seed 2013) and cell 1 "
+                 "(T1/LAPS seed 2013) would both write "
+                 "'/tmp/audit.T1.LAPS.2013.json'");
+  }
+  // Without a per-run file nothing collides.
+  HarnessOptions unobserved = opts;
+  unobserved.flow_audit_path.clear();
+  EXPECT_NO_THROW(check_per_run_paths(plan, unobserved));
 }
 
 TEST(Harness, AccuracyWindowEqualToTelemetryIntervalIsAccepted) {

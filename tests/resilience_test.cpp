@@ -312,6 +312,43 @@ ExperimentPlan sim_plan(std::shared_ptr<TraceStore> store,
   return plan;
 }
 
+/// The same grid built the way the bench binaries build theirs: the two
+/// schedulers of each (trace, seed) form a lockstep group, and the harness
+/// writes each cell's flow audit, named by its plan label.
+ExperimentPlan grouped_sim_plan(std::shared_ptr<TraceStore> store,
+                                const std::string& dir,
+                                std::uint64_t plan_seed) {
+  const std::vector<SchedulerSpec> schedulers = {
+      {"FCFS", [] { return std::make_unique<FcfsScheduler>(); }},
+      {"StaticHash", [] { return std::make_unique<StaticHashScheduler>(); }},
+  };
+  HarnessOptions opts;
+  opts.flow_audit_path = dir + "/audit.json";
+  opts.flow_audit_top = 8;
+  opts.flow_audit_rows = 16;
+  ExperimentPlan plan(plan_seed);
+  plan.add_grid(
+      {"auck1", "auck2", "auck3"}, schedulers, plan.replicate_seeds(5),
+      [store](const std::string& trace, std::uint64_t seed) {
+        ScenarioConfig cfg;
+        cfg.name = trace;
+        cfg.num_cores = 2;
+        cfg.seconds = 0.002;
+        cfg.seed = seed;
+        ServiceTraffic s;
+        s.path = ServicePath::kIpForward;
+        s.rate = HoltWintersParams{2.0, 0.0, 0.0, 10.0, 0.0};
+        s.trace = store->open(trace);
+        cfg.services = {s};
+        return cfg;
+      },
+      observed_runner(opts));
+  return plan;
+}
+
+using PlanMaker = ExperimentPlan (*)(std::shared_ptr<TraceStore>,
+                                     const std::string&, std::uint64_t);
+
 /// Per-cell flow-audit artifacts in `dir`, keyed by filename.
 std::vector<std::pair<std::string, std::string>> audit_files(
     const std::string& dir) {
@@ -328,9 +365,10 @@ std::vector<std::pair<std::string, std::string>> audit_files(
 
 constexpr std::uint64_t kDifferentialSeed = 20130604;
 
-std::string golden_artifact(const std::string& dir) {
+std::string golden_artifact(const std::string& dir,
+                            PlanMaker make_plan = sim_plan) {
   auto store = std::make_shared<TraceStore>();
-  const auto plan = sim_plan(store, dir, kDifferentialSeed);
+  const auto plan = make_plan(store, dir, kDifferentialSeed);
   ParallelRunner runner(2);
   const auto results = runner.run(plan);
   EXPECT_EQ(grid_exit_code(results), 0);
@@ -400,10 +438,13 @@ TEST(ResumeDifferential, SigtermMidGridThenResumeIsByteIdentical) {
   fs::remove_all(run_dir);
 }
 
-TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
-  const std::string golden_dir = temp_dir("sigkill_golden");
-  const std::string run_dir = temp_dir("sigkill_run");
-  const std::string golden = golden_artifact(golden_dir);
+/// Runs `make_plan`'s grid in a forked child with a journal, SIGKILLs it
+/// once five cells are journaled, resumes in this process and checks the
+/// artifact and every per-cell audit file against an uninterrupted run.
+void sigkill_then_resume(const std::string& tag, PlanMaker make_plan) {
+  const std::string golden_dir = temp_dir(tag + "_golden");
+  const std::string run_dir = temp_dir(tag + "_run");
+  const std::string golden = golden_artifact(golden_dir, make_plan);
   const std::string journal_path = run_dir + "/grid.journal";
 
   RunnerPolicy policy;
@@ -416,7 +457,7 @@ TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
   ASSERT_GE(child, 0) << "fork failed";
   if (child == 0) {
     auto store = std::make_shared<TraceStore>();
-    const ExperimentPlan plan = sim_plan(store, run_dir, kDifferentialSeed);
+    const ExperimentPlan plan = make_plan(store, run_dir, kDifferentialSeed);
     ParallelRunner runner(1, policy);
     runner.run(plan);
     ::_exit(0);
@@ -448,7 +489,7 @@ TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
 
   // Parent resumes from whatever survived the kill.
   auto store = std::make_shared<TraceStore>();
-  const ExperimentPlan plan = sim_plan(store, run_dir, kDifferentialSeed);
+  const ExperimentPlan plan = make_plan(store, run_dir, kDifferentialSeed);
   RunnerPolicy resume_policy = policy;
   resume_policy.resume = true;
   ParallelRunner runner(4, resume_policy);
@@ -463,6 +504,16 @@ TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
 
   fs::remove_all(golden_dir);
   fs::remove_all(run_dir);
+}
+
+TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
+  sigkill_then_resume("sigkill", sim_plan);
+}
+
+// The grouped grid: the kill lands between or inside lockstep groups, and
+// --resume reruns a group only for its cells the journal lacks.
+TEST(ResumeDifferential, SigkillChildMidGroupedGridThenResumeIsByteIdentical) {
+  sigkill_then_resume("sigkill_grouped", grouped_sim_plan);
 }
 
 TEST(ResumeDifferential, JournalOffFaultFreeRunIsUnchanged) {

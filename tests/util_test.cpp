@@ -675,6 +675,34 @@ TEST(Flags, ListExpandsAllKeepsOrderAndRejectsUnknownNames) {
   f.finish();
 }
 
+// A repeated flag would keep only one of its values: `--scenarios=T1
+// --scenarios=T5` ran T5 alone. Every spelling of a repeat is refused,
+// naming the flag, before any getter runs.
+TEST(Flags, RepeatedFlagIsRejectedByName) {
+  const std::vector<std::vector<const char*>> repeats = {
+      {"prog", "--scenarios=T1", "--scenarios=T5"},
+      {"prog", "--jobs=1", "--seconds=2", "--jobs=3"},
+      {"prog", "--flight-dump", "--flight-dump=false"},
+      {"prog", "--resume", "--resume"},
+  };
+  for (const auto& argv : repeats) {
+    const std::string name =
+        std::string(argv.back()).substr(0, std::string(argv.back()).find('='));
+    try {
+      Flags f(static_cast<int>(argv.size()), argv.data());
+      ADD_FAILURE() << name << " was accepted twice";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), name + " given more than once; give it once");
+    }
+  }
+  // Distinct flags, and a positional equal to a flag's value, still parse.
+  const char* argv[] = {"prog", "--scenarios=T1", "--scheduler=laps", "T1"};
+  Flags f(4, argv);
+  EXPECT_EQ(f.get_string("scenarios", ""), "T1");
+  EXPECT_EQ(f.get_string("scheduler", ""), "laps");
+  f.finish();
+}
+
 // ---------------------------------------------------------------- Table ---
 
 TEST(Table, RejectsEmptyHeadersAndBadRows) {
