@@ -28,7 +28,8 @@ int run(laps::Flags& flags) {
   const auto traces =
       flags.get_list("traces", "caida1,caida2,auck1,auck2",
                      laps::trace_registry_names());
-  const auto harness = laps::parse_harness_flags(flags);
+  const std::size_t jobs = laps::resolve_jobs(flags.get_uint("jobs", 1));
+  const std::string json_path = laps::parse_json_flag(flags);
   flags.finish();
 
   std::printf("=== AFD vs Space-Saving, top-16 identification (%llu "
@@ -41,7 +42,7 @@ int run(laps::Flags& flags) {
   }
 
   const auto rows = laps::parallel_index_map(
-      harness.jobs, cells.size(), [&](std::size_t i) {
+      jobs, cells.size(), [&](std::size_t i) {
         const auto& [name, budget] = cells[i];
         laps::AfdConfig cfg;
         cfg.afc_entries = 16;
@@ -81,7 +82,7 @@ int run(laps::Flags& flags) {
               "deterministic guarantees); the AFD trades a little accuracy "
               "for a cheaper, directly-schedulable cache structure.\n");
 
-  laps::write_json_artifact(harness.json_path, "abl_afd_vs_spacesaving", {},
+  laps::write_json_artifact(json_path, "abl_afd_vs_spacesaving", {},
                             {{"afd_vs_spacesaving", &out}});
   return 0;
 }

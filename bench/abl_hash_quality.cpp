@@ -4,10 +4,14 @@
 // (b) end-to-end drops when used as the static-hash spreading function.
 //
 // Usage: abl_hash_quality [--flows=N] [--trace=caida1] [--seconds=S]
-//                         [--json=PATH]
+//                         [--jobs=N] [--json=PATH]
+// Part (b) is a grid: --scheduler=LIST replaces the three hashes, and
+// --journal/--resume and the probe and fault flags apply to its cells.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/static_hash.h"
@@ -129,28 +133,43 @@ int run(laps::Flags& flags) {
   }
   std::cout << structured.to_string() << "\n";
 
-  // (b) End-to-end drops near capacity with each hash as the spreader.
+  // (b) End-to-end drops near capacity with each hash as the spreader: one
+  // grid cell per hash, run in lockstep off one traffic stream.
   std::printf("=== End-to-end static hashing at 95%% load, %s ===\n\n",
               trace_name.c_str());
-  const auto cfg =
-      laps::make_single_service_scenario(trace_name, options, 0.95);
-  laps::Table e2e({"hash", "drop%", "utilization"});
+  std::vector<laps::SchedulerSpec> spreaders;
   for (const auto kind : kinds) {
-    HashVariantScheduler sched(kind);
-    const auto r = laps::run_observed(cfg, sched, harness);
-    e2e.add_row({r.scheduler, laps::Table::pct(r.drop_ratio()),
-                 laps::Table::pct(r.mean_core_utilization)});
-    std::fprintf(stderr, "done: %s\n", r.scheduler.c_str());
+    spreaders.push_back({HashVariantScheduler(kind).name(), [kind] {
+                           return std::make_unique<HashVariantScheduler>(kind);
+                         }});
+  }
+  laps::ExperimentPlan plan(options.seed);
+  plan.add_grid({trace_name},
+                laps::schedulers_or(harness, std::move(spreaders)),
+                {options.seed},
+                [options](const std::string& trace, std::uint64_t) {
+                  return laps::make_single_service_scenario(trace, options,
+                                                            0.95);
+                },
+                laps::observed_runner(harness));
+  laps::check_per_run_paths(plan, harness);
+  laps::ParallelRunner runner = laps::make_runner(harness);
+  const auto results = runner.run(plan);
+  if (const int rc = laps::grid_abort_code(runner)) return rc;
+  laps::Table e2e({"hash", "drop%", "utilization"});
+  for (const auto& res : results) {
+    e2e.add_row({res.scheduler, laps::Table::pct(res.report.drop_ratio()),
+                 laps::Table::pct(res.report.mean_core_utilization)});
   }
   std::cout << e2e.to_string();
   std::printf("\nExpected: CRC16 and Toeplitz are statistically uniform and "
               "perform alike; the additive fold correlates with address "
               "structure and loses more packets at equal load.\n");
 
-  laps::write_json_artifact(harness.json_path, "abl_hash_quality", {},
+  laps::write_json_artifact(harness.json_path, "abl_hash_quality", results,
                             {{"uniformity", &uni}, {"structured", &structured},
                              {"end_to_end", &e2e}});
-  return 0;
+  return laps::grid_exit_code(results);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ namespace {
 int run(laps::Flags& flags) {
   const std::uint64_t packets = flags.get_uint("packets", 500'000);
   const std::string trace_name = flags.get_string("trace", "caida1");
-  const auto harness = laps::parse_harness_flags(flags);
+  const std::string json_path = laps::parse_json_flag(flags);
   flags.finish();
 
   // Hash histogram of the trace prefix: packets per 16-bit CRC value.
@@ -74,7 +74,7 @@ int run(laps::Flags& flags) {
               "the reason LAPS can reassign cores without mass flow "
               "migration.\n");
 
-  laps::write_json_artifact(harness.json_path, "abl_incremental_hash", {},
+  laps::write_json_artifact(json_path, "abl_incremental_hash", {},
                             {{"incremental_hash", &out}});
   return 0;
 }

@@ -61,17 +61,19 @@ int run(laps::Flags& flags) {
   variants.emplace_back("afd aging every 100k", base + ",aging=100000");
   variants.emplace_back("afd sampling p=1/100", base + ",sample=0.01");
 
+  // One row per variant: the variant is the row's scenario label, so each
+  // writes per-run files of its own.
   laps::ExperimentPlan plan(options.seed);
   for (const auto& [label, spec] : variants) {
-    const auto make = laps::make_scheduler_spec(spec).make;
-    plan.add(label, "LAPS", options.seed,
-             [options, trace, make, harness]() -> laps::SimReport {
-               const auto cfg =
-                   laps::make_single_service_scenario(trace, options, 1.05);
-               auto sched = make();
-               return laps::run_observed(cfg, *sched, harness);
-             });
+    plan.add_grid({label}, {laps::make_scheduler_spec(spec, "LAPS")},
+                  {options.seed},
+                  [options, trace](const std::string&, std::uint64_t) {
+                    return laps::make_single_service_scenario(trace, options,
+                                                              1.05);
+                  },
+                  laps::observed_runner(harness));
   }
+  laps::check_per_run_paths(plan, harness);
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);

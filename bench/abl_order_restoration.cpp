@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "exp/harness.h"
 #include "exp/scheduler_registry.h"
@@ -32,28 +33,26 @@ int run(laps::Flags& flags) {
   auto store = std::make_shared<laps::TraceStore>();
   options.trace_factory = store->factory();
 
-  auto scenario = [options, trace, load](bool restore) {
-    auto cfg = laps::make_single_service_scenario(trace, options, load);
-    cfg.restore_order = restore;
-    return cfg;
-  };
-
+  // One row per scheme, the scheme being the row's scenario label, so the
+  // two FCFS rows write per-run files of their own.
   laps::ExperimentPlan plan(options.seed);
-  plan.add("LAPS (preserve order)", "LAPS", options.seed,
-           [scenario, harness]() -> laps::SimReport {
-             auto sched = laps::make_scheduler("laps:services=1");
-             return laps::run_observed(scenario(false), *sched, harness);
-           });
-  plan.add("FCFS, no buffer (reorders!)", "FCFS", options.seed,
-           [scenario, harness]() -> laps::SimReport {
-             auto sched = laps::make_scheduler("fcfs");
-             return laps::run_observed(scenario(false), *sched, harness);
-           });
-  plan.add("FCFS + reorder buffer", "FCFS", options.seed,
-           [scenario, harness]() -> laps::SimReport {
-             auto sched = laps::make_scheduler("fcfs");
-             return laps::run_observed(scenario(true), *sched, harness);
-           });
+  auto add_row = [&](const std::string& scheme, const std::string& spec,
+                     const std::string& display, bool restore) {
+    plan.add_grid({scheme}, {laps::make_scheduler_spec(spec, display)},
+                  {options.seed},
+                  [options, trace, load, restore](const std::string&,
+                                                  std::uint64_t) {
+                    auto cfg = laps::make_single_service_scenario(
+                        trace, options, load);
+                    cfg.restore_order = restore;
+                    return cfg;
+                  },
+                  laps::observed_runner(harness));
+  };
+  add_row("LAPS (preserve order)", "laps:services=1", "LAPS", false);
+  add_row("FCFS, no buffer (reorders!)", "fcfs", "FCFS", false);
+  add_row("FCFS + reorder buffer", "fcfs", "FCFS", true);
+  laps::check_per_run_paths(plan, harness);
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exp/harness.h"
 #include "exp/scheduler_registry.h"
@@ -54,19 +55,23 @@ int run(laps::Flags& flags) {
   auto store = std::make_shared<laps::TraceStore>();
   options.trace_factory = store->factory();
 
+  // One group per load level: gating off and on run in lockstep off one
+  // traffic stream.
+  const std::vector<laps::SchedulerSpec> gating = {
+      laps::make_scheduler_spec("laps:services=1", "off"),
+      laps::make_scheduler_spec("laps:services=1,power=1", "on"),
+  };
   laps::ExperimentPlan plan(options.seed);
   for (double load : {0.2, 0.4, 0.6, 0.8}) {
-    for (bool gating : {false, true}) {
-      plan.add("load=" + laps::Table::pct(load, 0), gating ? "on" : "off",
-               options.seed, [options, trace, load, gating, harness]() {
-                 const auto cfg = laps::make_single_service_scenario(
-                     trace, options, load);
-                 auto sched = laps::make_scheduler(
-                     gating ? "laps:services=1,power=1" : "laps:services=1");
-                 return laps::run_observed(cfg, *sched, harness);
-               });
-    }
+    plan.add_grid({"load=" + laps::Table::pct(load, 0)}, gating,
+                  {options.seed},
+                  [options, trace, load](const std::string&, std::uint64_t) {
+                    return laps::make_single_service_scenario(trace, options,
+                                                              load);
+                  },
+                  laps::observed_runner(harness));
   }
+  laps::check_per_run_paths(plan, harness);
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);

@@ -28,7 +28,8 @@ int run(laps::Flags& flags) {
   const std::uint64_t packets = flags.get_uint("packets", 2'000'000);
   const auto traces =
       flags.get_list("traces", "caida1,auck1", laps::trace_registry_names());
-  const auto harness = laps::parse_harness_flags(flags);
+  const std::size_t jobs = laps::resolve_jobs(flags.get_uint("jobs", 1));
+  const std::string json_path = laps::parse_json_flag(flags);
   flags.finish();
 
   std::printf("=== Single-level cache vs two-level AFD, top-16 FPR (%llu "
@@ -45,7 +46,7 @@ int run(laps::Flags& flags) {
   }
 
   const auto rows = laps::parallel_index_map(
-      harness.jobs, cells.size(), [&](std::size_t i) {
+      jobs, cells.size(), [&](std::size_t i) {
         const auto& [name, entries] = cells[i];
         laps::ElephantTrap trap(entries, 16);
         laps::AfdConfig cfg;
@@ -89,7 +90,7 @@ int run(laps::Flags& flags) {
       "but then the migration\ndecision must search the full structure, "
       "not 16 entries.\n");
 
-  laps::write_json_artifact(harness.json_path, "abl_single_vs_two_level", {},
+  laps::write_json_artifact(json_path, "abl_single_vs_two_level", {},
                             {{"single_vs_two_level", &out}});
   return 0;
 }

@@ -16,6 +16,10 @@
 //
 // Usage: chaos_soak [--schedules=N] [--seed=N] [--seconds=S] [--cores=N]
 //                   [--jobs=N] [--json=PATH] [--scheduler=LIST]
+//                   [--journal=PATH [--resume]]
+// Each schedule draws its own fault plan and attaches its own probes, so
+// the shared probe and fault flags (--faults, --flow-audit, ...) are
+// refused as unknown.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -59,7 +63,7 @@ int run(laps::Flags& flags) {
   laps::ScenarioOptions options;
   options.seconds = flags.get_double("seconds", 0.01);
   options.num_cores = flags.get_uint("cores", 16);
-  const auto harness = laps::parse_harness_flags(flags);
+  const auto harness = laps::parse_runner_flags(flags);
   flags.finish();
 
   auto store = std::make_shared<laps::TraceStore>();

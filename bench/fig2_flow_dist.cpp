@@ -24,7 +24,8 @@ int run(laps::Flags& flags) {
   const auto traces =
       flags.get_list("traces", "caida1,caida2,auck1,auck2",
                      laps::trace_registry_names());
-  const auto harness = laps::parse_harness_flags(flags);
+  const std::size_t jobs = laps::resolve_jobs(flags.get_uint("jobs", 1));
+  const std::string json_path = laps::parse_json_flag(flags);
   flags.finish();
 
   std::printf("=== Tables I/II: trace registry (synthetic substitutes; see "
@@ -45,7 +46,7 @@ int run(laps::Flags& flags) {
               static_cast<unsigned long long>(packets));
   // One independent analysis pass per trace.
   std::vector<laps::FlowStatsAnalyzer> stats = laps::parallel_index_map(
-      harness.jobs, traces.size(), [&](std::size_t t) {
+      jobs, traces.size(), [&](std::size_t t) {
         laps::FlowStatsAnalyzer analyzer;
         auto trace = laps::make_trace(traces[t]);
         analyzer.consume(*trace, packets);
@@ -88,7 +89,7 @@ int run(laps::Flags& flags) {
   std::cout << head.to_string();
 
   laps::write_json_artifact(
-      harness.json_path, "fig2_flow_dist", {},
+      json_path, "fig2_flow_dist", {},
       {{"inventory", &inventory}, {"fig2", &out}, {"head", &head}});
   return 0;
 }

@@ -65,9 +65,9 @@ int run(laps::Flags& flags) {
   }
   std::cout << t56.to_string() << "\n";
 
-  // All jobs replay the same traces through a shared store: packets are
-  // materialized once and read concurrently, and every job's calibration
-  // sees the identical size mix it would see opening the trace directly.
+  // All jobs open their traces through one store, which builds each
+  // trace's Zipf table once; every open is a fresh stream, equal to the
+  // trace opened directly.
   auto store = std::make_shared<laps::TraceStore>();
   options.trace_factory = store->factory();
 

@@ -30,7 +30,8 @@ int run(laps::Flags& flags) {
       flags.get_list("traces", "caida1,caida2,auck1,auck2",
                      laps::trace_registry_names());
   const std::size_t afc_entries = flags.get_uint("afc", 16);
-  const auto harness = laps::parse_harness_flags(flags);
+  const std::size_t jobs = laps::resolve_jobs(flags.get_uint("jobs", 1));
+  const std::string json_path = laps::parse_json_flag(flags);
   flags.finish();
 
   // ---------------------------------------------------------- Fig. 8a ----
@@ -47,7 +48,7 @@ int run(laps::Flags& flags) {
   }());
   // One independent job per trace; each feeds every annex size in one pass.
   const auto rows_a = laps::parallel_index_map(
-      harness.jobs, traces.size(), [&](std::size_t t) {
+      jobs, traces.size(), [&](std::size_t t) {
         const std::string& name = traces[t];
         std::vector<std::unique_ptr<laps::Afd>> afds;
         for (std::size_t a : annex_sizes) {
@@ -86,7 +87,7 @@ int run(laps::Flags& flags) {
     return headers;
   }());
   const auto rows_b = laps::parallel_index_map(
-      harness.jobs, traces.size(), [&](std::size_t t) {
+      jobs, traces.size(), [&](std::size_t t) {
         const std::string& name = traces[t];
         std::vector<std::string> row{name};
         for (std::uint64_t window : windows) {
@@ -134,7 +135,7 @@ int run(laps::Flags& flags) {
     return headers;
   }());
   const auto rows_c = laps::parallel_index_map(
-      harness.jobs, traces.size(), [&](std::size_t t) {
+      jobs, traces.size(), [&](std::size_t t) {
         const std::string& name = traces[t];
         std::vector<std::unique_ptr<laps::Afd>> afds;
         for (double p : probabilities) {
@@ -170,7 +171,7 @@ int run(laps::Flags& flags) {
       "then degrades for CAIDA.\n");
 
   laps::write_json_artifact(
-      harness.json_path, "fig8_afd_accuracy", {},
+      json_path, "fig8_afd_accuracy", {},
       {{"fig8a", &fig_a}, {"fig8b", &fig_b}, {"fig8c", &fig_c}});
   return 0;
 }

@@ -71,12 +71,11 @@ int run(laps::Flags& flags) {
       flags.get_string("dispatch", "pass;rr;rss;fdir;affinity;load");
   const std::string sync = flags.get_string("cluster-sync", "");
   const std::size_t jobs = laps::resolve_jobs(flags.get_uint("jobs", 1));
-  const std::string json_path = flags.get_string("json", "");
+  const std::string json_path = laps::parse_json_flag(flags);
   const std::string scheduler_list = flags.get_string("scheduler", "");
   flags.finish();
   if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
   if (cores < 1) throw std::invalid_argument("--cores must be >= 1");
-  if (!json_path.empty()) laps::util::require_writable_dir("--json", json_path);
 
   // One scheduler spec for every shard of every row (fresh instance per
   // shard — shards are independent NPs). An empty list means the default,

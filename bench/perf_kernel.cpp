@@ -131,7 +131,7 @@ int run(Flags& flags) {
   const std::size_t flows = flags.get_uint("flows", 1'000'000);
   const double rate = flags.get_double("rate-mpps", 28.0);
   const std::size_t reps = flags.get_uint("reps", 7);
-  const auto harness = parse_harness_flags(flags);
+  const std::string json_path = parse_json_flag(flags);
   flags.finish();
   if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
 
@@ -353,7 +353,7 @@ int run(Flags& flags) {
               "%.1f%%\n",
               cluster_pass_overhead * 100.0);
 
-  if (!harness.json_path.empty()) {
+  if (!json_path.empty()) {
     JsonWriter w;
     w.begin_object();
     w.field("schema", "laps-perf-v1");
@@ -388,9 +388,9 @@ int run(Flags& flags) {
     w.field("cluster_pass_overhead", cluster_pass_overhead);
     w.end_object();
     const std::string doc = w.str() + "\n";
-    laps::util::write_file_atomic(harness.json_path, doc, "perf artifact");
+    laps::util::write_file_atomic(json_path, doc, "perf artifact");
     std::fprintf(stderr, "wrote perf artifact: %s\n",
-                 harness.json_path.c_str());
+                 json_path.c_str());
   }
   return 0;
 }

@@ -16,7 +16,7 @@
 namespace {
 
 int run(laps::Flags& flags) {
-  const auto harness = laps::parse_harness_flags(flags);
+  const std::string json_path = laps::parse_json_flag(flags);
   flags.finish();
 
   std::printf("=== Table III: data-plane core configuration (modeled) ===\n");
@@ -68,7 +68,7 @@ int run(laps::Flags& flags) {
   }
   std::cout << cap.to_string();
 
-  laps::write_json_artifact(harness.json_path, "table3_delay_model", {},
+  laps::write_json_artifact(json_path, "table3_delay_model", {},
                             {{"table3", &t3}, {"delay_model", &model},
                              {"capacity", &cap}});
   return 0;

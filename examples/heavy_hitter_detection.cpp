@@ -24,7 +24,7 @@ int run(laps::Flags& flags) {
 
   const std::string trace_name = flags.get_string("trace", "caida1");
   const std::uint64_t packets = flags.get_uint("packets", 1'000'000);
-  const auto harness = parse_harness_flags(flags);
+  const std::string json_path = parse_json_flag(flags);
   flags.finish();
 
   // Paper configuration: 16-entry AFC qualified through a 512-entry annex.
@@ -103,7 +103,7 @@ int run(laps::Flags& flags) {
               static_cast<unsigned long long>(stats.promotions),
               static_cast<unsigned long long>(stats.demotions));
 
-  write_json_artifact(harness.json_path, "heavy_hitter_detection", {},
+  write_json_artifact(json_path, "heavy_hitter_detection", {},
                       {{"detected", &detected}, {"summary", &summary}});
   return 0;
 }

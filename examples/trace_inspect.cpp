@@ -24,7 +24,7 @@ int run(laps::Flags& flags) {
   const std::string trace_name = flags.get_string("trace", "auck1");
   const std::uint64_t packets = flags.get_uint("packets", 50'000);
   const std::string out = flags.get_string("out", "/tmp/laps_trace.pcap");
-  const auto harness = parse_harness_flags(flags);
+  const std::string json_path = parse_json_flag(flags);
   flags.finish();
 
   std::string path = pcap_in;
@@ -69,7 +69,7 @@ int run(laps::Flags& flags) {
               "drives the paper's load-balancing problem.\n",
               Table::pct(stats.top_share(16)).c_str());
 
-  write_json_artifact(harness.json_path, "trace_inspect", {},
+  write_json_artifact(json_path, "trace_inspect", {},
                       {{"top_flows", &top}});
   return 0;
 }

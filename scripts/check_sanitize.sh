@@ -16,8 +16,8 @@
 #
 # --tsan builds the ThreadSanitizer configuration (its own build-tsan tree;
 # TSan and ASan cannot share a process) and runs the tests that start
-# threads: parallel_for and ParallelIndexMap, the shared TraceStore's
-# concurrent cursors, the parallel runner, an observed grid writing per-run
+# threads: parallel_for and ParallelIndexMap, concurrent TraceStore
+# opens, the parallel runner, an observed grid writing per-run
 # telemetry files at --jobs=1 and 3, a grouped Fig. 7 grid running its
 # lockstep groups on 1 and 3 threads, and the cluster's parallel-rows
 # differential (concurrent run_cluster calls sharing one recording and one

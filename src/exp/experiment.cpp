@@ -181,7 +181,8 @@ void ExperimentPlan::add_grid(const std::vector<std::string>& scenarios,
             out[m].error = std::current_exception();
             continue;
           }
-          cells.push_back(LockstepCell{owned.back().get(), {}, 0, spec.name});
+          cells.push_back(
+              LockstepCell{owned.back().get(), {}, 0, scenario, spec.name});
           slot.push_back(m);
         }
         std::vector<CellOutcome> ran = runner(config, cells);

@@ -25,10 +25,35 @@
 
 namespace laps {
 
-HarnessOptions parse_harness_flags(Flags& flags) {
+std::string parse_json_flag(Flags& flags) {
+  const std::string path = flags.get_string("json", "");
+  if (!path.empty()) util::require_writable_dir("--json", path);
+  return path;
+}
+
+HarnessOptions parse_runner_flags(Flags& flags) {
   HarnessOptions opts;
   opts.jobs = resolve_jobs(flags.get_uint("jobs", 1));
-  opts.json_path = flags.get_string("json", "");
+  opts.json_path = parse_json_flag(flags);
+  opts.scheduler_list = flags.get_string("scheduler", "");
+  if (!opts.scheduler_list.empty()) {
+    // Parsed here so a typo fails before any grid starts running; the
+    // registry's errors name the offending token and list valid choices.
+    opts.schedulers = parse_scheduler_list(opts.scheduler_list);
+  }
+  opts.journal_path = flags.get_string("journal", "");
+  opts.resume = flags.get_bool("resume", false);
+  if (opts.resume && opts.journal_path.empty()) {
+    throw std::invalid_argument("--resume requires --journal=PATH");
+  }
+  if (!opts.journal_path.empty()) {
+    util::require_writable_dir("--journal", opts.journal_path);
+  }
+  return opts;
+}
+
+HarnessOptions parse_harness_flags(Flags& flags) {
+  HarnessOptions opts = parse_runner_flags(flags);
   opts.trace_path = flags.get_string("trace-out", "");
 
   opts.flow_audit_path = flags.get_string("flow-audit", "");
@@ -42,11 +67,6 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   opts.afd_accuracy_k = flags.get_uint("afd-accuracy-k", 16);
   if (opts.afd_accuracy_k < 1) {
     throw std::invalid_argument("--afd-accuracy-k must be >= 1");
-  }
-  opts.afd_accuracy_window_us =
-      flags.get_double("afd-accuracy-window-us", opts.afd_accuracy_window_us);
-  if (opts.afd_accuracy_window_us <= 0) {
-    throw std::invalid_argument("--afd-accuracy-window-us must be > 0");
   }
 
   opts.flight_path = flags.get_string("flight-recorder", "");
@@ -69,8 +89,8 @@ HarnessOptions parse_harness_flags(Flags& flags) {
 
   // Bare --telemetry keeps the default interval; --telemetry=250us etc. go
   // through the shared duration grammar (util::parse_duration), so the
-  // registry's "idle_th=5us" literals work here unchanged. Either output
-  // flag implies --telemetry.
+  // registry's "idle_th=5us" literals work here unchanged. The output flag
+  // implies --telemetry.
   if (flags.has("telemetry")) {
     opts.telemetry = true;
     const std::string interval = flags.get_string("telemetry", "");
@@ -82,21 +102,7 @@ HarnessOptions parse_harness_flags(Flags& flags) {
     }
   }
   opts.telemetry_out = flags.get_string("telemetry-out", "");
-  opts.telemetry_prom = flags.get_string("telemetry-prom", "");
-  if (!opts.telemetry_out.empty() || !opts.telemetry_prom.empty()) {
-    opts.telemetry = true;
-  }
-  // Both probes sample on the engine's single epoch cadence; refuse a pair
-  // of values that one cadence cannot honour instead of picking one.
-  if (opts.telemetry && !opts.afd_accuracy_path.empty() &&
-      from_us(opts.afd_accuracy_window_us) != opts.telemetry_interval) {
-    throw std::invalid_argument(
-        "--afd-accuracy-window-us (" +
-        std::to_string(from_us(opts.afd_accuracy_window_us)) +
-        " ns) and the --telemetry interval (" +
-        std::to_string(opts.telemetry_interval) +
-        " ns) must be equal: both set the engine's one epoch cadence");
-  }
+  if (!opts.telemetry_out.empty()) opts.telemetry = true;
 
   opts.faults_spec = flags.get_string("faults", "");
   if (!opts.faults_spec.empty()) {
@@ -107,31 +113,16 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   if (!opts.fault_timeline_path.empty() && opts.faults == nullptr) {
     throw std::invalid_argument("--fault-timeline requires --faults=SPEC");
   }
-  opts.scheduler_list = flags.get_string("scheduler", "");
-  if (!opts.scheduler_list.empty()) {
-    // Parsed here so a typo fails before any grid starts running; the
-    // registry's errors name the offending token and list valid choices.
-    opts.schedulers = parse_scheduler_list(opts.scheduler_list);
-  }
-
-  opts.journal_path = flags.get_string("journal", "");
-  opts.resume = flags.get_bool("resume", false);
-  if (opts.resume && opts.journal_path.empty()) {
-    throw std::invalid_argument("--resume requires --journal=PATH");
-  }
 
   // Per-run files land beside their stem, so a directory that cannot take
   // them fails here, before any cell runs.
   const std::pair<const char*, const std::string*> paths[] = {
-      {"--json", &opts.json_path},
       {"--trace-out", &opts.trace_path},
       {"--flow-audit", &opts.flow_audit_path},
       {"--afd-accuracy", &opts.afd_accuracy_path},
       {"--flight-recorder", &opts.flight_path},
       {"--telemetry-out", &opts.telemetry_out},
-      {"--telemetry-prom", &opts.telemetry_prom},
       {"--fault-timeline", &opts.fault_timeline_path},
-      {"--journal", &opts.journal_path},
   };
   for (const auto& [flag, path] : paths) {
     if (!path->empty()) util::require_writable_dir(flag, *path);
@@ -222,8 +213,6 @@ class ObservedCell {
                Scheduler& scheduler)
       : opts_(opts) {
     cell_.scheduler = &scheduler;
-    // The engine has one epoch cadence; parse_harness_flags rejects an AFD
-    // accuracy window that differs from the telemetry interval.
     if (!opts.trace_path.empty()) {
       trace_.emplace(FlightRecorderConfig::whole_run());
       cell_.probes.add(&*trace_);
@@ -238,7 +227,7 @@ class ObservedCell {
     if (!opts.afd_accuracy_path.empty()) {
       accuracy_.emplace(scheduler, opts.afd_accuracy_k);
       cell_.probes.add(&*accuracy_);
-      cell_.epoch_ns = from_us(opts.afd_accuracy_window_us);
+      cell_.epoch_ns = opts.telemetry_interval;
     }
     if (!opts.flight_path.empty()) {
       FlightRecorderConfig flight_cfg;
@@ -310,20 +299,11 @@ class ObservedCell {
       std::fprintf(stderr, "wrote fault timeline: %s (%zu events)\n",
                    path.c_str(), fault_probe_->timeline().size());
     }
-    if (telem_) {
-      if (!opts_.telemetry_out.empty()) {
-        const std::string path = per_run_path(opts_.telemetry_out, labels);
-        const std::size_t lines =
-            telemetry::write_telemetry_jsonl(path, *telem_);
-        std::fprintf(stderr, "wrote telemetry stream: %s (%zu snapshots)\n",
-                     path.c_str(), lines);
-      }
-      if (!opts_.telemetry_prom.empty()) {
-        const std::string path = per_run_path(opts_.telemetry_prom, labels);
-        telemetry::write_telemetry_prometheus(path, *telem_);
-        std::fprintf(stderr, "wrote telemetry exposition: %s\n",
-                     path.c_str());
-      }
+    if (telem_ && !opts_.telemetry_out.empty()) {
+      const std::string path = per_run_path(opts_.telemetry_out, labels);
+      const std::size_t lines = telemetry::write_telemetry_jsonl(path, *telem_);
+      std::fprintf(stderr, "wrote telemetry stream: %s (%zu snapshots)\n",
+                   path.c_str(), lines);
     }
   }
 
@@ -339,7 +319,7 @@ class ObservedCell {
 };
 
 /// Runs `cells` in lockstep over `config` with each cell's probes
-/// attached, then writes each finished cell's files, named by its label.
+/// attached, then writes each finished cell's files, named by its labels.
 std::vector<CellOutcome> run_observed_group(
     const ScenarioConfig& config, std::span<const LockstepCell> cells,
     const HarnessOptions& opts) {
@@ -361,7 +341,7 @@ std::vector<CellOutcome> run_observed_group(
     if (out[i].error) continue;
     try {
       observed[i]->write(
-          per_run_labels(config.name, cells[i].label, config.seed));
+          per_run_labels(cells[i].scenario, cells[i].label, config.seed));
     } catch (...) {
       out[i].error = std::current_exception();
     }
@@ -373,7 +353,7 @@ std::vector<CellOutcome> run_observed_group(
 
 SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
                        const HarnessOptions& opts) {
-  const LockstepCell cell{&scheduler, {}, 0, scheduler.name()};
+  const LockstepCell cell{&scheduler, {}, 0, config.name, scheduler.name()};
   std::vector<CellOutcome> out = run_observed_group(config, {&cell, 1}, opts);
   if (out.front().error) std::rethrow_exception(out.front().error);
   return std::move(out.front().report);
@@ -395,7 +375,6 @@ void check_per_run_paths(const ExperimentPlan& plan,
       {"--afd-accuracy", &opts.afd_accuracy_path},
       {"--flight-recorder", &opts.flight_path},
       {"--telemetry-out", &opts.telemetry_out},
-      {"--telemetry-prom", &opts.telemetry_prom},
       {"--fault-timeline", &opts.fault_timeline_path},
   };
   const auto stem =

@@ -26,7 +26,6 @@ struct HarnessOptions {
   std::size_t flow_audit_rows = 256;   ///< per-flow rows in artifact; 0 = all
   std::string afd_accuracy_path;       ///< empty = no AfdAccuracyProbe
   std::size_t afd_accuracy_k = 16;     ///< ground-truth top-k
-  double afd_accuracy_window_us = 100.0;  ///< sampling epoch width
   std::string flight_path;             ///< empty = no FlightRecorderProbe
   std::size_t flight_capacity = 4096;  ///< event-ring size
   std::uint64_t flight_drop_storm = 64;    ///< drops/window trigger; 0 = off
@@ -35,10 +34,11 @@ struct HarnessOptions {
   bool flight_dump = false;            ///< dump even without an anomaly
   // Live telemetry (src/telemetry): epoch-cadence metric snapshots.
   bool telemetry = false;              ///< --telemetry[=interval] given (or
-                                       ///< implied by an output path below)
-  TimeNs telemetry_interval = 100 * kMicrosecond;  ///< snapshot cadence
+                                       ///< implied by --telemetry-out)
+  /// The run's one epoch cadence: telemetry snapshots and AFD accuracy
+  /// samples are both taken at this interval of simulated time.
+  TimeNs telemetry_interval = 100 * kMicrosecond;
   std::string telemetry_out;           ///< JSONL stream stem; empty = none
-  std::string telemetry_prom;          ///< Prometheus exposition stem
   // Fault injection (sim/fault.h).
   std::string faults_spec;             ///< raw --faults grammar, for display
   std::shared_ptr<const FaultPlan> faults;  ///< parsed plan; null = none
@@ -54,7 +54,7 @@ struct HarnessOptions {
   bool resume = false;       ///< replay journaled cells (--resume)
 };
 
-/// Consumes the flags every experiment binary shares:
+/// Consumes the shared flags of a binary that runs a simulation grid:
 ///   --jobs=N                  worker threads (default 1; 0 = hardware conc.)
 ///   --json=P                  write a laps-bench-v1 JSON artifact to P
 ///   --trace-out=P             per-run chrome://tracing JSON (stem P): an
@@ -62,10 +62,9 @@ struct HarnessOptions {
 ///   --flow-audit=P            per-run per-flow audit JSON (stem P)
 ///   --flow-audit-top=K        attribution top-k (default 16)
 ///   --flow-audit-rows=N       per-flow rows in the artifact (0 = all)
-///   --afd-accuracy=P          per-run online AFD accuracy series (stem P)
+///   --afd-accuracy=P          per-run online AFD accuracy series (stem P),
+///                             sampled every --telemetry interval
 ///   --afd-accuracy-k=K        ground-truth top-k (default 16)
-///   --afd-accuracy-window-us=N  sampling interval (default 100 us); must
-///                             equal the --telemetry interval when both run
 ///   --flight-recorder=P       per-run flight-recorder dump (stem P);
 ///                             written only on anomaly or --flight-dump
 ///   --flight-capacity=N       event-ring size (default 4096)
@@ -75,12 +74,12 @@ struct HarnessOptions {
 ///   --flight-dump             dump the ring even without an anomaly
 ///   --telemetry[=D]           live telemetry snapshots every D of simulated
 ///                             time (util::parse_duration suffixes: "250us",
-///                             "2ms", bare = ns; default 100us). Implied by
-///                             the two output flags below.
+///                             "2ms", bare = ns; default 100us); also the
+///                             --afd-accuracy sampling interval. Implied by
+///                             --telemetry-out.
 ///   --telemetry-out=P         per-run JSONL (stem P): the windowed series,
 ///                             one snapshot per interval, final totals and
 ///                             run labels last (EXPERIMENTS.md)
-///   --telemetry-prom=P        per-run Prometheus text exposition (stem P)
 ///   --faults=SPEC             fault schedule (parse_fault_plan grammar,
 ///                             e.g. "down:3@10ms;up:3@30ms")
 ///   --fault-timeline=P        per-run fault timeline + recovery metrics
@@ -98,6 +97,19 @@ struct HarnessOptions {
 ///                             an uninterrupted run
 /// Call before flags.finish().
 HarnessOptions parse_harness_flags(Flags& flags);
+
+/// The --json flag alone, its directory checked at startup as
+/// parse_harness_flags checks it: for a binary that runs no simulation grid
+/// and so takes none of the other shared flags (a binary that spreads work
+/// over threads reads --jobs itself). Call before flags.finish().
+std::string parse_json_flag(Flags& flags);
+
+/// The runner part of parse_harness_flags alone: --jobs, --json,
+/// --scheduler, --journal and --resume. For a grid that attaches its own
+/// probes and draws its own fault plans (chaos_soak), so that a probe or
+/// fault flag fails at flags.finish() as unknown instead of being ignored.
+/// Call before flags.finish().
+HarnessOptions parse_runner_flags(Flags& flags);
 
 /// Builds the runner for a harness-configured grid: worker count from
 /// --jobs plus a RunnerPolicy carrying --journal and --resume. The journal
@@ -134,10 +146,12 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
 /// The group runner of an observed grid (ExperimentPlan::add_grid): every
 /// cell of a group gets the probes `opts` configures, the group runs in
 /// lockstep, and then each finished cell writes its files, named by the
-/// configured stem plus (config.name, the plan's cell label, config.seed)
-/// — so parameterized variants with display names ("LAPS top-4") get
-/// files of their own. Returns an empty runner when `opts` configures no
-/// probe and no fault plan, so unobserved grids take the plain path.
+/// configured stem plus the plan's labels for the cell (scenario,
+/// scheduler) and config.seed — so parameterized variants with display
+/// names ("LAPS top-4"), and rows that differ only in their scenario
+/// label, get files of their own. Returns an empty runner when `opts`
+/// configures no probe and no fault plan, so unobserved grids take the
+/// plain path.
 ExperimentPlan::GroupRunner observed_runner(const HarnessOptions& opts);
 
 /// Throws std::invalid_argument, naming both cells and the path, when two

@@ -1,161 +1,34 @@
 #include "exp/trace_store.h"
 
-#include <stdexcept>
 #include <utility>
 
-#include "trace/synthetic.h"
-
 namespace laps {
-
-SharedTraceBacking::SharedTraceBacking(
-    std::function<std::shared_ptr<TraceSource>()> factory,
-    std::size_t max_shared)
-    : factory_(std::move(factory)), max_shared_(max_shared) {
-  if (!factory_) {
-    throw std::invalid_argument("SharedTraceBacking: null factory");
-  }
-  source_ = factory_();
-  if (!source_) {
-    throw std::invalid_argument("SharedTraceBacking: factory returned null");
-  }
-  name_ = source_->name();
-  flow_count_hint_ = source_->flow_count_hint();
-  has_mix_ = source_->size_mix(mix_sizes_, mix_weights_);
-  chunks_.resize((max_shared_ + kChunk - 1) / kChunk);
-}
-
-bool SharedTraceBacking::size_mix(std::vector<std::uint16_t>& sizes,
-                                  std::vector<double>& weights) const {
-  if (!has_mix_) return false;
-  sizes = mix_sizes_;
-  weights = mix_weights_;
-  return true;
-}
-
-SharedTraceBacking::Fetch SharedTraceBacking::fetch(std::size_t index,
-                                                    PacketRecord& out) {
-  if (index >= max_shared_) return Fetch::kOverflow;
-  // Fast path: already published. committed_ (acquire) pairs with the
-  // release store below, making the chunk contents visible.
-  if (index < committed_.load(std::memory_order_acquire)) {
-    if (index >= end_at_.load(std::memory_order_acquire)) return Fetch::kEnd;
-    out = at(index);
-    return Fetch::kRecord;
-  }
-  if (index >= end_at_.load(std::memory_order_acquire)) return Fetch::kEnd;
-
-  std::lock_guard<std::mutex> lock(extend_mutex_);
-  // Re-check under the lock: another thread may have materialized past us.
-  while (index >= committed_.load(std::memory_order_relaxed)) {
-    if (index >= end_at_.load(std::memory_order_relaxed)) return Fetch::kEnd;
-    if (error_) std::rethrow_exception(error_);
-    const std::size_t pos = committed_.load(std::memory_order_relaxed);
-    auto& slot = chunks_[pos / kChunk];
-    if (!slot) {
-      slot = std::make_unique<std::vector<PacketRecord>>();
-      slot->reserve(kChunk);
-    }
-    std::optional<PacketRecord> rec;
-    try {
-      rec = source_->next();
-    } catch (...) {
-      error_ = std::current_exception();
-      std::rethrow_exception(error_);
-    }
-    if (!rec) {
-      end_at_.store(pos, std::memory_order_release);
-      return Fetch::kEnd;
-    }
-    slot->push_back(*rec);
-    committed_.store(pos + 1, std::memory_order_release);
-  }
-  if (index >= end_at_.load(std::memory_order_relaxed)) return Fetch::kEnd;
-  out = at(index);
-  return Fetch::kRecord;
-}
-
-std::optional<PacketRecord> SharedTraceCursor::next() {
-  if (!overflow_) {
-    PacketRecord rec;
-    switch (backing_->fetch(pos_, rec)) {
-      case SharedTraceBacking::Fetch::kRecord:
-        ++pos_;
-        return rec;
-      case SharedTraceBacking::Fetch::kEnd:
-        return std::nullopt;
-      case SharedTraceBacking::Fetch::kOverflow:
-        // Fast-forward a private replay past the shared prefix, once.
-        overflow_ = backing_->make_private();
-        overflow_ended_ = false;
-        for (std::size_t i = 0; i < pos_; ++i) {
-          if (!overflow_->next()) {
-            overflow_ended_ = true;
-            break;
-          }
-        }
-        break;
-    }
-  }
-  if (overflow_ended_) return std::nullopt;
-  auto rec = overflow_->next();
-  if (!rec) {
-    overflow_ended_ = true;
-    return std::nullopt;
-  }
-  ++pos_;
-  return rec;
-}
-
-void SharedTraceCursor::reset() {
-  pos_ = 0;
-  overflow_.reset();
-  overflow_ended_ = false;
-}
-
-TraceStore::TraceStore(std::size_t max_shared_records)
-    : max_shared_(max_shared_records) {}
 
 void TraceStore::register_trace(
     const std::string& name,
     std::function<std::shared_ptr<TraceSource>()> factory) {
   std::lock_guard<std::mutex> lock(mutex_);
   registered_[name] = std::move(factory);
-  backings_.erase(name);
-}
-
-std::shared_ptr<SharedTraceBacking> TraceStore::backing_for(
-    const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = backings_.find(name);
-  if (it != backings_.end()) return it->second;
-
-  std::function<std::shared_ptr<TraceSource>()> factory;
-  if (auto reg = registered_.find(name); reg != registered_.end()) {
-    factory = reg->second;
-  } else {
-    factory = [name]() -> std::shared_ptr<TraceSource> {
-      return make_trace(name);  // throws std::out_of_range for unknown names
-    };
-  }
-  auto backing =
-      std::make_shared<SharedTraceBacking>(std::move(factory), max_shared_);
-  backings_.emplace(name, backing);
-  return backing;
 }
 
 std::shared_ptr<TraceSource> TraceStore::open(const std::string& name) {
-  return std::make_shared<SharedTraceCursor>(backing_for(name));
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (auto reg = registered_.find(name); reg != registered_.end()) {
+    const auto factory = reg->second;
+    lock.unlock();  // a factory may be slow (a capture) or open traces
+    return factory();
+  }
+  auto model = models_.find(name);
+  if (model == models_.end()) {
+    // make_trace throws std::out_of_range for an unknown name.
+    model = models_.emplace(name, make_trace(name)).first;
+  }
+  return std::make_shared<SyntheticTrace>(*model->second);
 }
 
 std::function<std::shared_ptr<TraceSource>(const std::string&)>
 TraceStore::factory() {
   return [this](const std::string& name) { return open(name); };
-}
-
-std::size_t TraceStore::materialized(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = backings_.find(name);
-  return it == backings_.end() ? 0 : it->second->materialized();
 }
 
 }  // namespace laps

@@ -1,140 +1,30 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "trace/packet_record.h"
+#include "trace/synthetic.h"
 
 namespace laps {
 
-/// Shared, immutable, lazily-materialized prefix of one trace.
+/// Opens named traces for the jobs of an experiment plan, building each
+/// registry trace's model once.
 ///
-/// Parallel experiment jobs replay the same named traces; regenerating a
-/// synthetic stream (or re-reading a capture) per job wastes CPU and, worse
-/// for determinism auditing, hides whether two jobs really saw the same
-/// packets. A SharedTraceBacking materializes the underlying source once,
-/// in order, into append-only fixed-size chunks; records are immutable the
-/// moment they are published, so any number of cursors can read them
-/// concurrently without locks.
-///
-/// Memory is bounded by `max_shared` records. A cursor that reads past the
-/// bound switches to a private replay of the underlying source (identical
-/// bytes, deterministic), paying a one-time fast-forward — so paper-scale
-/// `--seconds=60` sweeps stay correct without materializing billions of
-/// records.
-class SharedTraceBacking {
- public:
-  /// Result of asking for record `index` of the shared prefix.
-  enum class Fetch {
-    kRecord,    ///< `out` filled
-    kEnd,       ///< the underlying source ended before `index`
-    kOverflow,  ///< `index` is beyond the sharing bound
-  };
-
-  SharedTraceBacking(std::function<std::shared_ptr<TraceSource>()> factory,
-                     std::size_t max_shared);
-
-  /// Fetches record `index`, materializing up to it if necessary.
-  /// Thread-safe; the record sequence is independent of caller interleaving
-  /// because extension is serialized and append-only.
-  ///
-  /// If the underlying source ever throws (e.g. PcapError from a capture
-  /// truncated mid-run), the error is STICKY: every later fetch that needs
-  /// unmaterialized records rethrows the same exception instead of retrying
-  /// the source — a second read of a dead FILE* reports 0 bytes, which
-  /// would otherwise launder file corruption into a clean end-of-trace.
-  /// Records published before the error stay readable.
-  Fetch fetch(std::size_t index, PacketRecord& out);
-
-  /// Fresh private instance of the underlying source (for cursor overflow).
-  std::shared_ptr<TraceSource> make_private() const { return factory_(); }
-
-  std::size_t max_shared() const { return max_shared_; }
-  /// Records materialized so far (observability / tests).
-  std::size_t materialized() const {
-    return committed_.load(std::memory_order_acquire);
-  }
-
-  // Metadata forwarded from the underlying source (captured at creation).
-  const std::string& name() const { return name_; }
-  std::size_t flow_count_hint() const { return flow_count_hint_; }
-  bool size_mix(std::vector<std::uint16_t>& sizes,
-                std::vector<double>& weights) const;
-
- private:
-  static constexpr std::size_t kChunk = 1 << 15;  // records per chunk
-
-  const PacketRecord& at(std::size_t index) const {
-    return (*chunks_[index / kChunk])[index % kChunk];
-  }
-
-  std::function<std::shared_ptr<TraceSource>()> factory_;
-  std::size_t max_shared_;
-
-  std::mutex extend_mutex_;                   // serializes materialization
-  std::shared_ptr<TraceSource> source_;       // generation cursor (guarded)
-  /// Chunk pointer slots are preallocated so readers never observe a
-  /// reallocation; a chunk's records are fully written before `committed_`
-  /// publishes them (release/acquire pairing).
-  std::vector<std::unique_ptr<std::vector<PacketRecord>>> chunks_;
-  std::atomic<std::size_t> committed_{0};
-  std::atomic<std::size_t> end_at_{SIZE_MAX};  // EOF position, if ever hit
-  std::exception_ptr error_;                   // sticky source error (guarded)
-
-  std::string name_;
-  std::size_t flow_count_hint_ = 0;
-  bool has_mix_ = false;
-  std::vector<std::uint16_t> mix_sizes_;
-  std::vector<double> mix_weights_;
-};
-
-/// TraceSource view over a SharedTraceBacking: each cursor has its own
-/// position; all cursors share the materialized records.
-class SharedTraceCursor final : public TraceSource {
- public:
-  explicit SharedTraceCursor(std::shared_ptr<SharedTraceBacking> backing)
-      : backing_(std::move(backing)) {}
-
-  std::optional<PacketRecord> next() override;
-  void reset() override;
-  std::size_t flow_count_hint() const override {
-    return backing_->flow_count_hint();
-  }
-  std::string name() const override { return backing_->name(); }
-  bool size_mix(std::vector<std::uint16_t>& sizes,
-                std::vector<double>& weights) const override {
-    return backing_->size_mix(sizes, weights);
-  }
-
- private:
-  std::shared_ptr<SharedTraceBacking> backing_;
-  std::size_t pos_ = 0;
-  /// Private continuation once pos_ crosses the sharing bound; recreated
-  /// (and fast-forwarded) lazily after reset().
-  std::shared_ptr<TraceSource> overflow_;
-  bool overflow_ended_ = false;
-};
-
-/// Registry of shared trace backings, keyed by trace name. One store is
-/// shared by every job of an experiment plan; opening the same name twice
-/// returns independent cursors over the same immutable records.
+/// Every run reads its traces from the first record (packet headers come
+/// from the trace, arrival times from the Holt-Winters model), and a
+/// synthetic trace's records are cheap to generate again once its Zipf
+/// table exists. So the store keeps one unread SyntheticTrace per registry
+/// name, and every `open` returns a fresh copy of it: the copies share the
+/// Zipf table and each generates its own records. Thread-safe.
 class TraceStore {
  public:
-  /// Default sharing bound per trace: 2M records (~50 MB) covers every
-  /// default bench horizon; longer runs spill to private replay.
-  static constexpr std::size_t kDefaultMaxShared = std::size_t{1} << 21;
-
-  explicit TraceStore(std::size_t max_shared_records = kDefaultMaxShared);
-
-  /// Cursor over the named trace (synthetic registry names, or any name
-  /// previously registered with `register_trace`).
+  /// A fresh stream over the named trace: a name registered with
+  /// `register_trace` (its factory is called on every open), else a
+  /// registry name (throws std::out_of_range for an unknown one).
   std::shared_ptr<TraceSource> open(const std::string& name);
 
   /// Adds a custom source factory under `name` (tests, pcap files).
@@ -144,17 +34,11 @@ class TraceStore {
   /// Adapter for ScenarioOptions::trace_factory.
   std::function<std::shared_ptr<TraceSource>(const std::string&)> factory();
 
-  /// Records materialized for `name` so far (0 if never opened).
-  std::size_t materialized(const std::string& name) const;
-
  private:
-  std::shared_ptr<SharedTraceBacking> backing_for(const std::string& name);
-
-  std::size_t max_shared_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::map<std::string, std::function<std::shared_ptr<TraceSource>()>>
       registered_;
-  std::map<std::string, std::shared_ptr<SharedTraceBacking>> backings_;
+  std::map<std::string, std::unique_ptr<const SyntheticTrace>> models_;
 };
 
 }  // namespace laps

@@ -120,7 +120,7 @@ SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler) {
 
 SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler,
                        const ProbeSet& extra_probes, TimeNs epoch_ns) {
-  const LockstepCell cell{&scheduler, extra_probes, epoch_ns, ""};
+  const LockstepCell cell{&scheduler, extra_probes, epoch_ns, "", ""};
   std::vector<CellOutcome> out = run_lockstep(config, {&cell, 1});
   if (out.front().error) std::rethrow_exception(out.front().error);
   return std::move(out.front().report);

@@ -44,8 +44,10 @@ struct LockstepCell {
   Scheduler* scheduler = nullptr;
   ProbeSet probes;      ///< extra probes (telemetry, traces, audits, ...)
   TimeNs epoch_ns = 0;  ///< > 0: on_epoch at this simulated-time interval
-  /// The grid's name for the cell, which names its per-run files
-  /// (exp/harness.h). run_lockstep does not read it.
+  /// The grid's names for the cell, its scenario and scheduler labels,
+  /// which name its per-run files (exp/harness.h). run_lockstep reads
+  /// neither.
+  std::string scenario;
   std::string label;
 };
 

@@ -17,9 +17,9 @@ struct ScenarioOptions {
   std::uint64_t seed = 42;
   std::size_t num_cores = 16;
   /// Optional override for how trace names become TraceSources; defaults to
-  /// `make_trace(name)`. The parallel experiment engine installs a
-  /// TraceStore factory here so concurrent jobs share one immutable
-  /// materialization of each trace instead of regenerating it per job.
+  /// `make_trace(name)`. The benches install a TraceStore factory here, so
+  /// the jobs of a grid build each trace's Zipf table once instead of once
+  /// per scenario.
   std::function<std::shared_ptr<TraceSource>(const std::string&)>
       trace_factory;
   /// Calibrated mean offered load for Table IV Set 1 ("under-load": the

@@ -31,29 +31,4 @@ std::string snapshot_jsonl_line(const MetricsRegistry& registry,
 std::size_t write_telemetry_jsonl(const std::string& path,
                                   const TelemetryProbe& probe);
 
-/// Prometheus text-exposition escaping for a label value: backslash,
-/// double-quote, and newline are escaped per the spec.
-std::string prometheus_escape(const std::string& value);
-
-/// Maps an instrument name to a valid Prometheus metric name: prefixed
-/// with "laps_", '.' becomes '_', and any character outside
-/// [a-zA-Z0-9_:] becomes '_'.
-std::string prometheus_metric_name(const std::string& name);
-
-/// The probe's end-of-run state in Prometheus text exposition format.
-/// Counters export as `laps_<name>_total`, gauges as `laps_<name>`, and
-/// histograms as the standard `_bucket{le=...}/_sum/_count` series plus a
-/// non-standard exact `_max` gauge. Bucket bounds inherit the log2
-/// Histogram's <= 1/32 (~3%) upper-bound error, but `_sum`/`_count`/`_max`
-/// are exact, so consumers compute true means from the exposition (see
-/// util/histogram.h). Every sample carries
-/// {scenario="...",scheduler="..."} labels, escaped via
-/// prometheus_escape().
-std::string prometheus_text(const TelemetryProbe& probe);
-
-/// Writes prometheus_text() to `path` atomically (tmp+rename). Throws
-/// std::runtime_error on I/O failure.
-void write_telemetry_prometheus(const std::string& path,
-                                const TelemetryProbe& probe);
-
 }  // namespace laps::telemetry

@@ -92,11 +92,6 @@ class MetricsRegistry {
     return &histograms_[id.index];
   }
 
-  /// One histogram with its full buckets (for the Prometheus exposition).
-  const Histogram& histogram(HistogramId id) const {
-    return histograms_[id.index];
-  }
-
   /// Zeroes every counter, gauge and histogram and restarts the snapshot
   /// sequence at 0. The instrument set is kept.
   void reset();

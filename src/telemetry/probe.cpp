@@ -145,7 +145,7 @@ void TelemetryProbe::on_epoch(TimeNs, std::span<const CoreView> cores) {
 
 void TelemetryProbe::on_engine_sample(TimeNs now, const EngineSample& sample) {
   // Cumulative engine meters arrive as totals; publish deltas so the
-  // instruments stay monotone counters in every exposition.
+  // instruments stay monotone counters in the JSONL series.
   registry_.add(c_completions_, sample.completions - last_completions_);
   last_completions_ = sample.completions;
   registry_.set(g_live_cores_, static_cast<std::int64_t>(sample.live_cores));

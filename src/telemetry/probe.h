@@ -119,7 +119,7 @@ class TelemetryProbe final : public SimProbe {
   GaugeId g_core_transitions_;
 
   // Engine-sample counters arrive as cumulative values; deltas feed the
-  // registry so they stay monotone counters in expositions.
+  // registry so they stay monotone counters in the JSONL series.
   std::uint64_t last_completions_ = 0;
   std::int64_t outages_in_flight_ = 0;
   TimeNs next_snapshot_ = 0;

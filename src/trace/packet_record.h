@@ -45,8 +45,8 @@ class TraceSource {
   /// Packet-size mix of this source (for offered-load calibration against
   /// Eqs. 4-5 processing times). Returns false when the source does not
   /// know its mix; callers fall back to the default trimodal internet mix.
-  /// Wrapper sources (e.g. the experiment engine's shared-trace cursors)
-  /// forward this so calibration sees through them.
+  /// Wrapper sources (e.g. a test's counting or timing wrapper) forward
+  /// this so calibration sees through them.
   virtual bool size_mix(std::vector<std::uint16_t>& sizes,
                         std::vector<double>& weights) const {
     (void)sizes;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <vector>
 
@@ -255,11 +256,21 @@ PcapTrace::PcapTrace(std::string path) : path_(std::move(path)) {
 }
 
 std::optional<PacketRecord> PcapTrace::next() {
-  auto pkt = reader_->next();
+  if (error_) std::rethrow_exception(error_);
+  std::optional<PcapPacket> pkt;
+  try {
+    pkt = reader_->next();
+  } catch (const PcapError&) {
+    error_ = std::current_exception();
+    throw;
+  }
   if (!pkt) return std::nullopt;
   return pkt->record;
 }
 
-void PcapTrace::reset() { reader_ = std::make_unique<PcapReader>(path_); }
+void PcapTrace::reset() {
+  reader_ = std::make_unique<PcapReader>(path_);
+  error_ = nullptr;
+}
 
 }  // namespace laps

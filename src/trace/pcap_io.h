@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -143,6 +144,9 @@ class PcapTrace final : public TraceSource {
  public:
   explicit PcapTrace(std::string path);
 
+  /// After a PcapError every later call rethrows that error until reset():
+  /// a second read of a capture truncated mid-record would otherwise report
+  /// a clean end of trace and silently shorten it.
   std::optional<PacketRecord> next() override;
   void reset() override;
   std::string name() const override { return path_; }
@@ -150,6 +154,7 @@ class PcapTrace final : public TraceSource {
  private:
   std::string path_;
   std::unique_ptr<PcapReader> reader_;
+  std::exception_ptr error_;  ///< the read error that ended the stream
 };
 
 }  // namespace laps

@@ -7,7 +7,8 @@ namespace laps {
 
 SyntheticTrace::SyntheticTrace(SyntheticTraceSpec spec)
     : spec_(std::move(spec)),
-      zipf_(spec_.num_flows, spec_.zipf_alpha),
+      zipf_(std::make_shared<const ZipfSampler>(spec_.num_flows,
+                                                spec_.zipf_alpha)),
       sizes_(spec_.size_weights),
       rng_(spec_.seed) {
   if (spec_.size_bytes.size() != spec_.size_weights.size()) {
@@ -20,15 +21,10 @@ SyntheticTrace::SyntheticTrace(SyntheticTraceSpec spec)
   if (spec_.churn_per_packet < 0.0 || spec_.churn_per_packet > 1.0) {
     throw std::invalid_argument("SyntheticTrace: churn must be in [0,1]");
   }
-  if (spec_.churn_per_packet > 0.0) {
-    if (spec_.churn_min_rank >= spec_.num_flows) {
-      throw std::invalid_argument(
-          "SyntheticTrace: churn_min_rank must be below num_flows");
-    }
-    generation_.assign(spec_.num_flows, 0);
-    slot_id_.resize(spec_.num_flows);
-    for (std::uint32_t r = 0; r < spec_.num_flows; ++r) slot_id_[r] = r;
-    next_id_ = static_cast<std::uint32_t>(spec_.num_flows);
+  if (spec_.churn_per_packet > 0.0 &&
+      spec_.churn_min_rank >= spec_.num_flows) {
+    throw std::invalid_argument(
+        "SyntheticTrace: churn_min_rank must be below num_flows");
   }
   if (spec_.head_dormant_fraction < 0.0 || spec_.head_dormant_fraction > 0.9) {
     throw std::invalid_argument(
@@ -86,9 +82,15 @@ FiveTuple SyntheticTrace::tuple_of(std::uint32_t flow_id) const {
 }
 
 std::optional<PacketRecord> SyntheticTrace::next() {
-  if (!generation_.empty() && rng_.chance(spec_.churn_per_packet)) {
+  if (spec_.churn_per_packet > 0.0 && rng_.chance(spec_.churn_per_packet)) {
     // Retire one tail identity: its slot keeps the rank's popularity but a
     // brand-new flow takes it over.
+    if (generation_.empty()) {
+      generation_.assign(spec_.num_flows, 0);
+      slot_id_.resize(spec_.num_flows);
+      for (std::uint32_t r = 0; r < spec_.num_flows; ++r) slot_id_[r] = r;
+      next_id_ = static_cast<std::uint32_t>(spec_.num_flows);
+    }
     const auto span = spec_.num_flows - spec_.churn_min_rank;
     const auto victim =
         spec_.churn_min_rank + static_cast<std::size_t>(rng_.below(span));
@@ -106,7 +108,7 @@ std::optional<PacketRecord> SyntheticTrace::next() {
     flow = prev_flow_;
   } else {
     flow = redirect_if_dormant(
-        static_cast<std::uint32_t>(zipf_.sample(rng_)));
+        static_cast<std::uint32_t>(zipf_->sample(rng_)));
   }
   prev_flow_ = flow;
   has_prev_ = true;
@@ -122,11 +124,8 @@ void SyntheticTrace::reset() {
   rng_.reseed(spec_.seed);
   has_prev_ = false;
   prev_flow_ = 0;
-  if (!generation_.empty()) {
-    std::fill(generation_.begin(), generation_.end(), 0);
-    for (std::uint32_t r = 0; r < spec_.num_flows; ++r) slot_id_[r] = r;
-    next_id_ = static_cast<std::uint32_t>(spec_.num_flows);
-  }
+  generation_.clear();
+  slot_id_.clear();
   init_phases();
 }
 

@@ -59,6 +59,10 @@ struct SyntheticTraceSpec {
 /// unique 5-tuple constructed deterministically from (seed, rank), so two
 /// generators with the same spec emit the same flows — and the scheduler's
 /// CRC16 sees realistic, well-spread header bytes.
+///
+/// The Zipf table is immutable and shared: a copy of a trace that has not
+/// been read is a fresh stream over the same table, costing no O(num_flows)
+/// work (TraceStore hands out such copies).
 class SyntheticTrace final : public TraceSource {
  public:
   explicit SyntheticTrace(SyntheticTraceSpec spec);
@@ -80,6 +84,8 @@ class SyntheticTrace final : public TraceSource {
   }
 
   const SyntheticTraceSpec& spec() const { return spec_; }
+  /// The rank-popularity table, shared by every copy of this trace.
+  const ZipfSampler& zipf() const { return *zipf_; }
 
   /// The 5-tuple currently assigned to a popularity *rank* (generation-
   /// aware when churn is enabled). Without churn, rank == flow_id, so tests
@@ -88,13 +94,14 @@ class SyntheticTrace final : public TraceSource {
 
  private:
   SyntheticTraceSpec spec_;
-  ZipfSampler zipf_;
+  std::shared_ptr<const ZipfSampler> zipf_;
   DiscreteSampler sizes_;
   Rng rng_;
   std::uint32_t prev_flow_ = 0;
   bool has_prev_ = false;
   /// generation_[rank] bumps each time the rank's identity is retired;
-  /// allocated lazily, only when churn_per_packet > 0.
+  /// allocated at the first retirement, so a trace without churn, or one
+  /// not yet read, holds none.
   std::vector<std::uint32_t> generation_;
   /// slot_id_[rank] = dense flow id of the rank's *current* identity. A
   /// retired identity's id is never reused, so per-flow state downstream

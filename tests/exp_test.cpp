@@ -119,16 +119,24 @@ TEST(ParallelIndexMap, ZeroItemsYieldsEmpty) {
 
 TEST(TraceStore, CursorReplaysExactlyTheDirectTrace) {
   TraceStore store;
-  auto cursor = store.open("auck1");
-  auto direct = make_trace("auck1");
-  for (int i = 0; i < 5'000; ++i) {
-    const auto a = cursor->next();
-    const auto b = direct->next();
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    ASSERT_EQ(a->tuple.key64(), b->tuple.key64()) << "record " << i;
-    ASSERT_EQ(a->flow_id, b->flow_id);
-    ASSERT_EQ(a->size_bytes, b->size_bytes);
+  // auck1 and caida1 both churn, so their identity tables fill in as they
+  // are read; the reset must clear them along with the RNG.
+  for (const std::string name : {"auck1", "caida1"}) {
+    auto cursor = store.open(name);
+    for (int pass = 0; pass < 2; ++pass) {
+      auto direct = make_trace(name);
+      for (int i = 0; i < 5'000; ++i) {
+        const auto a = cursor->next();
+        const auto b = direct->next();
+        ASSERT_TRUE(a.has_value());
+        ASSERT_TRUE(b.has_value());
+        ASSERT_EQ(a->tuple.key64(), b->tuple.key64())
+            << name << " pass " << pass << " record " << i;
+        ASSERT_EQ(a->flow_id, b->flow_id);
+        ASSERT_EQ(a->size_bytes, b->size_bytes);
+      }
+      cursor->reset();
+    }
   }
 }
 
@@ -143,10 +151,17 @@ TEST(TraceStore, ResetReplaysIdentically) {
   }
 }
 
+// The one thing a name materializes is its model's Zipf table: the second
+// open reuses the first one's.
 TEST(TraceStore, TwoCursorsShareOneMaterialization) {
   TraceStore store;
   auto a = store.open("auck2");
   auto b = store.open("auck2");
+  const auto* sa = dynamic_cast<const SyntheticTrace*>(a.get());
+  const auto* sb = dynamic_cast<const SyntheticTrace*>(b.get());
+  ASSERT_NE(sa, nullptr);
+  ASSERT_NE(sb, nullptr);
+  EXPECT_EQ(&sa->zipf(), &sb->zipf()) << "the second open rebuilt the table";
   // Interleave reads at different paces; both see the same stream.
   std::vector<std::uint64_t> seen_a, seen_b;
   for (int i = 0; i < 300; ++i) seen_a.push_back(a->next()->tuple.key64());
@@ -154,27 +169,6 @@ TEST(TraceStore, TwoCursorsShareOneMaterialization) {
   for (int i = 0; i < 600; ++i) seen_a.push_back(a->next()->tuple.key64());
   ASSERT_EQ(seen_a.size(), 900u);
   EXPECT_EQ(seen_a, seen_b);
-  // Materialized once, to the farthest position, not per cursor.
-  EXPECT_EQ(store.materialized("auck2"), 900u);
-}
-
-TEST(TraceStore, OverflowFallsBackToPrivateReplaySeamlessly) {
-  // A 256-record sharing budget forces the cursor into private-overflow
-  // mode; the stream must still match the direct trace bit for bit.
-  TraceStore store(/*max_shared_records=*/256);
-  auto cursor = store.open("caida1");
-  auto direct = make_trace("caida1");
-  for (int i = 0; i < 2'000; ++i) {
-    ASSERT_EQ(cursor->next()->tuple.key64(), direct->next()->tuple.key64())
-        << "record " << i << " (overflow boundary at 256)";
-  }
-  EXPECT_EQ(store.materialized("caida1"), 256u);
-  // Reset drops the overflow source and replays the shared prefix again.
-  cursor->reset();
-  auto direct2 = make_trace("caida1");
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_EQ(cursor->next()->tuple.key64(), direct2->next()->tuple.key64());
-  }
 }
 
 TEST(TraceStore, ForwardsMetadataThroughCursor) {
@@ -220,6 +214,8 @@ TEST(TraceStore, RegisteredTraceEndsAtEof) {
 }
 
 TEST(TraceStore, ConcurrentCursorsSeeOneConsistentStream) {
+  // Four threads open one name at once: the first builds its model while
+  // the others wait, and every copy replays the same stream.
   TraceStore store;
   constexpr int kRecords = 20'000;
   std::vector<std::vector<std::uint64_t>> streams(4);
@@ -388,11 +384,8 @@ TEST(ObservedGrid, TelemetryFilesIdenticalAcrossJobCounts) {
     const std::string jobs_flag = "--jobs=" + jobs;
     const std::string out_flag =
         "--telemetry-out=" + (dir / "t.jsonl").string();
-    const std::string prom_flag =
-        "--telemetry-prom=" + (dir / "t.prom").string();
-    const char* argv[] = {"prog", jobs_flag.c_str(), out_flag.c_str(),
-                          prom_flag.c_str()};
-    Flags flags(4, argv);
+    const char* argv[] = {"prog", jobs_flag.c_str(), out_flag.c_str()};
+    Flags flags(3, argv);
     const HarnessOptions opts = parse_harness_flags(flags);
     flags.finish();
     auto store = std::make_shared<TraceStore>();
@@ -412,20 +405,8 @@ TEST(ObservedGrid, TelemetryFilesIdenticalAcrossJobCounts) {
     return files;
   };
   const auto serial = files_at("1");
-  EXPECT_EQ(serial.size(), 16u);  // 8 runs x (JSONL + Prometheus)
+  EXPECT_EQ(serial.size(), 8u);  // one JSONL per run
   EXPECT_EQ(serial, files_at("3"));
-}
-
-// A tiny shared budget forces some jobs through the overflow path; the
-// artifact must still be identical to the unbounded-store run.
-TEST(ParallelRunner, SharedBudgetDoesNotAffectResults) {
-  auto artifact_with_budget = [](std::size_t budget) {
-    auto store = std::make_shared<TraceStore>(budget);
-    const auto plan = tiny_plan(store);
-    ParallelRunner runner(4);
-    return artifact_json("budget_test", runner.run(plan));
-  };
-  EXPECT_EQ(artifact_with_budget(128), artifact_with_budget(1 << 20));
 }
 
 // ------------------------------------------------------------------ JSON ---
@@ -578,26 +559,36 @@ TEST(Harness, ClusterFlagsAreUnknownOutsideTheClusterBinary) {
 }
 
 TEST(Harness, AccuracyWindowThatDiffersFromTelemetryIntervalIsRejected) {
-  // Both probes sample on the engine's one epoch cadence, so a pair of
-  // values it cannot honour fails at parse time, naming both flags.
-  const char* explicit_argv[] = {"prog", "--telemetry=50us",
-                                 "--afd-accuracy=acc.json",
-                                 "--afd-accuracy-window-us=200"};
-  // The accuracy window's 100 us default conflicts just the same.
-  const char* default_argv[] = {"prog", "--telemetry-out=t.jsonl",
-                                "--telemetry=50us", "--afd-accuracy=acc.json"};
-  for (const char* const* argv : {explicit_argv, default_argv}) {
-    Flags flags(4, argv);
-    try {
-      parse_harness_flags(flags);
-      ADD_FAILURE() << "conflicting epoch cadences were accepted: "
-                    << argv[1];
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("--afd-accuracy-window-us"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find("--telemetry"), std::string::npos) << what;
-    }
+  // Both probes sample on the engine's one epoch cadence, the --telemetry
+  // interval, so there is no flag left to ask for a second one.
+  const char* argv[] = {"prog", "--telemetry=50us", "--afd-accuracy=acc.json",
+                        "--afd-accuracy-window-us=200"};
+  Flags flags(4, argv);
+  parse_harness_flags(flags);
+  try {
+    flags.finish();
+    ADD_FAILURE() << "--afd-accuracy-window-us was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown flag(s): --afd-accuracy-window-us"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Harness, TelemetryPromIsUnknown) {
+  // The JSONL final line is the run's one end-of-run serialization; the
+  // Prometheus copy of it is gone.
+  const char* argv[] = {"prog", "--telemetry-prom=t.prom"};
+  Flags flags(2, argv);
+  parse_harness_flags(flags);
+  try {
+    flags.finish();
+    ADD_FAILURE() << "--telemetry-prom was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag(s): --telemetry-prom"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -606,8 +597,8 @@ TEST(Harness, UnwritableArtifactDirectoryFailsBeforeAnyCellRuns) {
   // missing directory fails before any cell runs.
   for (const char* flag :
        {"--json", "--trace-out", "--flow-audit", "--afd-accuracy",
-        "--flight-recorder", "--telemetry-out", "--telemetry-prom",
-        "--fault-timeline", "--journal"}) {
+        "--flight-recorder", "--telemetry-out", "--fault-timeline",
+        "--journal"}) {
     const std::string arg = std::string(flag) + "=/no/such/dir/x.json";
     const char* argv[] = {"prog", arg.c_str(), "--faults=down:1@1ms"};
     Flags flags(3, argv);
@@ -684,19 +675,18 @@ TEST(Harness, TwoCellsWritingOnePathFailBeforeAnyCellRuns) {
 }
 
 TEST(Harness, AccuracyWindowEqualToTelemetryIntervalIsAccepted) {
+  // The AFD accuracy series samples on the --telemetry interval.
   const char* argv[] = {"prog", "--telemetry-out=t.jsonl", "--telemetry=200us",
-                        "--afd-accuracy=acc.json",
-                        "--afd-accuracy-window-us=200"};
-  Flags flags(5, argv);
+                        "--afd-accuracy=acc.json"};
+  Flags flags(4, argv);
   const auto opts = parse_harness_flags(flags);
   flags.finish();
   EXPECT_EQ(opts.telemetry_interval, from_us(200.0));
-  EXPECT_EQ(from_us(opts.afd_accuracy_window_us), opts.telemetry_interval);
 
-  // Both defaults are 100 us.
+  // Both default to 100 us.
   const char* default_argv[] = {"prog", "--telemetry", "--afd-accuracy=acc.json"};
   Flags defaults(3, default_argv);
-  EXPECT_NO_THROW(parse_harness_flags(defaults));
+  EXPECT_EQ(parse_harness_flags(defaults).telemetry_interval, from_us(100.0));
 }
 
 }  // namespace

@@ -225,12 +225,13 @@ class CountingTrace final : public TraceSource {
   std::shared_ptr<std::atomic<std::size_t>> reads_;
 };
 
-// The store shares nothing at a budget of 0: every cursor replays its own
-// counting source, so the count is every record the generators pulled.
+// The store calls a registered name's factory on every open, so each open
+// reads its own counting source, and the count is every record the
+// generators pulled.
 TEST(LockstepTraffic, GroupReadsEachRecordOnceAsOneSoloRunDoes) {
   auto reads_of = [](const std::vector<std::string>& kinds, bool alone) {
     auto reads = std::make_shared<std::atomic<std::size_t>>(0);
-    auto store = std::make_shared<TraceStore>(0);
+    auto store = std::make_shared<TraceStore>();
     store->register_trace("counted", [reads] {
       return std::make_shared<CountingTrace>(make_trace("caida1"), reads);
     });

@@ -2,8 +2,8 @@
 // owned by one thread, freeze once a cell pointer is handed out, reset),
 // TelemetryProbe (epoch snapshots, exact end-of-run reconciliation,
 // per-policy gauge discovery, reuse across runs), the JSONL windowed series
-// and its golden digest, the golden bytes of both file exporters, the
-// Prometheus / Chrome-trace exporters, the shared duration grammar, and
+// and its golden digest, the golden bytes of the JSONL exporter, the
+// Chrome-trace counter tracks, the shared duration grammar, and
 // PerfCounterScope's graceful degradation.
 //
 // The load-bearing assertions are:
@@ -14,10 +14,11 @@
 //    epochs on) leaves the physics byte-identical,
 //  * SeriesGolden — the per-window rows rebuilt from the JSONL stream match
 //    tests/golden/series_digest.tsv,
-//  * TelemetryBytesGolden — the JSONL and Prometheus bytes of the same
-//    cells match tests/golden/telemetry_bytes.tsv,
-//  * ExactAggregatesAlongsideBuckets — the Prometheus exposition carries
-//    exact count/sum/max next to the <= 1/32-error bucket bounds.
+//  * TelemetryBytesGolden — the JSONL bytes of the same cells match
+//    tests/golden/telemetry_bytes.tsv,
+//  * FinalLineCarriesExactLatencyAggregates — the JSONL final line carries
+//    the report's exact latency count/sum/max next to the <= 1/32-error
+//    bucket quantiles.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -27,7 +28,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -126,20 +126,15 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-// What the two file exporters write for a finished run: the JSONL series
-// (through a file, as the harness writes it) and the Prometheus text.
-struct Exports {
-  std::string jsonl;
-  std::string prom;
-};
-
-Exports exports_of(const TelemetryProbe& probe) {
+// The JSONL series of a finished run, written through a file as the
+// harness writes it.
+std::string jsonl_of(const TelemetryProbe& probe) {
   // Per process: ctest runs each test in its own process, several at once,
   // and a shared name let one test read or remove another's file.
   const std::string path = testing::TempDir() + "telemetry_exports." +
                            std::to_string(::getpid()) + ".jsonl";
   telemetry::write_telemetry_jsonl(path, probe);
-  Exports out{read_file(path), telemetry::prometheus_text(probe)};
+  std::string out = read_file(path);
   std::remove(path.c_str());
   return out;
 }
@@ -219,19 +214,6 @@ std::vector<SeriesRow> series_rows(const std::vector<std::string>& lines) {
   return rows;
 }
 
-// The numeric sample at the end of the first exposition line starting with
-// `prefix` ("laps_foo_count{" style). Prometheus lines are `name{labels} v`.
-std::optional<double> prom_value(const std::string& text,
-                                 const std::string& prefix) {
-  for (const std::string& line : split_lines(text)) {
-    if (line.rfind(prefix, 0) != 0) continue;
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos) return std::nullopt;
-    return std::strtod(line.c_str() + space + 1, nullptr);
-  }
-  return std::nullopt;
-}
-
 // ----------------------------------------------------------- MetricsRegistry ---
 
 TEST(MetricsRegistry, RegistrationIsIdempotentAndOrdered) {
@@ -299,7 +281,7 @@ TEST(MetricsRegistry, ResetZeroesEveryInstrumentAndRestartsTheSequence) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].count, 0u);
   EXPECT_EQ(snap.histograms[0].max, 0);
-  EXPECT_TRUE(reg.histogram(h).buckets().empty());
+  EXPECT_TRUE(reg.histogram_cell(h)->buckets().empty());
   // The instrument set survives a reset.
   EXPECT_EQ(reg.counter_names(), (std::vector<std::string>{"c"}));
 }
@@ -505,10 +487,7 @@ TEST(TelemetryProbe, ReusedProbeReportsOnlyItsLastRun) {
   TelemetryProbe fresh({}, fresh_sched.get());
   run_scenario(cfg, *fresh_sched, ProbeSet{&fresh}, 100 * kMicrosecond);
 
-  const Exports second = exports_of(reused);
-  const Exports expected = exports_of(fresh);
-  EXPECT_EQ(second.jsonl, expected.jsonl);
-  EXPECT_EQ(second.prom, expected.prom);
+  EXPECT_EQ(jsonl_of(reused), jsonl_of(fresh));
 }
 
 TEST(TelemetryProbe, DiscoversGaugesPerSchedulerPolicy) {
@@ -668,7 +647,7 @@ std::string series_key(const SeriesCell& cell) {
          (cell.faulted ? "faults" : "clean");
 }
 
-Exports run_series_cell(const SeriesCell& cell) {
+std::string run_series_cell(const SeriesCell& cell) {
   ScenarioOptions options;
   options.seconds = 0.005;
   ScenarioConfig config = make_paper_scenario(cell.scenario, options);
@@ -684,7 +663,7 @@ Exports run_series_cell(const SeriesCell& cell) {
   tcfg.interval = kSeriesWindow;
   TelemetryProbe probe(tcfg, sched.get());
   run_scenario(config, *sched, ProbeSet{&probe}, kSeriesWindow);
-  return exports_of(probe);
+  return jsonl_of(probe);
 }
 
 std::uint32_t crc_of(const std::string& bytes) {
@@ -694,7 +673,7 @@ std::uint32_t crc_of(const std::string& bytes) {
 
 std::string series_digest_line(const SeriesCell& cell) {
   const std::vector<SeriesRow> rows =
-      series_rows(split_lines(run_series_cell(cell).jsonl));
+      series_rows(split_lines(run_series_cell(cell)));
   std::ostringstream text;
   text.precision(17);
   SeriesRow total;
@@ -772,22 +751,19 @@ TEST(SeriesGolden, StreamDifferencesMatchGolden) {
 
 // ---------------------------------------------------------- exporter bytes ---
 
-// Pins every byte the two file exporters write for the SeriesGolden cells,
+// Pins every byte the JSONL exporter writes for the SeriesGolden cells,
 // including what the window columns above leave out: the per-core and
-// sched.* gauges, each line's p50/p90/p99 and seq, the final line's labels,
-// and the whole Prometheus text. One line per cell: key, then length and
-// CRC32 of the JSONL file, then of the Prometheus text. Regenerate (only
-// when a change intends to alter the exported bytes) with
+// sched.* gauges, each line's p50/p90/p99 and seq, and the final line's
+// labels. One line per cell: key, then length and CRC32 of the JSONL file.
+// Regenerate (only when a change intends to alter the exported bytes) with
 // LAPS_REGEN_GOLDEN=1 ./telemetry_test --gtest_filter='TelemetryBytesGolden.Regenerate'.
 const char* kBytesGoldenPath =
     LAPS_SOURCE_DIR "/tests/golden/telemetry_bytes.tsv";
 
 std::string bytes_digest_line(const SeriesCell& cell) {
-  const Exports out = run_series_cell(cell);
+  const std::string jsonl = run_series_cell(cell);
   std::ostringstream line;
-  line << series_key(cell) << '\t' << out.jsonl.size() << '\t'
-       << crc_of(out.jsonl) << '\t' << out.prom.size() << '\t'
-       << crc_of(out.prom);
+  line << series_key(cell) << '\t' << jsonl.size() << '\t' << crc_of(jsonl);
   return line.str();
 }
 
@@ -796,8 +772,7 @@ TEST(TelemetryBytesGolden, Regenerate) {
     GTEST_SKIP() << "set LAPS_REGEN_GOLDEN=1 to rewrite " << kBytesGoldenPath;
   }
   write_golden(kBytesGoldenPath,
-               "# telemetry exporter goldens: key, JSONL bytes, CRC32(JSONL), "
-               "Prometheus bytes, CRC32(Prometheus)\n"
+               "# telemetry exporter goldens: key, JSONL bytes, CRC32(JSONL)\n"
                "# regenerate with: LAPS_REGEN_GOLDEN=1 ./telemetry_test "
                "--gtest_filter='TelemetryBytesGolden.Regenerate'\n",
                bytes_digest_line);
@@ -810,43 +785,31 @@ TEST(TelemetryBytesGolden, ExportsMatchGolden) {
   expect_golden(kBytesGoldenPath, bytes_digest_line);
 }
 
-// -------------------------------------------------------- Prometheus export ---
+// ------------------------------------------------- JSONL labels and totals ---
 
-TEST(TelemetryPrometheus, EscapingAndMetricNameSanitization) {
-  EXPECT_EQ(telemetry::prometheus_escape("plain"), "plain");
-  EXPECT_EQ(telemetry::prometheus_escape("a\\b\"c\nd"),
-            "a\\\\b\\\"c\\nd");
-  EXPECT_EQ(telemetry::prometheus_metric_name("engine.queue_depth.core0"),
-            "laps_engine_queue_depth_core0");
-  EXPECT_EQ(telemetry::prometheus_metric_name("we!rd metric"),
-            "laps_we_rd_metric");
-}
-
-TEST(TelemetryPrometheus, HostileRunLabelsStayWellFormed) {
+TEST(TelemetryExportJsonl, HostileRunLabelsStayOnOneLine) {
   ScenarioConfig cfg = golden_scenario("plain", 1, 4.0);
   cfg.name = "evil\"quote\\slash\nnewline";
   auto sched = make_sched("FCFS");
   TelemetryProbe probe({}, sched.get());
   run_scenario(cfg, *sched, ProbeSet{&probe}, 100 * kMicrosecond);
 
-  const std::string text = telemetry::prometheus_text(probe);
+  const std::vector<std::string> lines = split_lines(jsonl_of(probe));
+  // No raw newline may tear a line: one line per snapshot, then the final.
+  ASSERT_EQ(lines.size(), probe.snapshots().size() + 1);
   EXPECT_NE(
-      text.find("scenario=\"evil\\\"quote\\\\slash\\nnewline\""),
+      lines.back().find("\"scenario\":\"evil\\\"quote\\\\slash\\nnewline\""),
       std::string::npos)
-      << text.substr(0, 400);
-  // No raw newline may survive inside a label value: every exposition line
-  // must look like a comment, a name{...} sample, or a bare name sample.
-  for (const std::string& line : split_lines(text)) {
-    const bool comment = line.rfind("#", 0) == 0;
-    const bool sample = line.rfind("laps_", 0) == 0;
-    EXPECT_TRUE(comment || sample) << "torn line: " << line;
+      << lines.back().substr(0, 400);
+  for (const std::string& line : lines) {
+    EXPECT_EQ(line.front(), '{') << "torn line: " << line;
+    EXPECT_EQ(line.back(), '}') << "torn line: " << line;
   }
 }
 
-TEST(TelemetryPrometheus, ExactAggregatesAlongsideBuckets) {
-  // Satellite 6 regression: the histogram exposition must carry exact
-  // count/sum/max (not bucket-derived approximations) so consumers can
-  // compute true means; the +Inf bucket agrees with _count.
+TEST(TelemetryExportJsonl, FinalLineCarriesExactLatencyAggregates) {
+  // The histogram's count, sum and max are exact (not bucket-derived), so
+  // consumers compute true means from the final line.
   const ScenarioConfig cfg = golden_scenario("churny", 42, 12.0);
   auto sched = make_sched("LAPS");
   TelemetryProbe probe({}, sched.get());
@@ -854,58 +817,17 @@ TEST(TelemetryPrometheus, ExactAggregatesAlongsideBuckets) {
       run_scenario(cfg, *sched, ProbeSet{&probe}, 100 * kMicrosecond);
   ASSERT_GT(report.latency_ns.count(), 0u);
 
-  const std::string text = telemetry::prometheus_text(probe);
-  const auto count = prom_value(text, "laps_engine_latency_ns_count{");
-  const auto sum = prom_value(text, "laps_engine_latency_ns_sum{");
-  const auto max = prom_value(text, "laps_engine_latency_ns_max{");
-  ASSERT_TRUE(count.has_value());
-  ASSERT_TRUE(sum.has_value());
-  ASSERT_TRUE(max.has_value());
-  EXPECT_EQ(static_cast<std::uint64_t>(*count), report.latency_ns.count());
-  EXPECT_EQ(static_cast<std::int64_t>(*sum), report.latency_ns.sum());
-  EXPECT_EQ(static_cast<std::int64_t>(*max), report.latency_ns.max());
-
-  // The +Inf bucket is cumulative over everything.
-  std::optional<double> inf_bucket;
-  for (const std::string& line : split_lines(text)) {
-    if (line.rfind("laps_engine_latency_ns_bucket{", 0) == 0 &&
-        line.find("le=\"+Inf\"") != std::string::npos) {
-      inf_bucket = std::strtod(line.c_str() + line.rfind(' ') + 1, nullptr);
-    }
-  }
-  ASSERT_TRUE(inf_bucket.has_value());
-  EXPECT_EQ(static_cast<std::uint64_t>(*inf_bucket),
-            report.latency_ns.count());
-
-  // Counters carry the _total convention; totals match the report exactly.
-  const auto delivered = prom_value(text, "laps_engine_delivered_total{");
-  ASSERT_TRUE(delivered.has_value());
-  EXPECT_EQ(static_cast<std::uint64_t>(*delivered), report.delivered);
-}
-
-TEST(TelemetryPrometheus, QuantileErrorStaysWithinBucketBound) {
-  // Pins the advertised <= 1/32 relative error of bucket-bound quantiles
-  // against a ground-truth sorted sample set (deterministic LCG draw).
-  Histogram h;
-  std::vector<std::int64_t> values;
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  for (int i = 0; i < 20'000; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const std::int64_t v = static_cast<std::int64_t>((x >> 33) % 1'000'000'000) + 1000;
-    values.push_back(v);
-    h.record(v);
-  }
-  std::sort(values.begin(), values.end());
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    // Mirror Histogram::quantile's rank: target = max(1, floor(q * count)).
-    std::uint64_t target =
-        static_cast<std::uint64_t>(q * static_cast<double>(values.size()));
-    if (target == 0) target = 1;
-    const std::int64_t truth = values[target - 1];
-    const std::int64_t approx = h.quantile(q);
-    EXPECT_GE(approx, truth) << "q=" << q;
-    EXPECT_LE(approx - truth, truth / 32) << "q=" << q;
-  }
+  const std::vector<std::string> lines = split_lines(jsonl_of(probe));
+  ASSERT_FALSE(lines.empty());
+  const std::string& fin = lines.back();
+  const std::size_t at = fin.find("\"engine.latency_ns\":{");
+  ASSERT_NE(at, std::string::npos) << fin.substr(0, 400);
+  const std::string latency = fin.substr(at, fin.find('}', at) - at);
+  EXPECT_EQ(json_uint(latency, "count"), report.latency_ns.count());
+  EXPECT_EQ(static_cast<std::int64_t>(json_uint(latency, "sum")),
+            report.latency_ns.sum());
+  EXPECT_EQ(static_cast<std::int64_t>(json_uint(latency, "max")),
+            report.latency_ns.max());
 }
 
 // ----------------------------------------------------- Chrome counter tracks ---

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <set>
 #include <string>
@@ -564,33 +565,50 @@ class TruncatedSource final : public TraceSource {
   SyntheticTrace trace_;
 };
 
-TEST(TraceStore, SourceErrorIsStickyNotCleanEof) {
-  TraceStore store;
-  store.register_trace("truncated", [] {
-    return std::make_shared<TruncatedSource>(5, "truncated.pcap");
-  });
-
-  // First cursor materializes the 5 good records, then hits the error.
-  auto a = store.open("truncated");
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(a->next().has_value()) << i;
-  EXPECT_THROW(a->next(), PcapError);
-
-  // A second cursor re-reads the published prefix fine — but the tail must
-  // rethrow the SAME typed error. Before the sticky-error fix the backing
-  // re-polled the dead source, whose second read reported clean EOF,
-  // silently shortening the trace.
-  auto b = store.open("truncated");
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(b->next().has_value()) << i;
-  try {
-    b->next();
-    FAIL() << "re-fetch past the error returned clean EOF";
-  } catch (const PcapError& e) {
-    EXPECT_EQ(e.path(), "truncated.pcap");
-    EXPECT_EQ(e.offset(), 24u + 30u * 5u);
-    EXPECT_NE(e.reason().find("truncated record body"), std::string::npos);
+TEST(PcapTrace, ReadErrorRepeatsUntilReset) {
+  // Three good records, then one whose header promises 100 bytes and whose
+  // body holds 1: the classic capture cut off mid-write.
+  const std::string path = temp_pcap_path("sticky");
+  {
+    SyntheticTraceSpec spec;
+    spec.num_flows = 10;
+    SyntheticTrace synth(spec);
+    PcapWriter writer(path);
+    for (int i = 0; i < 3; ++i) writer.write(i, *synth.next());
   }
-  // The error also must not have been recorded as an end position.
-  EXPECT_EQ(store.materialized("truncated"), 5u);
+  std::uint64_t cut = 0;
+  {
+    PcapReader reader(path);
+    while (reader.next()) {
+    }
+    cut = reader.offset();
+  }
+  {
+    std::vector<std::uint8_t> tail;
+    append_u32s(tail, {9, 0, 100, 100});
+    tail.push_back(0x45);
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(tail.data()),
+              static_cast<std::streamsize>(tail.size()));
+  }
+
+  PcapTrace trace(path);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(trace.next().has_value()) << i;
+    // The error repeats on every later read, not a clean EOF.
+    for (int read = 0; read < 2; ++read) {
+      try {
+        trace.next();
+        FAIL() << "pass " << pass << " read " << read
+               << " past the truncated record returned a value or EOF";
+      } catch (const PcapError& e) {
+        EXPECT_EQ(e.path(), path);
+        EXPECT_EQ(e.offset(), cut);
+      }
+    }
+    trace.reset();  // rereads the file from its first record
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(TraceStore, TruncatedPcapFileSurfacesTypedErrorThroughTheStore) {

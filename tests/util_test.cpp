@@ -446,6 +446,31 @@ TEST(Histogram, QuantilesWithinRelativeError) {
   EXPECT_NEAR(h.mean(), 50'000.5, 0.1);
 }
 
+TEST(Histogram, QuantileErrorStaysWithinBucketBound) {
+  // Pins the advertised <= 1/32 relative error of bucket-bound quantiles
+  // against a ground-truth sorted sample set (deterministic LCG draw).
+  Histogram h;
+  std::vector<std::int64_t> values;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 20'000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::int64_t v = static_cast<std::int64_t>((x >> 33) % 1'000'000'000) + 1000;
+    values.push_back(v);
+    h.record(v);
+  }
+  std::sort(values.begin(), values.end());
+  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+    // Mirror Histogram::quantile's rank: target = max(1, floor(q * count)).
+    std::uint64_t target =
+        static_cast<std::uint64_t>(q * static_cast<double>(values.size()));
+    if (target == 0) target = 1;
+    const std::int64_t truth = values[target - 1];
+    const std::int64_t approx = h.quantile(q);
+    EXPECT_GE(approx, truth) << "q=" << q;
+    EXPECT_LE(approx - truth, truth / 32) << "q=" << q;
+  }
+}
+
 TEST(Histogram, NegativeClampedToZero) {
   Histogram h;
   h.record(-100);
