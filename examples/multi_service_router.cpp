@@ -28,8 +28,9 @@ int run(laps::Flags& flags) {
   options.seed = flags.get_uint("seed", 42);
   options.num_cores = flags.get_uint("cores", 16);
   // This example introspects the scheduler after the run (allocator state),
-  // so it stays serial; --jobs is accepted for CLI uniformity.
-  const auto harness = parse_harness_flags(flags);
+  // so it runs its one cell without a runner: --jobs, --journal and
+  // --resume are unknown here.
+  const auto harness = parse_observed_flags(flags);
   flags.finish();
 
   // Table IV Set 2 traffic (overload) over the CAIDA-like trace group: the

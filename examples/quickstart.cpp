@@ -21,7 +21,7 @@ namespace {
 int run(laps::Flags& flags) {
   using namespace laps;
 
-  const auto harness = parse_harness_flags(flags);
+  const auto harness = parse_observed_flags(flags);
   flags.finish();
 
   // 1. A header trace. The registry reproduces the paper's trace names;

@@ -9,7 +9,6 @@ namespace laps {
 namespace {
 
 using ParsedSpec = spec::ParsedSpec;
-using SpecPrinter = spec::SpecPrinter;
 
 ParsedSpec parse_spec(const std::string& s) {
   return spec::parse_spec<DispatcherSpecError>(s, "dispatcher");
@@ -23,109 +22,51 @@ class Params : public spec::Params<DispatcherSpecError> {
                                          std::move(params)) {}
 };
 
-// Per-dispatcher parse helpers: one parse shared by the factory and the
-// canonicalizer, so the two cannot disagree about a spec's meaning.
-
-std::uint32_t parse_pass(Params& p) {
-  const std::uint32_t shard = p.get_u32("shard", 0);
-  p.finish();
-  return shard;
-}
-
-std::size_t parse_fdir(Params& p) {
-  const std::size_t slots = p.get_size("slots", 4096);
-  if (slots == 0) {
-    throw DispatcherSpecError(
-        "dispatcher 'fdir': parameter 'slots' must be positive");
-  }
-  p.finish();
-  return slots;
-}
-
-struct AffinityParams {
-  std::uint64_t th = 32;
-  bool drain = true;
-};
-
-AffinityParams parse_affinity(Params& p) {
-  AffinityParams cfg;
-  cfg.th = p.get_u64("th", cfg.th);
-  cfg.drain = p.get_bool("drain", cfg.drain);
-  p.finish();
-  return cfg;
-}
-
-std::uint64_t parse_load(Params& p) {
-  const std::uint64_t th = p.get_u64("th", 32);
-  p.finish();
-  return th;
-}
-
 struct Entry {
   const char* name;
   const char* params;  // help text: parameter list (or "-")
   std::unique_ptr<Dispatcher> (*make)(Params&);
-  std::string (*canon)(Params&);
 };
 
 const Entry kRegistry[] = {
     {"pass", "shard",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
-       return std::make_unique<PassDispatcher>(parse_pass(p));
-     },
-     [](Params& p) -> std::string {
-       SpecPrinter out("pass");
-       out.add_u32("shard", parse_pass(p), 0);
-       return out.str();
+       const std::uint32_t shard = p.get_u32("shard", 0);
+       p.finish();
+       return std::make_unique<PassDispatcher>(shard);
      }},
     {"rr", "-",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        p.finish();
        return std::make_unique<RoundRobinDispatcher>();
-     },
-     [](Params& p) -> std::string {
-       p.finish();
-       return "rr";
      }},
     {"rss", "-",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        p.finish();
        return std::make_unique<RssDispatcher>();
-     },
-     [](Params& p) -> std::string {
-       p.finish();
-       return "rss";
      }},
     {"fdir", "slots",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
-       return std::make_unique<FlowDirectorDispatcher>(parse_fdir(p));
-     },
-     [](Params& p) -> std::string {
-       SpecPrinter out("fdir");
-       out.add_size("slots", parse_fdir(p), 4096);
-       return out.str();
+       const std::size_t slots = p.get_size("slots", 4096);
+       if (slots == 0) {
+         throw DispatcherSpecError(
+             "dispatcher 'fdir': parameter 'slots' must be positive");
+       }
+       p.finish();
+       return std::make_unique<FlowDirectorDispatcher>(slots);
      }},
     {"affinity", "th, drain",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
-       const AffinityParams c = parse_affinity(p);
-       return std::make_unique<AffinityDispatcher>(c.th, c.drain);
-     },
-     [](Params& p) -> std::string {
-       const AffinityParams c = parse_affinity(p);
-       const AffinityParams d;
-       SpecPrinter out("affinity");
-       out.add_u64("th", c.th, d.th);
-       out.add_bool("drain", c.drain, d.drain);
-       return out.str();
+       const std::uint64_t th = p.get_u64("th", 32);
+       const bool drain = p.get_bool("drain", true);
+       p.finish();
+       return std::make_unique<AffinityDispatcher>(th, drain);
      }},
     {"load", "th",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
-       return std::make_unique<LeastLoadedDispatcher>(parse_load(p));
-     },
-     [](Params& p) -> std::string {
-       SpecPrinter out("load");
-       out.add_u64("th", parse_load(p), 32);
-       return out.str();
+       const std::uint64_t th = p.get_u64("th", 32);
+       p.finish();
+       return std::make_unique<LeastLoadedDispatcher>(th);
      }},
 };
 
@@ -149,13 +90,6 @@ std::unique_ptr<Dispatcher> make_dispatcher(const std::string& spec) {
   return entry.make(params);
 }
 
-std::string canonical_dispatcher_spec(const std::string& spec) {
-  ParsedSpec parsed = parse_spec(spec);
-  const Entry& entry = find_entry(parsed.name, spec);
-  Params params(parsed.name, std::move(parsed.params));
-  return entry.canon(params);
-}
-
 std::vector<std::string> dispatcher_names() {
   std::vector<std::string> names;
   for (const Entry& entry : kRegistry) names.emplace_back(entry.name);
@@ -176,12 +110,13 @@ std::string dispatcher_spec_help() {
 
 DispatcherSpec make_dispatcher_spec(const std::string& spec,
                                     std::string display) {
-  // Parse eagerly so a bad spec fails at table-build time, not mid-grid.
-  const std::string canonical = canonical_dispatcher_spec(spec);
-  if (display.empty()) display = make_dispatcher(spec)->name();
+  // Build one instance now, so a bad spec fails at table-build time, not
+  // mid-grid; it also supplies the display name.
+  const auto instance = make_dispatcher(spec);
+  if (display.empty()) display = instance->name();
   return DispatcherSpec{
       std::move(display),
-      [canonical]() { return make_dispatcher(canonical); },
+      [spec]() { return make_dispatcher(spec); },
   };
 }
 

@@ -37,12 +37,6 @@ class DispatcherSpecError : public std::runtime_error {
 ///   load     — least-loaded with immediate migration (`th=32`)
 std::unique_ptr<Dispatcher> make_dispatcher(const std::string& spec);
 
-/// The canonical form of a spec: only non-default keys, fixed order.
-/// Canonical specs are fixed points (canonical(canonical(s)) ==
-/// canonical(s)) and re-parse to the identical configuration — fuzzed in
-/// tests/registry_test.cpp alongside the scheduler specs.
-std::string canonical_dispatcher_spec(const std::string& spec);
-
 /// All registered dispatcher names, in help order.
 std::vector<std::string> dispatcher_names();
 
@@ -58,8 +52,9 @@ struct DispatcherSpec {
   std::function<std::unique_ptr<Dispatcher>()> make;
 };
 
-/// Wraps a spec as a DispatcherSpec, parsing eagerly so a bad spec fails
-/// at table-build time.
+/// Wraps a spec as a DispatcherSpec. One instance is built at once, so a
+/// bad spec fails at table-build time; the factory parses the spec as given
+/// on every call.
 DispatcherSpec make_dispatcher_spec(const std::string& spec,
                                     std::string display = "");
 

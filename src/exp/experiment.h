@@ -84,8 +84,8 @@ struct RunnerPolicy {
   /// With a journal: replay already-journaled cells instead of rerunning
   /// them. The replayed reports are bit-identical to a fresh run's.
   bool resume = false;
-  /// Folded into every job fingerprint; the harness hashes in the option
-  /// that changes job output (the fault spec) so a journal from a
+  /// Folded into every job fingerprint; the harness hashes in every flag
+  /// that can change job output (make_runner) so a journal from a
   /// differently-configured run never resumes silently.
   std::uint64_t journal_salt = 0;
 };

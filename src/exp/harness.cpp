@@ -31,56 +31,22 @@ std::string parse_json_flag(Flags& flags) {
   return path;
 }
 
-HarnessOptions parse_runner_flags(Flags& flags) {
-  HarnessOptions opts;
-  opts.jobs = resolve_jobs(flags.get_uint("jobs", 1));
-  opts.json_path = parse_json_flag(flags);
-  opts.scheduler_list = flags.get_string("scheduler", "");
-  if (!opts.scheduler_list.empty()) {
-    // Parsed here so a typo fails before any grid starts running; the
-    // registry's errors name the offending token and list valid choices.
-    opts.schedulers = parse_scheduler_list(opts.scheduler_list);
-  }
-  opts.journal_path = flags.get_string("journal", "");
-  opts.resume = flags.get_bool("resume", false);
-  if (opts.resume && opts.journal_path.empty()) {
-    throw std::invalid_argument("--resume requires --journal=PATH");
-  }
-  if (!opts.journal_path.empty()) {
-    util::require_writable_dir("--journal", opts.journal_path);
-  }
-  return opts;
+namespace {
+
+/// --scheduler, parsed here so a typo fails before any cell runs; the
+/// registry's errors name the offending token and list valid choices.
+void parse_scheduler_flag(Flags& flags, HarnessOptions& opts) {
+  const std::string list = flags.get_string("scheduler", "");
+  if (!list.empty()) opts.schedulers = parse_scheduler_list(list);
 }
 
-HarnessOptions parse_harness_flags(Flags& flags) {
-  HarnessOptions opts = parse_runner_flags(flags);
+/// The probe and fault flags of parse_harness_flags.
+void parse_probe_flags(Flags& flags, HarnessOptions& opts) {
   opts.trace_path = flags.get_string("trace-out", "");
-
   opts.flow_audit_path = flags.get_string("flow-audit", "");
-  opts.flow_audit_top = flags.get_uint("flow-audit-top", 16);
-  if (opts.flow_audit_top < 1) {
-    throw std::invalid_argument("--flow-audit-top must be >= 1");
-  }
   opts.flow_audit_rows = flags.get_uint("flow-audit-rows", 256);
-
   opts.afd_accuracy_path = flags.get_string("afd-accuracy", "");
-  opts.afd_accuracy_k = flags.get_uint("afd-accuracy-k", 16);
-  if (opts.afd_accuracy_k < 1) {
-    throw std::invalid_argument("--afd-accuracy-k must be >= 1");
-  }
-
   opts.flight_path = flags.get_string("flight-recorder", "");
-  opts.flight_capacity = flags.get_uint("flight-capacity", 4096);
-  if (opts.flight_capacity < 1) {
-    throw std::invalid_argument("--flight-capacity must be >= 1");
-  }
-  opts.flight_drop_storm = flags.get_uint("flight-drop-storm", 64);
-  opts.flight_ooo_spike = flags.get_uint("flight-ooo-spike", 256);
-  opts.flight_window_us =
-      flags.get_double("flight-window-us", opts.flight_window_us);
-  if (opts.flight_window_us <= 0) {
-    throw std::invalid_argument("--flight-window-us must be > 0");
-  }
   opts.flight_dump = flags.get_bool("flight-dump", false);
   if (opts.flight_dump && opts.flight_path.empty()) {
     throw std::invalid_argument(
@@ -104,10 +70,9 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   opts.telemetry_out = flags.get_string("telemetry-out", "");
   if (!opts.telemetry_out.empty()) opts.telemetry = true;
 
-  opts.faults_spec = flags.get_string("faults", "");
-  if (!opts.faults_spec.empty()) {
-    opts.faults =
-        std::make_shared<const FaultPlan>(parse_fault_plan(opts.faults_spec));
+  const std::string faults = flags.get_string("faults", "");
+  if (!faults.empty()) {
+    opts.faults = std::make_shared<const FaultPlan>(parse_fault_plan(faults));
   }
   opts.fault_timeline_path = flags.get_string("fault-timeline", "");
   if (!opts.fault_timeline_path.empty() && opts.faults == nullptr) {
@@ -127,6 +92,61 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   for (const auto& [flag, path] : paths) {
     if (!path->empty()) util::require_writable_dir(flag, *path);
   }
+}
+
+/// Hashes the name and value of every flag given except the four that
+/// cannot change a journaled cell's report: --jobs, --journal and
+/// --resume, and --json, which only names where the final artifact goes
+/// (restored cells appear in it too). Per-run file stems stay in, because
+/// a restored cell does not rewrite its files.
+std::uint64_t journal_salt(const Flags& flags) {
+  auto fold = [](std::uint64_t h, const std::string& s) {
+    for (const char c : s) {
+      h = mix64(h ^ static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+    return mix64(h ^ s.size());
+  };
+  std::uint64_t h = 0x1A95'0001;
+  for (const auto& [name, value] : flags.values()) {
+    if (name == "jobs" || name == "journal" || name == "resume" ||
+        name == "json") {
+      continue;
+    }
+    h = fold(fold(h, name), value);
+  }
+  return h;
+}
+
+}  // namespace
+
+HarnessOptions parse_runner_flags(Flags& flags) {
+  HarnessOptions opts;
+  opts.jobs = resolve_jobs(flags.get_uint("jobs", 1));
+  opts.json_path = parse_json_flag(flags);
+  parse_scheduler_flag(flags, opts);
+  opts.journal_path = flags.get_string("journal", "");
+  opts.resume = flags.get_bool("resume", false);
+  if (opts.resume && opts.journal_path.empty()) {
+    throw std::invalid_argument("--resume requires --journal=PATH");
+  }
+  if (!opts.journal_path.empty()) {
+    util::require_writable_dir("--journal", opts.journal_path);
+  }
+  opts.journal_salt = journal_salt(flags);
+  return opts;
+}
+
+HarnessOptions parse_harness_flags(Flags& flags) {
+  HarnessOptions opts = parse_runner_flags(flags);
+  parse_probe_flags(flags, opts);
+  return opts;
+}
+
+HarnessOptions parse_observed_flags(Flags& flags) {
+  HarnessOptions opts;
+  opts.json_path = parse_json_flag(flags);
+  parse_scheduler_flag(flags, opts);
+  parse_probe_flags(flags, opts);
   return opts;
 }
 
@@ -134,16 +154,9 @@ ParallelRunner make_runner(const HarnessOptions& opts) {
   RunnerPolicy policy;
   policy.journal_path = opts.journal_path;
   policy.resume = opts.resume;
-  // Salt the journal with the harness option that changes what a job
-  // computes: resuming under a different fault plan must invalidate the
-  // journal, not silently mix results.
-  auto fold = [](std::uint64_t h, const std::string& s) {
-    for (const char c : s) {
-      h = mix64(h ^ static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-    return mix64(h ^ s.size());
-  };
-  policy.journal_salt = fold(0x1A95'0001, opts.faults_spec);
+  // A journal written under other flags must refuse to resume, not mix
+  // their results into this grid.
+  policy.journal_salt = opts.journal_salt;
   return ParallelRunner(opts.jobs, std::move(policy));
 }
 
@@ -201,7 +214,7 @@ std::string per_run_path(const std::string& stem, const std::string& labels) {
 bool any_probe_configured(const HarnessOptions& opts) {
   return !opts.trace_path.empty() || !opts.flow_audit_path.empty() ||
          !opts.afd_accuracy_path.empty() || !opts.flight_path.empty() ||
-         opts.telemetry;
+         !opts.telemetry_out.empty();
 }
 
 /// The probes `opts` configures for one cell, attached for its run, and
@@ -219,22 +232,18 @@ class ObservedCell {
     }
     if (!opts.flow_audit_path.empty()) {
       FlowAuditProbe::Options audit_opts;
-      audit_opts.top_k = opts.flow_audit_top;
       audit_opts.max_rows = opts.flow_audit_rows;
       audit_.emplace(audit_opts);
       cell_.probes.add(&*audit_);
     }
     if (!opts.afd_accuracy_path.empty()) {
-      accuracy_.emplace(scheduler, opts.afd_accuracy_k);
+      accuracy_.emplace(scheduler);
       cell_.probes.add(&*accuracy_);
       cell_.epoch_ns = opts.telemetry_interval;
     }
     if (!opts.flight_path.empty()) {
       FlightRecorderConfig flight_cfg;
-      flight_cfg.capacity = opts.flight_capacity;
-      flight_cfg.drop_storm = opts.flight_drop_storm;
-      flight_cfg.ooo_spike = opts.flight_ooo_spike;
-      flight_cfg.window_ns = from_us(opts.flight_window_us);
+      flight_cfg.window_ns = opts.telemetry_interval;
       flight_cfg.always_dump = opts.flight_dump;
       flight_.emplace(flight_cfg);
       cell_.probes.add(&*flight_);
@@ -243,7 +252,9 @@ class ObservedCell {
       fault_probe_.emplace();
       cell_.probes.add(&*fault_probe_);
     }
-    if (opts.telemetry) {
+    // The series is read by --telemetry-out, or merged into the
+    // --trace-out timeline; with neither, nothing would read it.
+    if (opts.telemetry && (!opts.telemetry_out.empty() || trace_)) {
       telemetry::TelemetryConfig telem_cfg;
       telem_cfg.interval = opts.telemetry_interval;
       // When a trace is also requested, merge counter tracks (queue depth,

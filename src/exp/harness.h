@@ -20,38 +20,32 @@ struct HarnessOptions {
   /// is the grid's cell label (see observed_runner).
   std::string trace_path;              ///< empty = no whole-run trace
   // Flow-audit observability (see sim/flow_audit.h, sim/afd_accuracy.h,
-  // sim/flight_recorder.h).
+  // sim/flight_recorder.h). Both top-k's are 16, the AFC size, and the
+  // flight recorder keeps its default ring and triggers.
   std::string flow_audit_path;         ///< empty = no FlowAuditProbe
-  std::size_t flow_audit_top = 16;     ///< attribution k
   std::size_t flow_audit_rows = 256;   ///< per-flow rows in artifact; 0 = all
   std::string afd_accuracy_path;       ///< empty = no AfdAccuracyProbe
-  std::size_t afd_accuracy_k = 16;     ///< ground-truth top-k
   std::string flight_path;             ///< empty = no FlightRecorderProbe
-  std::size_t flight_capacity = 4096;  ///< event-ring size
-  std::uint64_t flight_drop_storm = 64;    ///< drops/window trigger; 0 = off
-  std::uint64_t flight_ooo_spike = 256;    ///< OOO/window trigger; 0 = off
-  double flight_window_us = 100.0;     ///< anomaly-counting window
   bool flight_dump = false;            ///< dump even without an anomaly
   // Live telemetry (src/telemetry): epoch-cadence metric snapshots.
   bool telemetry = false;              ///< --telemetry[=interval] given (or
                                        ///< implied by --telemetry-out)
-  /// The run's one epoch cadence: telemetry snapshots and AFD accuracy
-  /// samples are both taken at this interval of simulated time.
+  /// The run's one cadence: telemetry snapshots and AFD accuracy samples
+  /// are taken at this interval of simulated time, and the flight recorder
+  /// counts its anomalies in windows this wide.
   TimeNs telemetry_interval = 100 * kMicrosecond;
   std::string telemetry_out;           ///< JSONL stream stem; empty = none
   // Fault injection (sim/fault.h).
-  std::string faults_spec;             ///< raw --faults grammar, for display
-  std::shared_ptr<const FaultPlan> faults;  ///< parsed plan; null = none
+  std::shared_ptr<const FaultPlan> faults;  ///< parsed --faults; null = none
   std::string fault_timeline_path;     ///< empty = no FaultProbe artifact
-  /// Raw --scheduler value (semicolon-separated registry specs), for
-  /// display; empty = flag not given.
-  std::string scheduler_list;
   /// Parsed --scheduler specs. Empty = the binary's built-in scheduler
   /// table; see schedulers_or().
   std::vector<SchedulerSpec> schedulers;
   // Resilience (see exp/experiment.h RunnerPolicy, exp/journal.h).
   std::string journal_path;  ///< completion journal; empty = none
   bool resume = false;       ///< replay journaled cells (--resume)
+  /// Hash of the flags that can change a cell's report (make_runner).
+  std::uint64_t journal_salt = 0;
 };
 
 /// Consumes the shared flags of a binary that runs a simulation grid:
@@ -59,23 +53,23 @@ struct HarnessOptions {
 ///   --json=P                  write a laps-bench-v1 JSON artifact to P
 ///   --trace-out=P             per-run chrome://tracing JSON (stem P): an
 ///                             unbounded FlightRecorderProbe, every event
-///   --flow-audit=P            per-run per-flow audit JSON (stem P)
-///   --flow-audit-top=K        attribution top-k (default 16)
+///   --flow-audit=P            per-run per-flow audit JSON (stem P),
+///                             attribution top-16
 ///   --flow-audit-rows=N       per-flow rows in the artifact (0 = all)
-///   --afd-accuracy=P          per-run online AFD accuracy series (stem P),
-///                             sampled every --telemetry interval
-///   --afd-accuracy-k=K        ground-truth top-k (default 16)
-///   --flight-recorder=P       per-run flight-recorder dump (stem P);
-///                             written only on anomaly or --flight-dump
-///   --flight-capacity=N       event-ring size (default 4096)
-///   --flight-drop-storm=N     drops/window that trigger a dump (0 = off)
-///   --flight-ooo-spike=N      OOO/window that trigger a dump (0 = off)
-///   --flight-window-us=N      anomaly window width (default 100 us)
+///   --afd-accuracy=P          per-run online AFD accuracy series (stem P)
+///                             against the ground-truth top-16, sampled
+///                             every --telemetry interval
+///   --flight-recorder=P       per-run flight-recorder dump (stem P) of a
+///                             4,096-event ring; written only when a
+///                             --telemetry window holds 64 drops or 256 OOO
+///                             departures, or with --flight-dump
 ///   --flight-dump             dump the ring even without an anomaly
-///   --telemetry[=D]           live telemetry snapshots every D of simulated
-///                             time (util::parse_duration suffixes: "250us",
-///                             "2ms", bare = ns; default 100us); also the
-///                             --afd-accuracy sampling interval. Implied by
+///   --telemetry[=D]           the run's one cadence, D of simulated time
+///                             (util::parse_duration suffixes: "250us",
+///                             "2ms", bare = ns; default 100us): telemetry
+///                             snapshots for --telemetry-out and
+///                             --trace-out, --afd-accuracy samples and
+///                             flight-recorder windows. Implied by
 ///                             --telemetry-out.
 ///   --telemetry-out=P         per-run JSONL (stem P): the windowed series,
 ///                             one snapshot per interval, final totals and
@@ -95,7 +89,8 @@ struct HarnessOptions {
 ///   --resume                  with --journal: replay already-journaled
 ///                             cells; final artifacts are byte-identical to
 ///                             an uninterrupted run
-/// Call before flags.finish().
+/// A journal written under one set of flags refuses --resume under another
+/// (see make_runner). Call before flags.finish().
 HarnessOptions parse_harness_flags(Flags& flags);
 
 /// The --json flag alone, its directory checked at startup as
@@ -111,11 +106,19 @@ std::string parse_json_flag(Flags& flags);
 /// Call before flags.finish().
 HarnessOptions parse_runner_flags(Flags& flags);
 
+/// The shared flags of a binary that runs one cell through run_observed,
+/// without a runner: --json, --scheduler and the probe and fault flags of
+/// parse_harness_flags. --jobs, --journal and --resume stay unread, so
+/// flags.finish() rejects them as unknown. Call before flags.finish().
+HarnessOptions parse_observed_flags(Flags& flags);
+
 /// Builds the runner for a harness-configured grid: worker count from
 /// --jobs plus a RunnerPolicy carrying --journal and --resume. The journal
-/// salt hashes the harness option that changes job output (the fault spec)
-/// so a journal recorded under a different plan refuses to resume.
-/// The runner handles SIGINT/SIGTERM exactly when a journal is configured.
+/// salt hashes every flag the binary was given except --jobs, --journal,
+/// --resume and --json, which cannot change a cell's report, so a journal
+/// recorded under other flags (another --seconds, --scheduler parameter or
+/// fault plan) refuses to resume. The runner handles SIGINT/SIGTERM
+/// exactly when a journal is configured.
 ParallelRunner make_runner(const HarnessOptions& opts);
 
 /// Nonzero (128 + signal) when the previous run() was stopped by a handled

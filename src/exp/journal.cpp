@@ -309,8 +309,9 @@ ExperimentJournal::ExperimentJournal(Config config, bool resume)
           throw JournalError(
               config_.path, lineno,
               "header does not match this plan (different plan seed, grid "
-              "size, or runner options); delete the journal or rerun "
-              "without --resume");
+              "size, or flags: every flag but --jobs, --journal, --resume "
+              "and --json must be given as when the journal was written); "
+              "delete the journal or rerun without --resume");
         }
         saw_header = true;
         continue;

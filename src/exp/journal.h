@@ -32,11 +32,11 @@ class JournalError : public std::runtime_error {
 };
 
 /// Stable identity of one grid cell. Mixes the plan seed, a salt covering
-/// every runner-level option that changes job output (the fault spec — see
-/// make_runner), the cell's position, its scenario and scheduler names, and
-/// its derived seed. A resumed journal only replays a
-/// record when the fingerprint matches, so editing the grid, the scheduler
-/// list, or the plan seed invalidates exactly the cells that changed.
+/// every flag that can change job output (see make_runner), the cell's
+/// position, its scenario and scheduler names, and its derived seed. A
+/// resumed journal only replays a record when the fingerprint matches, so
+/// editing the grid, the scheduler list, or the plan seed invalidates
+/// exactly the cells that changed.
 std::uint64_t job_fingerprint(std::uint64_t plan_seed, std::uint64_t salt,
                               std::size_t index, const ExperimentJob& job);
 

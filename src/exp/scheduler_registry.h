@@ -38,14 +38,6 @@ class SchedulerSpecError : public std::runtime_error {
 ///   hash-migrate, afs-power
 std::unique_ptr<Scheduler> make_scheduler(const std::string& spec);
 
-/// The canonical form of a spec: same scheduler, parameters re-derived from
-/// the parsed configuration — only non-default keys, in a fixed order, with
-/// durations normalized to `<n>ns`. Canonical specs are fixed points:
-/// canonical(canonical(s)) == canonical(s), and parsing a canonical spec
-/// reconstructs the identical configuration (round-trip property, fuzzed in
-/// tests/registry_test.cpp).
-std::string canonical_scheduler_spec(const std::string& spec);
-
 /// All registered scheduler names, in help order.
 std::vector<std::string> scheduler_names();
 
@@ -56,8 +48,9 @@ std::string scheduler_spec_help();
 /// Wraps a spec as an experiment SchedulerSpec. `display` overrides the
 /// table/artifact name; empty derives it from the instance's name() (so
 /// registry-built grids keep the exact display names the hand-written
-/// lambda tables produced). The factory re-parses per call, giving every
-/// job a fresh scheduler instance.
+/// lambda tables produced). One instance is built at once, so a bad spec
+/// fails here; the factory parses the spec as given on every call, giving
+/// every job a fresh scheduler instance.
 SchedulerSpec make_scheduler_spec(const std::string& spec,
                                   std::string display = "");
 

@@ -4,10 +4,8 @@
 // registry (--scheduler, exp/scheduler_registry.h) and the dispatcher
 // registry (--dispatch, exp/dispatcher_registry.h). Both speak the same
 // `name[:key=value,...]` grammar with the same fail-fast error contract
-// (unknown names/parameters rejected listing the valid set) and the same
-// canonical form (non-default parameters in declaration order, durations in
-// ns, shortest round-trip doubles). Hoisting the parser, the typed
-// parameter accessors, and the canonical printer here keeps the registries
+// (unknown names/parameters rejected listing the valid set). Hoisting the
+// parser and the typed parameter accessors here keeps the registries
 // structurally incapable of diverging on grammar or error style.
 //
 // Everything error-throwing is templated on the registry's exception type
@@ -188,53 +186,6 @@ class Params {
   std::string name_;
   ParamMap params_;
   std::set<std::string> known_;  // ordered, so error text is stable
-};
-
-/// Accumulates non-default `key=value` pairs in declaration order.
-class SpecPrinter {
- public:
-  explicit SpecPrinter(std::string name) : out_(std::move(name)) {}
-
-  void add_u64(const char* key, std::uint64_t value, std::uint64_t def) {
-    if (value != def) add(key, std::to_string(value));
-  }
-  void add_size(const char* key, std::size_t value, std::size_t def) {
-    add_u64(key, value, def);
-  }
-  void add_u32(const char* key, std::uint32_t value, std::uint32_t def) {
-    add_u64(key, value, def);
-  }
-  void add_double(const char* key, double value, double def) {
-    if (value != def) add(key, format_double(value));
-  }
-  void add_bool(const char* key, bool value, bool def) {
-    if (value != def) add(key, value ? "1" : "0");
-  }
-  void add_duration(const char* key, TimeNs value, TimeNs def) {
-    if (value != def) add(key, std::to_string(value) + "ns");
-  }
-
-  std::string str() const { return out_; }
-
- private:
-  static std::string format_double(double value) {
-    // Shortest round-trip representation, so canonical specs re-parse to
-    // the bit-identical double.
-    char buf[64];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-    return ec == std::errc{} ? std::string(buf, ptr) : std::to_string(value);
-  }
-
-  void add(const char* key, const std::string& value) {
-    out_ += first_ ? ':' : ',';
-    first_ = false;
-    out_ += key;
-    out_ += '=';
-    out_ += value;
-  }
-
-  std::string out_;
-  bool first_ = true;
 };
 
 }  // namespace laps::spec

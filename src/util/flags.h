@@ -51,6 +51,9 @@ class Flags {
   /// True if the flag appeared on the command line.
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
+  /// Every flag given, by name, with its value ("" for a bare `--name`).
+  const std::map<std::string, std::string>& values() const { return values_; }
+
   /// Throws std::runtime_error listing any flag that was given but never
   /// consumed by a get_*() call — i.e., a typo.
   void finish() const;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -590,6 +591,54 @@ TEST(Harness, TelemetryPromIsUnknown) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(Harness, ProbeTuningFlagsAreUnknown) {
+  // Both top-k's are the AFC size, the flight recorder keeps its default
+  // ring and triggers, and its window is the --telemetry interval.
+  for (const char* flag :
+       {"--flow-audit-top=8", "--afd-accuracy-k=8", "--flight-capacity=64",
+        "--flight-drop-storm=1", "--flight-ooo-spike=1",
+        "--flight-window-us=50"}) {
+    const char* argv[] = {"prog", flag};
+    Flags flags(2, argv);
+    parse_harness_flags(flags);
+    const std::string name(flag, std::strchr(flag, '='));
+    try {
+      flags.finish();
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "unknown flag(s): " + name);
+    }
+  }
+}
+
+TEST(Harness, SingleCellBinariesRefuseRunnerFlags) {
+  // quickstart and multi_service_router run one cell without a runner, so
+  // --jobs, --journal and --resume would do nothing there.
+  const char* argv[] = {"prog", "--jobs=2", "--journal=/tmp/j.log",
+                        "--resume", "--scheduler=fcfs",
+                        "--flow-audit=/tmp/a.json"};
+  Flags flags(6, argv);
+  const HarnessOptions opts = parse_observed_flags(flags);
+  EXPECT_EQ(opts.schedulers.size(), 1u);
+  EXPECT_EQ(opts.flow_audit_path, "/tmp/a.json");
+  try {
+    flags.finish();
+    ADD_FAILURE() << "runner flags were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unknown flag(s): --jobs, --journal, --resume");
+  }
+}
+
+TEST(Harness, BareTelemetryAttachesNoProbe) {
+  // Without --telemetry-out or --trace-out nothing reads the series, so a
+  // grid given only --telemetry takes the plain path.
+  const char* argv[] = {"prog", "--telemetry=50us"};
+  Flags flags(2, argv);
+  const HarnessOptions opts = parse_harness_flags(flags);
+  flags.finish();
+  EXPECT_FALSE(observed_runner(opts));
 }
 
 TEST(Harness, UnwritableArtifactDirectoryFailsBeforeAnyCellRuns) {

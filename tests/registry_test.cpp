@@ -1,7 +1,7 @@
 // Tests for the string-spec SchedulerRegistry (src/exp/scheduler_registry):
-// fail-fast errors for malformed and unknown specs, the canonical-form
-// round-trip property (fuzzed), and the aggressive_snapshot() read-only
-// contract.
+// fail-fast errors for malformed and unknown specs, hand-written and fuzzed
+// specs that must build and run, spellings of one configuration that must
+// decide alike, and the aggressive_snapshot() read-only contract.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -103,7 +103,7 @@ TEST(SchedulerSpecErrors, MalformedSpecsAllThrow) {
            "laps:idle_th=1e30s",
        }) {
     EXPECT_THROW(make_scheduler(spec), SchedulerSpecError) << spec;
-    EXPECT_THROW(canonical_scheduler_spec(spec), SchedulerSpecError) << spec;
+    EXPECT_THROW(make_scheduler_spec(spec), SchedulerSpecError) << spec;
   }
 }
 
@@ -124,7 +124,7 @@ TEST(SchedulerSpecErrors, HelpMentionsEveryScheduler) {
   }
 }
 
-// ------------------------------------------------- canonical round trip ---
+// ------------------------------------------------------ specs that run ---
 
 /// Drives `n` packets of a skewed flow population through `s` and returns
 /// the decision sequence. The view carries mild load skew and an advancing
@@ -148,18 +148,26 @@ std::vector<CoreId> decisions(Scheduler& s, std::size_t cores, int n) {
   return out;
 }
 
-/// Asserts spec and canonical(spec) build behaviourally identical
-/// schedulers and that canonical is a fixed point.
-void check_round_trip(const std::string& spec) {
+/// Builds `spec` through make_scheduler_spec, the path every grid takes,
+/// and drives the instance it makes: every decision lands on a core.
+void check_runs(const std::string& spec) {
   SCOPED_TRACE(spec);
-  const std::string canon = canonical_scheduler_spec(spec);
-  EXPECT_EQ(canonical_scheduler_spec(canon), canon)
-      << "canonical form must be a fixed point";
-  auto a = make_scheduler(spec);
-  auto b = make_scheduler(canon);
-  EXPECT_EQ(a->name(), b->name());
-  EXPECT_EQ(decisions(*a, 8, 400), decisions(*b, 8, 400));
-  EXPECT_EQ(a->extra_stats(), b->extra_stats());
+  const SchedulerSpec table_row = make_scheduler_spec(spec);
+  auto scheduler = table_row.make();
+  EXPECT_EQ(scheduler->name(), table_row.name);
+  for (const CoreId core : decisions(*scheduler, 8, 400)) {
+    EXPECT_LT(core, 8u);
+  }
+}
+
+/// Two spellings of one configuration must decide alike.
+void check_same_decisions(const std::string& a, const std::string& b) {
+  SCOPED_TRACE(a + " vs " + b);
+  auto x = make_scheduler(a);
+  auto y = make_scheduler(b);
+  EXPECT_EQ(x->name(), y->name());
+  EXPECT_EQ(decisions(*x, 8, 400), decisions(*y, 8, 400));
+  EXPECT_EQ(x->extra_stats(), y->extra_stats());
 }
 
 TEST(RegistryRoundTrip, HandWrittenSpecs) {
@@ -186,28 +194,20 @@ TEST(RegistryRoundTrip, HandWrittenSpecs) {
            "afs-power",
            "afs-power:idle_th=2us,wake_wm=8,min_unparked=2",
        }) {
-    check_round_trip(spec);
+    check_runs(spec);
   }
 }
 
-TEST(RegistryRoundTrip, DefaultSpecCanonicalIsBareName) {
-  // A spec with no parameters has nothing non-default to print.
-  for (const std::string& name : scheduler_names()) {
-    EXPECT_EQ(canonical_scheduler_spec(name), name);
-  }
-  // Restating a default value canonicalizes away.
-  EXPECT_EQ(canonical_scheduler_spec("laps:services=4"), "laps");
-  EXPECT_EQ(canonical_scheduler_spec("batch:batch=32"), "batch");
+TEST(RegistryRoundTrip, RestatedDefaultsDecideAsTheBareSpec) {
+  check_same_decisions("laps:services=4", "laps");
+  check_same_decisions("batch:batch=32", "batch");
 }
 
 TEST(RegistryRoundTrip, DurationSuffixesNormalize) {
-  // 5 us == 5000 ns; both must canonicalize to the same spec and config.
-  const std::string a = canonical_scheduler_spec("laps:idle_th=5us");
-  const std::string b = canonical_scheduler_spec("laps:idle_th=5000ns");
-  const std::string c = canonical_scheduler_spec("laps:idle_th=5000");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b, c);
-  check_round_trip("laps:idle_th=5us");
+  // 5 us == 5000 ns == 5000 (bare durations are nanoseconds).
+  check_same_decisions("laps:idle_th=5us", "laps:idle_th=5000ns");
+  check_same_decisions("laps:idle_th=5000", "laps:idle_th=5000ns");
+  check_runs("laps:idle_th=5us");
 }
 
 /// One fuzzable parameter: key plus a generator kind with a safe range.
@@ -333,16 +333,7 @@ TEST(RegistryRoundTrip, FuzzedSpecs) {
       spec += std::string(k.key) + "=" + random_value(k, rng);
     }
     SCOPED_TRACE("iter " + std::to_string(iter));
-    const std::string canon = canonical_scheduler_spec(spec);
-    EXPECT_EQ(canonical_scheduler_spec(canon), canon) << spec;
-    // Full behavioural comparison is too slow for every iteration; sample.
-    if (iter % 10 == 0) {
-      check_round_trip(spec);
-    } else {
-      auto a = make_scheduler(spec);
-      auto b = make_scheduler(canon);
-      EXPECT_EQ(a->name(), b->name()) << spec;
-    }
+    check_runs(spec);
   }
 }
 
@@ -389,7 +380,7 @@ TEST(AggressiveSnapshot, DoesNotPerturbDetectorState) {
 
 // =================================================== dispatcher registry ===
 // The --dispatch grammar shares exp/spec_lang.h with the scheduler specs;
-// these pin the dispatcher side of the fail-fast and round-trip contracts.
+// these pin the dispatcher side of the fail-fast and run contracts.
 
 std::string dispatch_error_of(const std::string& spec) {
   try {
@@ -436,8 +427,7 @@ TEST(DispatcherSpecErrors, MalformedSpecsAllThrow) {
            "pass:shard=4294967296",   // 32-bit parameters do not wrap
        }) {
     EXPECT_THROW(make_dispatcher(spec), DispatcherSpecError) << spec;
-    EXPECT_THROW(canonical_dispatcher_spec(spec), DispatcherSpecError)
-        << spec;
+    EXPECT_THROW(make_dispatcher_spec(spec), DispatcherSpecError) << spec;
   }
 }
 
@@ -500,16 +490,26 @@ std::vector<ShardId> dispatch_decisions(Dispatcher& d, std::size_t shards,
   return picks;
 }
 
-/// A spec and its canonical form must behave identically, not just parse.
-void check_dispatcher_round_trip(const std::string& spec) {
+/// Builds `spec` through make_dispatcher_spec, the path every cluster grid
+/// takes, and drives the instance it makes: every pick lands on a shard.
+void check_dispatcher_runs(const std::string& spec) {
   SCOPED_TRACE(spec);
-  const std::string canon = canonical_dispatcher_spec(spec);
-  EXPECT_EQ(canonical_dispatcher_spec(canon), canon) << spec;
-  auto a = make_dispatcher(spec);
-  auto b = make_dispatcher(canon);
-  EXPECT_EQ(a->name(), b->name());
-  EXPECT_EQ(dispatch_decisions(*a, 4, 2000), dispatch_decisions(*b, 4, 2000));
-  EXPECT_EQ(a->extra_stats(), b->extra_stats());
+  const DispatcherSpec row = make_dispatcher_spec(spec);
+  auto dispatcher = row.make();
+  EXPECT_EQ(dispatcher->name(), row.display);
+  for (const ShardId shard : dispatch_decisions(*dispatcher, 4, 2000)) {
+    EXPECT_LT(shard, 4u);
+  }
+}
+
+/// Two spellings of one configuration must pick alike.
+void check_same_picks(const std::string& a, const std::string& b) {
+  SCOPED_TRACE(a + " vs " + b);
+  auto x = make_dispatcher(a);
+  auto y = make_dispatcher(b);
+  EXPECT_EQ(x->name(), y->name());
+  EXPECT_EQ(dispatch_decisions(*x, 4, 2000), dispatch_decisions(*y, 4, 2000));
+  EXPECT_EQ(x->extra_stats(), y->extra_stats());
 }
 
 TEST(DispatcherRoundTrip, HandWrittenSpecs) {
@@ -519,14 +519,14 @@ TEST(DispatcherRoundTrip, HandWrittenSpecs) {
            "affinity:th=32,drain=1", "affinity:th=8,drain=0",
            "affinity:drain=off", "load", "load:th=32", "load:th=1",
        }) {
-    check_dispatcher_round_trip(spec);
+    check_dispatcher_runs(spec);
   }
-  // Default-valued parameters canonicalize away entirely.
-  EXPECT_EQ(canonical_dispatcher_spec("pass:shard=0"), "pass");
-  EXPECT_EQ(canonical_dispatcher_spec("fdir:slots=4096"), "fdir");
-  EXPECT_EQ(canonical_dispatcher_spec("affinity:th=32,drain=true"),
-            "affinity");
-  EXPECT_EQ(canonical_dispatcher_spec("load:th=8"), "load:th=8");
+}
+
+TEST(DispatcherRoundTrip, RestatedDefaultsPickAsTheBareSpec) {
+  check_same_picks("pass:shard=0", "pass");
+  check_same_picks("fdir:slots=4096", "fdir");
+  check_same_picks("affinity:th=32,drain=true", "affinity");
 }
 
 TEST(DispatcherRoundTrip, FuzzedSpecs) {
@@ -567,17 +567,7 @@ TEST(DispatcherRoundTrip, FuzzedSpecs) {
       spec += std::string(key) + "=" + value(rng);
     }
     SCOPED_TRACE("iter " + std::to_string(iter));
-    const std::string canon = canonical_dispatcher_spec(spec);
-    EXPECT_EQ(canonical_dispatcher_spec(canon), canon) << spec;
-    // Full behavioural comparison is cheap for dispatchers; sample anyway
-    // to keep the fuzz under a second.
-    if (iter % 5 == 0) {
-      check_dispatcher_round_trip(spec);
-    } else {
-      auto a = make_dispatcher(spec);
-      auto b = make_dispatcher(canon);
-      EXPECT_EQ(a->name(), b->name()) << spec;
-    }
+    check_dispatcher_runs(spec);
   }
 }
 

@@ -34,11 +34,13 @@
 #include "exp/experiment.h"
 #include "exp/harness.h"
 #include "exp/journal.h"
+#include "exp/scheduler_registry.h"
 #include "exp/trace_store.h"
 #include "sim/flow_audit.h"
 #include "sim/probe.h"
 #include "sim/report_json.h"
 #include "sim/runner.h"
+#include "util/flags.h"
 #include "util/histogram.h"
 
 namespace laps {
@@ -301,7 +303,9 @@ ExperimentPlan sim_plan(std::shared_ptr<TraceStore> store,
         return cfg;
       },
       [dir](const ScenarioConfig& cfg, Scheduler& scheduler) {
-        FlowAuditProbe audit(FlowAuditProbe::Options{8, 16});
+        FlowAuditProbe::Options audit_opts;
+        audit_opts.max_rows = 16;
+        FlowAuditProbe audit(audit_opts);
         ProbeSet probes;
         probes.add(&audit);
         SimReport report = run_scenario(cfg, scheduler, probes);
@@ -324,7 +328,6 @@ ExperimentPlan grouped_sim_plan(std::shared_ptr<TraceStore> store,
   };
   HarnessOptions opts;
   opts.flow_audit_path = dir + "/audit.json";
-  opts.flow_audit_top = 8;
   opts.flow_audit_rows = 16;
   ExperimentPlan plan(plan_seed);
   plan.add_grid(
@@ -527,6 +530,65 @@ TEST(ResumeDifferential, JournalOffFaultFreeRunIsUnchanged) {
   RunnerPolicy with_journal;
   with_journal.journal_path = dir + "/grid.journal";
   EXPECT_EQ(run_with(RunnerPolicy{}), run_with(with_journal));
+  fs::remove_all(dir);
+}
+
+/// A one-trace grid built the way a bench main builds it: its own
+/// --seconds flag, the shared flags, and make_runner.
+std::vector<JobResult> run_flagged_grid(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  Flags flags(static_cast<int>(argv.size()), argv.data());
+  const double seconds = flags.get_double("seconds", 0.002);
+  const HarnessOptions opts = parse_harness_flags(flags);
+  flags.finish();
+  auto store = std::make_shared<TraceStore>();
+  ExperimentPlan plan(kDifferentialSeed);
+  plan.add_grid(
+      {"auck1"},
+      schedulers_or(opts, {make_scheduler_spec("fcfs"),
+                           make_scheduler_spec("hash")}),
+      plan.replicate_seeds(2),
+      [store, seconds](const std::string& trace, std::uint64_t seed) {
+        ScenarioConfig cfg;
+        cfg.name = trace;
+        cfg.num_cores = 2;
+        cfg.seconds = seconds;
+        cfg.seed = seed;
+        ServiceTraffic s;
+        s.path = ServicePath::kIpForward;
+        s.rate = HoltWintersParams{2.0, 0.0, 0.0, 10.0, 0.0};
+        s.trace = store->open(trace);
+        cfg.services = {s};
+        return cfg;
+      },
+      observed_runner(opts));
+  ParallelRunner runner = make_runner(opts);
+  return runner.run(plan);
+}
+
+TEST(ResumeDifferential, ChangedFlagRefusesResume) {
+  const std::string dir = temp_dir("changed_flag");
+  const std::string journal = "--journal=" + dir + "/grid.journal";
+
+  const auto written = run_flagged_grid({"--seconds=0.002", journal});
+  // The same flags restore every cell byte for byte; --jobs and --json
+  // cannot change a cell, so they may differ.
+  const auto resumed = run_flagged_grid({"--seconds=0.002", journal,
+                                         "--resume", "--jobs=2",
+                                         "--json=" + dir + "/a.json"});
+  for (const JobResult& r : resumed) EXPECT_TRUE(r.from_journal);
+  EXPECT_EQ(artifact_json("t", written), artifact_json("t", resumed));
+  // Another horizon gives other reports under the same cell labels.
+  EXPECT_THROW(run_flagged_grid({"--seconds=0.004", journal, "--resume"}),
+               JournalError);
+
+  // Both specs display as "LAPS"; only the parameters differ.
+  run_flagged_grid({"--scheduler=laps:services=1,afc=4", journal});
+  EXPECT_THROW(run_flagged_grid({"--scheduler=laps:services=1,afc=64,high_th=8",
+                                 journal, "--resume"}),
+               JournalError);
   fs::remove_all(dir);
 }
 
