@@ -39,13 +39,6 @@
 //                  work (lockstep executor, so the number is mechanism
 //                  cost, not parallel speedup)
 //
-// When the host allows perf_event_open, every kernel row additionally
-// carries hardware attribution from the best repetition: cycles and
-// cache/branch misses per packet plus IPC. Locked-down runners (most CI
-// containers) silently degrade: perf_counters_available=false and the
-// per-kernel columns are omitted.
-//
-
 // A deliberately trivial scheduler (gflow mod cores) keeps scheduling cost
 // out of the measurement, so the comparison isolates what each probe or
 // layer adds to the bare event loop.
@@ -78,8 +71,7 @@
 #include "sim/probes.h"
 #include "sim/report_json.h"
 #include "sim/runner.h"
-#include "telemetry/perf_counters.h"
-#include "telemetry/probe.h"
+#include "sim/telemetry.h"
 #include "trace/synthetic.h"
 #include "util/fileio.h"
 #include "util/json_writer.h"
@@ -112,15 +104,9 @@ struct Measurement {
   std::string variant;
   std::uint64_t packets = 0;  ///< packets per replayed run
   double best_seconds = 0.0;  ///< fastest repetition
-  /// Hardware counters of the best repetition (available=false when the
-  /// host rejects perf_event_open; columns are then omitted).
-  telemetry::PerfCounterReading perf = {};
   double mpps() const {
     return best_seconds > 0 ? static_cast<double>(packets) / best_seconds / 1e6
                             : 0.0;
-  }
-  double per_packet(double v) const {
-    return packets > 0 ? v / static_cast<double>(packets) : 0.0;
   }
 };
 
@@ -168,11 +154,6 @@ int run(Flags& flags) {
           cluster_pass.packets = cluster_rss.packets = replay.size();
   SimReport check_engine, check_cluster;
 
-  // One scope for all kernels: counters reset at each start(), and the
-  // reading of the repetition that won best-of is what the artifact keeps.
-  telemetry::PerfCounterScope pmu;
-  telemetry::PerfCounterReading last_reading;
-
   /// Times one engine pass with `probe` attached (nullptr = bare engine).
   const auto time_engine_cfg = [&](const SimEngineConfig& cfg,
                                    SimProbe* probe) {
@@ -181,12 +162,9 @@ int run(Flags& flags) {
     ProbeSet probes;
     probes.add(probe);
     SimEngine kernel(cfg, sched, probes);
-    pmu.start();
     const auto t0 = std::chrono::steady_clock::now();
     kernel.run(replay, "perf_kernel");
-    const double s = seconds_since(t0);
-    last_reading = pmu.stop();
-    return s;
+    return seconds_since(t0);
   };
   const auto time_engine_probe = [&](SimProbe* probe) {
     return time_engine_cfg(eng_cfg, probe);
@@ -219,18 +197,15 @@ int run(Flags& flags) {
     Scheduler& sched = *sched_ptr;
     replay.rewind();
     SimEngine kernel(eng_cfg, sched);
-    pmu.start();
     const auto t0 = std::chrono::steady_clock::now();
     kernel.run(replay, "perf_kernel");
-    const double s = seconds_since(t0);
-    last_reading = pmu.stop();
-    return s;
+    return seconds_since(t0);
   };
-  // A fresh probe per rep (registry construction and instrument
-  // registration stay outside the timed region); epochs come from
-  // telem_cfg, snapshots from the probe's default 100 us interval.
+  // A fresh probe per rep (construction stays outside the timed region);
+  // epochs come from telem_cfg, snapshots from the probe's default 100 us
+  // interval.
   const auto time_telemetry = [&]() {
-    telemetry::TelemetryProbe probe;
+    TelemetryProbe probe;
     return time_engine_cfg(telem_cfg, &probe);
   };
   // The cluster fabric on replayed traffic. Engine construction happens
@@ -245,11 +220,9 @@ int run(Flags& flags) {
     cfg.cores_per_shard = cores / shards;
     cfg.make_scheduler = [] { return std::make_unique<ModuloScheduler>(); };
     ReplayStream stream = replay.fork();
-    pmu.start();
     const auto t0 = std::chrono::steady_clock::now();
     ClusterReport rep = run_cluster(cfg, stream, dispatcher);
     const double s = seconds_since(t0);
-    last_reading = pmu.stop();
     if (check != nullptr) *check = std::move(rep.shards[0]);
     return s;
   };
@@ -276,12 +249,8 @@ int run(Flags& flags) {
   time_laps();
   time_cluster_pass();
   time_cluster_rss();
-  const auto keep_best = [&last_reading](Measurement& m, double s,
-                                          std::size_t r) {
-    if (r == 0 || s < m.best_seconds) {
-      m.best_seconds = s;
-      m.perf = last_reading;  // attribution follows the winning rep
-    }
+  const auto keep_best = [](Measurement& m, double s, std::size_t r) {
+    if (r == 0 || s < m.best_seconds) m.best_seconds = s;
   };
   for (std::size_t r = 0; r < reps; ++r) {
     keep_best(engine, time_engine(), r);
@@ -327,20 +296,6 @@ int run(Flags& flags) {
                  Table::num(engine.best_seconds / m->best_seconds, 2) + "x"});
   }
   std::printf("%s\n", out.to_string().c_str());
-  if (pmu.available()) {
-    Table hw({"kernel", "cycles/pkt", "IPC", "cache-miss/pkt",
-              "branch-miss/pkt"});
-    for (const Measurement* m : rows) {
-      hw.add_row({m->variant, Table::num(m->per_packet(m->perf.cycles), 1),
-                  Table::num(m->perf.ipc(), 2),
-                  Table::num(m->per_packet(m->perf.cache_misses), 2),
-                  Table::num(m->per_packet(m->perf.branch_misses), 2)});
-    }
-    std::printf("%s\n", hw.to_string().c_str());
-  } else {
-    std::printf("(hardware counters unavailable: perf_event_open rejected "
-                "or not Linux)\n\n");
-  }
   std::printf("ReportProbe overhead over null probes: %.1f%%\n",
               probe_overhead * 100.0);
   std::printf("FlowAuditProbe overhead over null probes: %.1f%%\n",
@@ -360,7 +315,6 @@ int run(Flags& flags) {
     w.field("tool", "perf_kernel");
     w.field("packets_per_run", static_cast<std::int64_t>(engine.packets));
     w.field("reps", static_cast<std::int64_t>(reps));
-    w.field("perf_counters_available", pmu.available());
     w.key("kernels");
     w.begin_array();
     for (const Measurement* m : rows) {
@@ -368,16 +322,6 @@ int run(Flags& flags) {
       w.field("name", m->variant);
       w.field("best_seconds", m->best_seconds);
       w.field("mpps", m->mpps());
-      // Hardware attribution columns exist only when there is hardware
-      // truth behind them (see PerfCounterScope degradation contract).
-      if (m->perf.available) {
-        w.field("cycles_per_packet", m->per_packet(m->perf.cycles));
-        w.field("ipc", m->perf.ipc());
-        w.field("cache_misses_per_packet",
-                m->per_packet(m->perf.cache_misses));
-        w.field("branch_misses_per_packet",
-                m->per_packet(m->perf.branch_misses));
-      }
       w.end_object();
     }
     w.end_array();

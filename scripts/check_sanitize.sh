@@ -18,10 +18,12 @@
 # TSan and ASan cannot share a process) and runs the tests that start
 # threads: parallel_for and ParallelIndexMap, concurrent TraceStore
 # opens, the parallel runner, an observed grid writing per-run
-# telemetry files at --jobs=1 and 3, a grouped Fig. 7 grid running its
-# lockstep groups on 1 and 3 threads, and the cluster's parallel-rows
-# differential (concurrent run_cluster calls sharing one recording and one
-# fault plan). Pass ctest args to widen or narrow the selection.
+# telemetry and trace files (each cell's telemetry probe merging its
+# counter tracks into its trace) at --jobs=1 and 3, a grouped Fig. 7 grid
+# running its lockstep groups on 1 and 3 threads, and the cluster's
+# parallel-rows differential (concurrent run_cluster calls sharing one
+# recording and one fault plan). Pass ctest args to widen or narrow the
+# selection.
 #
 # --resilience runs the resilient-runner proof under ASan+UBSan: journal
 # codec round-trips, crash containment, and the SIGTERM/SIGKILL

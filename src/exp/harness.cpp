@@ -1,9 +1,9 @@
 #include "exp/harness.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <exception>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,8 +16,7 @@
 #include "sim/flight_recorder.h"
 #include "sim/flow_audit.h"
 #include "sim/report_json.h"
-#include "telemetry/export.h"
-#include "telemetry/probe.h"
+#include "sim/telemetry.h"
 #include "util/crc.h"
 #include "util/duration.h"
 #include "util/fileio.h"
@@ -38,6 +37,30 @@ namespace {
 void parse_scheduler_flag(Flags& flags, HarnessOptions& opts) {
   const std::string list = flags.get_string("scheduler", "");
   if (!list.empty()) opts.schedulers = parse_scheduler_list(list);
+}
+
+/// A per-run artifact flag and the stem it sets.
+using PerRunStem = std::pair<const char*, const std::string*>;
+
+/// Every per-run artifact flag, in the order check_per_run_paths picks the
+/// one its error names.
+auto per_run_stems(const HarnessOptions& opts) {
+  return std::to_array<PerRunStem>({
+      {"--trace-out", &opts.trace_path},
+      {"--flow-audit", &opts.flow_audit_path},
+      {"--afd-accuracy", &opts.afd_accuracy_path},
+      {"--flight-recorder", &opts.flight_path},
+      {"--telemetry-out", &opts.telemetry_out},
+      {"--fault-timeline", &opts.fault_timeline_path},
+  });
+}
+
+/// The first per-run artifact flag given, if any.
+std::optional<PerRunStem> first_per_run_stem(const HarnessOptions& opts) {
+  for (const PerRunStem& stem : per_run_stems(opts)) {
+    if (!stem.second->empty()) return stem;
+  }
+  return std::nullopt;
 }
 
 /// The probe and fault flags of parse_harness_flags.
@@ -81,15 +104,7 @@ void parse_probe_flags(Flags& flags, HarnessOptions& opts) {
 
   // Per-run files land beside their stem, so a directory that cannot take
   // them fails here, before any cell runs.
-  const std::pair<const char*, const std::string*> paths[] = {
-      {"--trace-out", &opts.trace_path},
-      {"--flow-audit", &opts.flow_audit_path},
-      {"--afd-accuracy", &opts.afd_accuracy_path},
-      {"--flight-recorder", &opts.flight_path},
-      {"--telemetry-out", &opts.telemetry_out},
-      {"--fault-timeline", &opts.fault_timeline_path},
-  };
-  for (const auto& [flag, path] : paths) {
+  for (const auto& [flag, path] : per_run_stems(opts)) {
     if (!path->empty()) util::require_writable_dir(flag, *path);
   }
 }
@@ -211,12 +226,6 @@ std::string per_run_path(const std::string& stem, const std::string& labels) {
   return stem.substr(0, dot) + "." + labels + stem.substr(dot);
 }
 
-bool any_probe_configured(const HarnessOptions& opts) {
-  return !opts.trace_path.empty() || !opts.flow_audit_path.empty() ||
-         !opts.afd_accuracy_path.empty() || !opts.flight_path.empty() ||
-         !opts.telemetry_out.empty();
-}
-
 /// The probes `opts` configures for one cell, attached for its run, and
 /// the per-run files they write after it. Built in place: the probe set
 /// holds the members' addresses.
@@ -255,7 +264,7 @@ class ObservedCell {
     // The series is read by --telemetry-out, or merged into the
     // --trace-out timeline; with neither, nothing would read it.
     if (opts.telemetry && (!opts.telemetry_out.empty() || trace_)) {
-      telemetry::TelemetryConfig telem_cfg;
+      TelemetryConfig telem_cfg;
       telem_cfg.interval = opts.telemetry_interval;
       // When a trace is also requested, merge counter tracks (queue depth,
       // occupancies, drop/migration totals) into its timeline.
@@ -312,9 +321,9 @@ class ObservedCell {
     }
     if (telem_ && !opts_.telemetry_out.empty()) {
       const std::string path = per_run_path(opts_.telemetry_out, labels);
-      const std::size_t lines = telemetry::write_telemetry_jsonl(path, *telem_);
+      telem_->write(path);
       std::fprintf(stderr, "wrote telemetry stream: %s (%zu snapshots)\n",
-                   path.c_str(), lines);
+                   path.c_str(), telem_->snapshots().size() + 1);
     }
   }
 
@@ -325,7 +334,7 @@ class ObservedCell {
   std::optional<AfdAccuracyProbe> accuracy_;
   std::optional<FlightRecorderProbe> flight_;
   std::optional<FaultProbe> fault_probe_;
-  std::optional<telemetry::TelemetryProbe> telem_;
+  std::optional<TelemetryProbe> telem_;
   LockstepCell cell_;
 };
 
@@ -371,7 +380,7 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
 }
 
 ExperimentPlan::GroupRunner observed_runner(const HarnessOptions& opts) {
-  if (!any_probe_configured(opts) && opts.faults == nullptr) return {};
+  if (!first_per_run_stem(opts) && opts.faults == nullptr) return {};
   return [opts](const ScenarioConfig& config,
                 std::span<const LockstepCell> cells) {
     return run_observed_group(config, cells, opts);
@@ -380,18 +389,8 @@ ExperimentPlan::GroupRunner observed_runner(const HarnessOptions& opts) {
 
 void check_per_run_paths(const ExperimentPlan& plan,
                          const HarnessOptions& opts) {
-  const std::pair<const char*, const std::string*> stems[] = {
-      {"--trace-out", &opts.trace_path},
-      {"--flow-audit", &opts.flow_audit_path},
-      {"--afd-accuracy", &opts.afd_accuracy_path},
-      {"--flight-recorder", &opts.flight_path},
-      {"--telemetry-out", &opts.telemetry_out},
-      {"--fault-timeline", &opts.fault_timeline_path},
-  };
-  const auto stem =
-      std::find_if(std::begin(stems), std::end(stems),
-                   [](const auto& s) { return !s.second->empty(); });
-  if (stem == std::end(stems)) return;
+  const std::optional<PerRunStem> stem = first_per_run_stem(opts);
+  if (!stem) return;
   // Two cells collide exactly when their labels do: every stem appends the
   // same labels.
   std::map<std::string, std::size_t> owner;

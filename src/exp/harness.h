@@ -27,7 +27,7 @@ struct HarnessOptions {
   std::string afd_accuracy_path;       ///< empty = no AfdAccuracyProbe
   std::string flight_path;             ///< empty = no FlightRecorderProbe
   bool flight_dump = false;            ///< dump even without an anomaly
-  // Live telemetry (src/telemetry): epoch-cadence metric snapshots.
+  // Live telemetry (sim/telemetry.h): epoch-cadence metric snapshots.
   bool telemetry = false;              ///< --telemetry[=interval] given (or
                                        ///< implied by --telemetry-out)
   /// The run's one cadence: telemetry snapshots and AFD accuracy samples

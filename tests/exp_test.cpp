@@ -372,9 +372,11 @@ TEST(ParallelRunner, ArtifactBytesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, artifact_at(0));  // hardware concurrency
 }
 
-// The per-run telemetry files obey the same contract. Every worker builds,
-// writes, snapshots and exports its own probe, so under TSan this is the
-// check that no telemetry state is shared between grid threads.
+// The per-run telemetry and trace files obey the same contract. Every
+// worker builds, writes, snapshots and exports its own probes, and each
+// telemetry probe merges its counter tracks into its cell's trace, so under
+// TSan this is the check that no probe state is shared between grid
+// threads.
 TEST(ObservedGrid, TelemetryFilesIdenticalAcrossJobCounts) {
   namespace fs = std::filesystem;
   auto files_at = [](const std::string& jobs) {
@@ -385,8 +387,11 @@ TEST(ObservedGrid, TelemetryFilesIdenticalAcrossJobCounts) {
     const std::string jobs_flag = "--jobs=" + jobs;
     const std::string out_flag =
         "--telemetry-out=" + (dir / "t.jsonl").string();
-    const char* argv[] = {"prog", jobs_flag.c_str(), out_flag.c_str()};
-    Flags flags(3, argv);
+    const std::string trace_flag =
+        "--trace-out=" + (dir / "tr.json").string();
+    const char* argv[] = {"prog", jobs_flag.c_str(), out_flag.c_str(),
+                          trace_flag.c_str()};
+    Flags flags(4, argv);
     const HarnessOptions opts = parse_harness_flags(flags);
     flags.finish();
     auto store = std::make_shared<TraceStore>();
@@ -405,8 +410,28 @@ TEST(ObservedGrid, TelemetryFilesIdenticalAcrossJobCounts) {
     fs::remove_all(dir);
     return files;
   };
+  // A line of `trace` is a counter ('C') event of track `name`.
+  const auto has_track = [](const std::string& trace, const std::string& name) {
+    std::istringstream in(trace);
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"ph\":\"C\"") != std::string::npos &&
+          line.find("\"name\":\"" + name + "\"") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
   const auto serial = files_at("1");
-  EXPECT_EQ(serial.size(), 8u);  // one JSONL per run
+  EXPECT_EQ(serial.size(), 16u);  // one JSONL and one trace per run
+  std::size_t traces = 0;
+  for (const auto& [file, bytes] : serial) {
+    if (file.rfind("tr.", 0) != 0) continue;
+    ++traces;
+    for (const char* track : {"queue_depth", "occupancy", "totals"}) {
+      EXPECT_TRUE(has_track(bytes, track)) << file << ": no " << track;
+    }
+  }
+  EXPECT_EQ(traces, 8u);
   EXPECT_EQ(serial, files_at("3"));
 }
 
