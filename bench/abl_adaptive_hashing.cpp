@@ -66,7 +66,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   std::printf("=== Adaptive hashing family vs AFS and LAPS (single service, "
               "%.0f%% load, %.2f s) ===\n\n",

@@ -77,7 +77,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   std::printf("=== LAPS sensitivity on %s (single service, 105%% load, "
               "%.2f s) ===\n\n",

@@ -56,7 +56,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   std::printf("=== Order preservation (LAPS) vs restoration (FCFS + egress "
               "reorder buffer), %s at %.0f%% load ===\n\n",

@@ -75,7 +75,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   laps::Table out({"load", "gating", "drop%", "parked core-s", "sleep/wake",
                    "energy (core-s eq)", "energy saved"});

@@ -214,7 +214,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   std::printf("=== chaos_soak: %lld fault schedules, %zu cores, %.3f s, "
               "seed %llu ===\n",

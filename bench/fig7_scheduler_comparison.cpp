@@ -92,7 +92,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   std::printf("=== Fig. 7: LAPS vs FCFS vs AFS, %zu cores, %.2f s, seed %llu "
               "===\n",

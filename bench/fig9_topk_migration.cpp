@@ -91,7 +91,6 @@ int run(laps::Flags& flags) {
 
   laps::ParallelRunner runner = laps::make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = laps::grid_abort_code(runner)) return rc;
 
   // Ratios are computed after collection: each trace's AFS row is the base
   // for every scheduler of that trace (plan order is trace-major, one row

@@ -57,7 +57,6 @@ int run(laps::Flags& flags) {
 
   ParallelRunner runner = make_runner(harness);
   const auto results = runner.run(plan);
-  if (const int rc = grid_abort_code(runner)) return rc;
 
   Table table({"scheduler", "drop%", "cold-cache%", "out-of-order%",
                "migrations", "p99 latency us", "throughput Mpps"});

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds the ASan+UBSan configuration and runs the full test suite under it.
 # Any sanitizer report aborts the offending test (-fno-sanitize-recover=all),
-# so a green run means the suite is clean of UB and memory errors.
+# so a green run means the suite is clean of UB and memory errors. Every
+# test runs here, so no other mode reruns a subset of them under ASan.
 #
 # Usage: scripts/check_sanitize.sh [ctest-args...]
 #        scripts/check_sanitize.sh --chaos [chaos_soak-args...]
 #        scripts/check_sanitize.sh --tsan [ctest-args...]
-#        scripts/check_sanitize.sh --resilience [ctest-args...]
 #        scripts/check_sanitize.sh --cluster [fig_cluster_dispatch-args...]
 #
 # --chaos builds and runs the chaos_soak fault-injection grid under the
@@ -25,9 +25,11 @@
 # recording and one fault plan). Pass ctest args to widen or narrow the
 # selection.
 #
-# --resilience runs the resilient-runner proof under ASan+UBSan: journal
-# codec round-trips, crash containment, and the SIGTERM/SIGKILL
-# kill-and-resume byte-identity differentials.
+# --cluster builds fig_cluster_dispatch under ASan+UBSan and runs its grid
+# at --jobs=1 and --jobs=3, so every dispatcher's hot path executes with
+# memory/UB checking on and the rows run concurrently must write the same
+# artifact as the rows run one after another. No test runs the binary.
+# Pass fig_cluster_dispatch flags to widen it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,31 +40,10 @@ if [[ "${1:-}" == "--chaos" ]]; then
   exec ./build-asan/bench/chaos_soak --schedules=12 --jobs=2 --seconds=0.005 "$@"
 fi
 
-if [[ "${1:-}" == "--resilience" ]]; then
-  shift
-  cmake --preset asan
-  cmake --build --preset asan -j "$(nproc)" --target resilience_test exp_test
-  exec ctest --preset asan --output-on-failure \
-    -R 'Journal|HistogramRestore|ParallelRunner|ResumeDifferential' "$@"
-fi
-
 if [[ "${1:-}" == "--cluster" ]]; then
   shift
-  # Cluster-layer proof under ASan+UBSan: the shards=1 byte-identity and
-  # parallel-rows differentials, dispatcher-spec parsing/fuzzing, the
-  # ReplayStream fork regression, and the exactness proofs of the
-  # table-driven Toeplitz (rss/fdir picks) and CRC16 kernels against their
-  # bit-serial and byte-serial references — then the fig_cluster_dispatch
-  # grid at --jobs=1 and --jobs=3, so every dispatcher's hot path executes
-  # with memory/UB checking on and the rows run concurrently must write the
-  # same artifact as the rows run one after another. Pass
-  # fig_cluster_dispatch flags to widen it.
   cmake --preset asan
-  cmake --build --preset asan -j "$(nproc)" \
-    --target cluster_test registry_test traffic_test extensions_test \
-    util_test fig_cluster_dispatch
-  ctest --preset asan --output-on-failure \
-    -R 'Cluster|DispatcherSpec|DispatcherRoundTrip|ReplayFork|Toeplitz|Crc16'
+  cmake --build --preset asan -j "$(nproc)" --target fig_cluster_dispatch
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   for jobs in 1 3; do

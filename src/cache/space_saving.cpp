@@ -80,14 +80,6 @@ std::uint64_t SpaceSaving::estimate(std::uint64_t flow_key) const {
   return it == index_.end() ? 0 : counters_[it->second].count;
 }
 
-bool SpaceSaving::guaranteed_top(std::uint64_t flow_key) const {
-  const auto it = index_.find(flow_key);
-  if (it == index_.end()) return false;
-  if (counters_.size() < capacity_) return true;  // nothing was ever evicted
-  const Counter& c = counters_[it->second];
-  return c.count - c.error > counters_[0].count;
-}
-
 void SpaceSaving::reset() {
   counters_.clear();
   index_.clear();

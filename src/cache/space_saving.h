@@ -38,10 +38,6 @@ class SpaceSaving {
   /// Estimated count of `flow_key` (0 if not monitored).
   std::uint64_t estimate(std::uint64_t flow_key) const;
 
-  /// True if the flow is monitored *and* its count is guaranteed above the
-  /// count of every unmonitored flow (count - error > min count).
-  bool guaranteed_top(std::uint64_t flow_key) const;
-
   std::size_t size() const { return counters_.size(); }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t total() const { return total_; }

@@ -144,14 +144,7 @@ ClusterReport run_cluster(const ClusterConfig& config, ArrivalStream& arrivals,
   auto run_window = [&](TimeNs window_end) {
     for (std::size_t i = 0; i < n; ++i) {
       ShardState& shard = *shards[i];
-      const std::size_t count = shard.batch.size();
-      if (count > 0) shard.engine->prefetch_flow(shard.batch[0].gflow);
-      for (std::size_t p = 0; p < count; ++p) {
-        if (p + 1 < count) {
-          shard.engine->prefetch_flow(shard.batch[p + 1].gflow);
-        }
-        shard.engine->feed(shard.batch[p]);
-      }
+      shard.engine->feed(shard.batch);
       shard.batch.clear();
       shard.engine->advance_to(window_end);
     }

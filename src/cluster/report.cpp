@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "sim/report_json.h"
-#include "util/fileio.h"
 
 namespace laps {
 
@@ -63,12 +62,6 @@ std::string cluster_report_to_json(const ClusterReport& report) {
   JsonWriter w;
   write_cluster_report_json(w, report);
   return w.str();
-}
-
-void write_cluster_report_file(const std::string& path,
-                               const ClusterReport& report) {
-  util::write_file_atomic(path, cluster_report_to_json(report) + "\n",
-                          "cluster report");
 }
 
 }  // namespace laps

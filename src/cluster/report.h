@@ -83,9 +83,4 @@ void write_cluster_report_json(JsonWriter& writer,
 /// directly.
 std::string cluster_report_to_json(const ClusterReport& report);
 
-/// Writes the JSON document to `path` via the shared atomic tmp+rename
-/// path (util::write_file_atomic).
-void write_cluster_report_file(const std::string& path,
-                               const ClusterReport& report);
-
 }  // namespace laps

@@ -16,8 +16,8 @@ namespace laps {
 /// accounting every policy that migrates flows needs.
 ///
 /// The policy decides *when* to pin, unpin, or move cores; FlowPinner owns
-/// the two tables and keeps the bookkeeping (stale-pin drops, pins added)
-/// consistent between them. LAPS holds one FlowPinner per service; hybrid
+/// the two tables and keeps the bookkeeping (stale-pin drops) consistent
+/// between them. LAPS holds one FlowPinner per service; hybrid
 /// policies that migrate within a single hash domain hold one.
 class FlowPinner {
  public:
@@ -39,7 +39,6 @@ class FlowPinner {
   /// Pins a flow to `core` (FIFO-evicting when the table is full).
   void pin(std::uint64_t flow_key, CoreId core) {
     pins_.add(flow_key, core);
-    ++pins_added_;
   }
   /// Drops a pin the policy found stale (owner changed or core died while
   /// the pin survived); counted separately so extra_stats can report it.
@@ -71,7 +70,6 @@ class FlowPinner {
   }
 
   // --- accounting ----------------------------------------------------------
-  std::uint64_t pins_added() const { return pins_added_; }
   std::uint64_t stale_pins_dropped() const { return stale_pins_dropped_; }
 
   // --- escape hatches ------------------------------------------------------
@@ -86,7 +84,6 @@ class FlowPinner {
  private:
   MapTable map_;
   MigrationTable pins_;
-  std::uint64_t pins_added_ = 0;
   std::uint64_t stale_pins_dropped_ = 0;
 };
 

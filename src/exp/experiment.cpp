@@ -1,6 +1,5 @@
 #include "exp/experiment.h"
 
-#include <csignal>
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -23,51 +22,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-// ------------------------------------------------------------ stop signals --
-
-/// The signal that asked the grid to stop; 0 = none. Written only from the
-/// handler, read by workers between jobs.
-std::atomic<int> g_stop_signal{0};
-
-void stop_handler(int sig) {
-  g_stop_signal.store(sig, std::memory_order_relaxed);
-}
-
-/// Installs SIGINT/SIGTERM handlers for the lifetime of one run() and
-/// restores whatever was there before. Deliberately scoped: a bench that
-/// never asked for signal handling (no journal) keeps the default
-/// die-immediately behavior.
-class SignalGuard {
- public:
-  explicit SignalGuard(bool install) : installed_(install) {
-    if (!installed_) return;
-    g_stop_signal.store(0, std::memory_order_relaxed);
-    struct sigaction sa = {};
-    sa.sa_handler = stop_handler;
-    sigemptyset(&sa.sa_mask);
-    sigaction(SIGINT, &sa, &old_int_);
-    sigaction(SIGTERM, &sa, &old_term_);
-  }
-
-  ~SignalGuard() {
-    if (!installed_) return;
-    sigaction(SIGINT, &old_int_, nullptr);
-    sigaction(SIGTERM, &old_term_, nullptr);
-  }
-
-  SignalGuard(const SignalGuard&) = delete;
-  SignalGuard& operator=(const SignalGuard&) = delete;
-
-  int signal() const {
-    return installed_ ? g_stop_signal.load(std::memory_order_relaxed) : 0;
-  }
-
- private:
-  bool installed_;
-  struct sigaction old_int_ = {};
-  struct sigaction old_term_ = {};
-};
 
 }  // namespace
 
@@ -213,7 +167,6 @@ ParallelRunner::ParallelRunner(std::size_t jobs, RunnerPolicy policy)
 
 std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   stats_ = RunnerStats{};
-  stop_signal_ = 0;
   const std::size_t total = plan.size();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -237,7 +190,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   // Results are pre-sized and slot-indexed: each cell is written by exactly
   // one worker (or restored here), so no result lock is needed.
   std::vector<JobResult> results(total);
-  std::vector<char> completed(total, 0);
   for (std::size_t i = 0; i < total; ++i) {
     const ExperimentJob& job = plan.jobs()[i];
     results[i].index = i;
@@ -248,7 +200,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
       if (const SimReport* r = journal->restore(i, fingerprints[i])) {
         results[i].report = *r;
         results[i].from_journal = true;
-        completed[i] = 1;
         ++stats_.restored;
       }
     }
@@ -257,11 +208,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
     std::fprintf(stderr, "resumed %zu/%zu cell(s) from journal %s\n",
                  stats_.restored, total, journal->path().c_str());
   }
-
-  // Only a journaled grid can be resumed, so only it trades the default
-  // die-at-once signal behaviour for a clean stop between groups.
-  SignalGuard signals(journal.has_value());
-  auto stop_requested = [&] { return signals.signal() != 0; };
 
   std::atomic<std::size_t> done{stats_.restored};
 
@@ -272,9 +218,9 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
       try {
         std::rethrow_exception(outcome.error);
       } catch (const std::exception& e) {
-        out.error = JobError{"exception", e.what()};
+        out.error = JobError{e.what()};
       } catch (...) {
-        out.error = JobError{"exception", "unknown exception"};
+        out.error = JobError{"unknown exception"};
       }
     } else {
       out.report = std::move(outcome.report);
@@ -284,7 +230,6 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
       out.report.scheduler = job.scheduler;
     }
     out.wall_seconds = wall;
-    completed[i] = 1;
     if (out.ok() && journal) {
       journal->record(i, fingerprints[i], out.report);
     }
@@ -295,24 +240,22 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
                    static_cast<unsigned long long>(job.seed),
                    out.wall_seconds);
     } else {
-      std::fprintf(stderr, "[%zu/%zu] %s/%s seed=%llu FAILED (%s: %s)\n", n,
-                   total, job.scenario.c_str(), job.scheduler.c_str(),
+      std::fprintf(stderr, "[%zu/%zu] %s/%s seed=%llu FAILED (exception: %s)\n",
+                   n, total, job.scenario.c_str(), job.scheduler.c_str(),
                    static_cast<unsigned long long>(job.seed),
-                   out.error->kind.c_str(), out.error->message.c_str());
+                   out.error->message.c_str());
     }
   };
 
   // Whole groups go to the workers. A group runs only its cells that are
-  // not restored from the journal; after a stop signal the remaining
-  // groups are claimed but not run.
+  // not restored from the journal.
   const std::vector<ExperimentGroup>& groups = plan.groups();
   stats_.jobs_used = std::min(jobs_, groups.size());
   parallel_for(stats_.jobs_used, groups.size(), [&](std::size_t g) {
-    if (stop_requested()) return;
     const ExperimentGroup& group = groups[g];
     std::vector<std::size_t> members;
     for (std::size_t m = 0; m < group.cells.size(); ++m) {
-      if (!completed[group.cells[m]]) members.push_back(m);
+      if (!results[group.cells[m]].from_journal) members.push_back(m);
     }
     if (members.empty()) return;
     const auto g0 = std::chrono::steady_clock::now();
@@ -331,27 +274,9 @@ std::vector<JobResult> ParallelRunner::run(const ExperimentPlan& plan) {
   });
   for (const JobResult& r : results) stats_.jobs_failed += r.ok() ? 0 : 1;
 
-  stop_signal_ = signals.signal();
-  if (stop_signal_ != 0) {
-    // Mark the cells that never ran; their default reports must not be
-    // mistaken for results. Journaled cells keep their records — that is
-    // exactly what --resume continues from.
-    for (std::size_t i = 0; i < total; ++i) {
-      if (completed[i]) continue;
-      results[i].error =
-          JobError{"interrupted", "stopped by signal before this cell ran"};
-      ++stats_.interrupted;
-    }
-    std::fprintf(stderr,
-                 "stopped by signal %d: %zu cell(s) finished, %zu pending%s\n",
-                 stop_signal_, total - stats_.interrupted, stats_.interrupted,
-                 journal ? " (journaled; rerun with --resume to continue)"
-                         : "");
-  }
-
   stats_.wall_seconds = seconds_since(t0);
   for (const JobResult& r : results) stats_.job_seconds += r.wall_seconds;
-  if (total > 1 && stop_signal_ == 0) {
+  if (total > 1) {
     std::fprintf(stderr,
                  "ran %zu jobs on %zu thread(s): %.2fs wall, %.2fs cpu "
                  "(speedup %.2fx)%s\n",

@@ -45,14 +45,12 @@ struct ExperimentGroup {
       run;
 };
 
-/// Why a grid cell has no (trustworthy) report. A failed cell is contained:
-/// the rest of the grid still runs, the artifact still gets written, and
-/// the harness exit code turns nonzero with the failed cells listed.
+/// Why a grid cell has no report: its job threw. A failed cell is
+/// contained: the rest of the grid still runs, the artifact still gets
+/// written, and the harness exit code turns nonzero with the failed cells
+/// listed.
 struct JobError {
-  /// "exception" (the job threw) or "interrupted" (a stop signal arrived
-  /// before the cell ran).
-  std::string kind;
-  std::string message;
+  std::string message;  ///< the exception's what()
 };
 
 /// Result of one job, in plan order.
@@ -74,10 +72,9 @@ struct JobResult {
 };
 
 /// Resilience policy for a runner. Crash containment is always on; the
-/// journal is opt-in. A runner with a journal also installs SIGINT/SIGTERM
-/// handlers for the duration of run(): on signal, workers finish (journal)
-/// their current group and stop claiming new ones, so --resume continues
-/// where the grid stopped.
+/// journal is opt-in. The runner handles no signal: SIGINT, SIGTERM and
+/// SIGKILL all end the process at once, and --resume continues from the
+/// cells the journal recorded.
 struct RunnerPolicy {
   /// Completion journal path; empty = no journal. See exp/journal.h.
   std::string journal_path;
@@ -172,7 +169,6 @@ struct RunnerStats {
   std::size_t jobs_used = 0;  ///< worker threads actually used
   std::size_t jobs_failed = 0;  ///< cells whose job threw
   std::size_t restored = 0;     ///< cells replayed from the journal
-  std::size_t interrupted = 0;  ///< cells never run (stop signal)
   double speedup() const {
     return wall_seconds > 0 ? job_seconds / wall_seconds : 0.0;
   }
@@ -191,16 +187,16 @@ struct RunnerStats {
 class ParallelRunner {
  public:
   /// `jobs` = worker threads; 0 = hardware concurrency; 1 = run inline.
-  /// `policy` adds the journal (and with it signal handling); the default
-  /// policy runs the grid without one.
+  /// `policy` adds the journal; the default policy runs the grid without
+  /// one.
   explicit ParallelRunner(std::size_t jobs = 1, RunnerPolicy policy = {});
 
   /// Runs every group; reports progress on stderr as cells finish, and
   /// journals each cell.
   ///
   /// Every cell runs once: cells are deterministic, so a rerun would only
-  /// repeat the outcome. A stop signal is honoured between groups. On
-  /// --resume a group runs again only for its cells the journal lacks.
+  /// repeat the outcome. On --resume a group runs again only for its cells
+  /// the journal lacks.
   /// Containment contract: a throwing job never propagates out of run().
   /// The exception is captured as the cell's JobError — a scheduler that
   /// throws fails its own cell, while its group's siblings finish — every
@@ -209,12 +205,6 @@ class ParallelRunner {
   /// policy, corrupt journal) throw.
   std::vector<JobResult> run(const ExperimentPlan& plan);
 
-  /// Nonzero when a handled SIGINT/SIGTERM stopped the previous run()
-  /// early: the signal number. The harness maps it to exit code 128+sig.
-  int stop_signal() const { return stop_signal_; }
-
-  const RunnerPolicy& policy() const { return policy_; }
-
   const RunnerStats& stats() const { return stats_; }
   std::size_t jobs() const { return jobs_; }
 
@@ -222,7 +212,6 @@ class ParallelRunner {
   std::size_t jobs_;
   RunnerPolicy policy_;
   RunnerStats stats_;
-  int stop_signal_ = 0;
 };
 
 }  // namespace laps

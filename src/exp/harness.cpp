@@ -175,18 +175,14 @@ ParallelRunner make_runner(const HarnessOptions& opts) {
   return ParallelRunner(opts.jobs, std::move(policy));
 }
 
-int grid_abort_code(const ParallelRunner& runner) {
-  return runner.stop_signal() != 0 ? 128 + runner.stop_signal() : 0;
-}
-
 int grid_exit_code(const std::vector<JobResult>& results) {
   std::size_t failed = 0;
   for (const JobResult& r : results) {
     if (r.ok()) continue;
     ++failed;
-    std::fprintf(stderr, "FAILED cell %zu: %s/%s seed=%llu: %s: %s\n",
+    std::fprintf(stderr, "FAILED cell %zu: %s/%s seed=%llu: exception: %s\n",
                  r.index, r.scenario.c_str(), r.scheduler.c_str(),
-                 static_cast<unsigned long long>(r.seed), r.error->kind.c_str(),
+                 static_cast<unsigned long long>(r.seed),
                  r.error->message.c_str());
   }
   if (failed > 0) {
@@ -443,7 +439,7 @@ std::string artifact_json(const std::string& tool,
     if (!r.ok()) {
       w.key("error");
       w.begin_object();
-      w.field("kind", r.error->kind);
+      w.field("kind", "exception");
       w.field("message", r.error->message);
       w.end_object();
     }

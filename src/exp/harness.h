@@ -84,8 +84,9 @@ struct HarnessOptions {
 ///                             unknown name or parameter fails fast listing
 ///                             the valid ones (exp/scheduler_registry.h)
 ///   --journal=P               durable completion journal: one fsync'd
-///                             record per finished cell, so an interrupted
-///                             grid (SIGINT/SIGTERM/SIGKILL) can continue
+///                             record per finished cell, so a grid ended
+///                             by any signal (SIGINT, SIGTERM, SIGKILL:
+///                             none is handled) can continue
 ///   --resume                  with --journal: replay already-journaled
 ///                             cells; final artifacts are byte-identical to
 ///                             an uninterrupted run
@@ -117,17 +118,12 @@ HarnessOptions parse_observed_flags(Flags& flags);
 /// salt hashes every flag the binary was given except --jobs, --journal,
 /// --resume and --json, which cannot change a cell's report, so a journal
 /// recorded under other flags (another --seconds, --scheduler parameter or
-/// fault plan) refuses to resume. The runner handles SIGINT/SIGTERM
-/// exactly when a journal is configured.
+/// fault plan) refuses to resume.
 ParallelRunner make_runner(const HarnessOptions& opts);
-
-/// Nonzero (128 + signal) when the previous run() was stopped by a handled
-/// signal — the main should write no tables/artifacts and exit with this.
-int grid_abort_code(const ParallelRunner& runner);
 
 /// Final exit code for a completed grid: 0 when every cell succeeded, 1
 /// otherwise — after printing one stderr line per failed cell (scenario,
-/// scheduler, seed, error kind, message).
+/// scheduler, seed, the exception's message).
 int grid_exit_code(const std::vector<JobResult>& results);
 
 /// The schedulers a grid should run: the --scheduler specs when given,

@@ -93,19 +93,14 @@ void SimEngine::emit_engine_sample(TimeNs t) {
 void SimEngine::run(ArrivalStream& arrivals, const std::string& scenario) {
   begin_run(scenario, arrivals.total_flows());
 
+  // Start fetching the next arrival's flow record while earlier events are
+  // still being processed.
   auto arrival = arrivals.next();
-  // Flow records are a random access into a block that outgrows the cache
-  // for realistic trace populations; start fetching the next arrival's
-  // record while earlier events are still being processed.
-  if (arrival && arrival->gflow < flows_.size()) {
-    __builtin_prefetch(&flows_.at(arrival->gflow), 1);
-  }
+  if (arrival) prefetch_flow(arrival->gflow);
   while (arrival) {
     feed(*arrival);
     arrival = arrivals.next();
-    if (arrival && arrival->gflow < flows_.size()) {
-      __builtin_prefetch(&flows_.at(arrival->gflow), 1);
-    }
+    if (arrival) prefetch_flow(arrival->gflow);
   }
   finish_run();
 }
@@ -191,6 +186,15 @@ void SimEngine::feed(const GeneratedPacket& arrival) {
   pkt.size_bytes = arrival.record.size_bytes;
   pkt.service = arrival.service;
   handle_arrival(pkt);
+}
+
+void SimEngine::feed(std::span<const GeneratedPacket> batch) {
+  if (batch.empty()) return;
+  prefetch_flow(batch.front().gflow);
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    if (k + 1 < batch.size()) prefetch_flow(batch[k + 1].gflow);
+    feed(batch[k]);
+  }
 }
 
 void SimEngine::advance_to(TimeNs t) {

@@ -158,6 +158,11 @@ class SimEngine final : public NpuView, public SchedEventSink {
   /// strictly before (or tied with) it — identical ordering to run()'s
   /// loop. Arrival times must be nondecreasing across calls.
   void feed(const GeneratedPacket& arrival);
+  /// feed()s each arrival of `batch` in order, fetching the flow record
+  /// one arrival ahead as run()'s loop does, so the batch feeders
+  /// (run_lockstep, the cluster shards) keep run()'s memory-level
+  /// parallelism.
+  void feed(std::span<const GeneratedPacket> batch);
   /// Settles all completions with time <= t. Fault events stay lazy
   /// (applied only when a completion at or after them runs), exactly as
   /// run() would with a future arrival pending: a fault due in the settled
@@ -168,15 +173,6 @@ class SimEngine final : public NpuView, public SchedEventSink {
   /// Drains remaining completions, applies trailing faults with the clock
   /// frozen, and emits the RunEnd epilogue to probes.
   void finish_run();
-  /// Starts fetching `gflow`'s flow record — the same hide-the-miss hint
-  /// run()'s own loop issues one arrival ahead; batch feeders
-  /// (run_lockstep, the cluster shard tasks) call it so the stepping path
-  /// keeps run()'s memory-level parallelism. Purely advisory: no effect on
-  /// results.
-  void prefetch_flow(std::uint32_t gflow) const {
-    if (gflow < flows_.size()) __builtin_prefetch(&flows_.at(gflow), 1);
-  }
-
   // NpuView (what the scheduler is allowed to observe):
   TimeNs now() const override { return now_; }
   std::span<const CoreView> cores() const override {
@@ -215,6 +211,14 @@ class SimEngine final : public NpuView, public SchedEventSink {
     /// start_service on `core` (gen is ignored).
     bool resume = false;
   };
+
+  /// Starts fetching `gflow`'s flow record, a random access into a block
+  /// that outgrows the cache for realistic trace populations; the feed
+  /// loops call it one arrival ahead. Purely advisory: no effect on
+  /// results.
+  void prefetch_flow(std::uint32_t gflow) const {
+    if (gflow < flows_.size()) __builtin_prefetch(&flows_.at(gflow), 1);
+  }
 
   void handle_arrival(SimPacket pkt);
   void handle_completion(CoreId core);

@@ -75,7 +75,6 @@ class FlightRecorderProbe final : public SimProbe {
   bool triggered() const { return triggered_; }
   /// "drop_storm", "ooo_spike", or "" when nothing triggered.
   const std::string& trigger_reason() const { return reason_; }
-  TimeNs trigger_time() const { return trigger_time_; }
   /// True when the harness should write the dump (triggered or
   /// always_dump).
   bool should_dump() const { return triggered_ || config_.always_dump; }

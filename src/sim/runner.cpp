@@ -28,16 +28,6 @@ PacketGenerator make_generator(const ScenarioConfig& config) {
   return PacketGenerator(config.services, config.seed, config.seconds);
 }
 
-/// Feeds `batch` in order, fetching each packet's flow record one arrival
-/// ahead as SimEngine::run does.
-void feed_batch(SimEngine& engine, std::span<const GeneratedPacket> batch) {
-  engine.prefetch_flow(batch.front().gflow);
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    if (k + 1 < batch.size()) engine.prefetch_flow(batch[k + 1].gflow);
-    engine.feed(batch[k]);
-  }
-}
-
 /// One cell's engine and the ReportProbe it reports through. Lanes are
 /// built in place and never move: the engine holds the probe's address.
 struct Lane {
@@ -104,7 +94,7 @@ std::vector<CellOutcome> run_lockstep(const ScenarioConfig& config,
       batch.push_back(*arrival);
     }
     if (batch.empty()) break;
-    step_all([&](SimEngine& engine) { feed_batch(engine, batch); });
+    step_all([&](SimEngine& engine) { engine.feed(batch); });
     if (batch.size() < kBatch) break;  // the stream has ended
   }
   step_all([](SimEngine& engine) { engine.finish_run(); });

@@ -43,12 +43,12 @@ Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
+      stray_.push_back(std::move(arg));
       continue;
     }
     arg = arg.substr(2);
-    // Bare `--name` is boolean true. Values always use `--name=value` so a
-    // flag can never accidentally swallow a positional argument.
+    // Bare `--name` is boolean true. Values always use `--name=value`, so a
+    // flag never swallows the argument after it.
     const auto eq = arg.find('=');
     std::string name = arg.substr(0, eq);
     std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
@@ -143,6 +143,15 @@ void Flags::finish() const {
   }
   if (!unknown.empty()) {
     throw std::runtime_error("unknown flag(s): " + unknown);
+  }
+  if (!stray_.empty()) {
+    std::string stray;
+    for (const std::string& arg : stray_) {
+      if (!stray.empty()) stray += ", ";
+      stray += "'" + arg + "'";
+    }
+    throw std::runtime_error("stray argument(s): " + stray +
+                             "; flags take the form --name=value");
   }
 }
 

@@ -14,7 +14,9 @@ namespace laps {
 /// not silently run the default), and so is a value its getter cannot read
 /// whole: the getters throw std::invalid_argument naming the flag and the
 /// value. A flag given twice throws at construction, naming it, instead of
-/// keeping one of the values. Positional arguments are collected in order.
+/// keeping one of the values. No binary reads an argument that is not a
+/// flag, so finish() rejects any argument that does not start with `--` (a
+/// bare `seconds=0.5`, a single-dash `-jobs=4`).
 ///
 ///   Flags flags(argc, argv);
 ///   const double secs  = flags.get_double("seconds", 2.0);
@@ -45,9 +47,6 @@ class Flags {
                                     const std::string& def,
                                     const std::vector<std::string>& valid);
 
-  /// Positional (non-flag) arguments in order of appearance.
-  const std::vector<std::string>& positional() const { return positional_; }
-
   /// True if the flag appeared on the command line.
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
@@ -55,7 +54,8 @@ class Flags {
   const std::map<std::string, std::string>& values() const { return values_; }
 
   /// Throws std::runtime_error listing any flag that was given but never
-  /// consumed by a get_*() call — i.e., a typo.
+  /// consumed by a get_*() call — i.e., a typo — or, failing that, every
+  /// argument that is not a flag.
   void finish() const;
 
   /// Program name (argv[0]).
@@ -65,7 +65,7 @@ class Flags {
   std::string program_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
-  std::vector<std::string> positional_;
+  std::vector<std::string> stray_;  ///< arguments without a leading `--`
 };
 
 }  // namespace laps

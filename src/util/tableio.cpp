@@ -46,20 +46,6 @@ std::string Table::to_string() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  auto emit = [](const std::vector<std::string>& row, std::string& out) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += row[c];
-    }
-    out += '\n';
-  };
-  std::string out;
-  emit(headers_, out);
-  for (const auto& row : rows_) emit(row, out);
-  return out;
-}
-
 std::string Table::num(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, v);

@@ -9,7 +9,7 @@ namespace laps {
 /// Fixed-width ASCII table builder for experiment output.
 ///
 /// Every bench binary prints its figure/table through this class so results
-/// are uniformly formatted and machine-parsable (also emits CSV). Example:
+/// are uniformly formatted and machine-parsable. Example:
 ///
 ///   Table t({"scenario", "scheduler", "drop%"});
 ///   t.add_row({"T1", "LAPS", Table::num(0.12, 2)});
@@ -32,9 +32,6 @@ class Table {
 
   /// Renders as an aligned ASCII table with a header separator.
   std::string to_string() const;
-
-  /// Renders as CSV (header + rows).
-  std::string to_csv() const;
 
   /// Formats a double with `digits` decimal places.
   static std::string num(double v, int digits = 3);

@@ -350,8 +350,14 @@ TEST(ParallelRunner, JobExceptionIsContainedAsJobError) {
   const auto results = runner.run(plan);
   ASSERT_EQ(results.size(), 2u);
   ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].error->kind, "exception");
   EXPECT_EQ(results[0].error->message, "job exploded");
+  // The artifact entry carries the error object in place of results.
+  EXPECT_NE(artifact_json("t", results)
+                .find("      \"error\": {\n"
+                      "        \"kind\": \"exception\",\n"
+                      "        \"message\": \"job exploded\"\n"
+                      "      },\n"),
+            std::string::npos);
   EXPECT_EQ(runs->load(), 1);
   ASSERT_TRUE(results[1].ok());
   EXPECT_EQ(results[1].report.offered, 7u);

@@ -1,14 +1,11 @@
 // Tests for the resilient experiment runner: journal codec exactness,
-// durable record/restore, header and corruption handling — and the two
-// differential proofs resume rests on:
-//
-//  * SigtermMidGridThenResumeIsByteIdentical — a grid stopped by SIGTERM
-//    and resumed from its journal produces byte-identical artifacts
-//    (report JSON and per-cell flow-audit files) to an uninterrupted run,
-//  * SigkillChildMidGridThenResumeIsByteIdentical — same proof across a
-//    real process boundary: a fork()ed child is SIGKILLed mid-grid (no
-//    handlers, no cleanup) and the parent resumes from what the journal
-//    durably recorded.
+// durable record/restore, header and corruption handling — and the
+// differential proof resume rests on: a fork()ed child running a journaled
+// grid is ended mid-grid by a signal (SIGKILL, SIGTERM or SIGINT; the
+// runner handles none, so each ends it at once with no cleanup), and the
+// parent resumes from what the journal durably recorded, producing
+// artifacts (report JSON and per-cell flow-audit files) byte-identical to
+// an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -368,8 +365,7 @@ std::vector<std::pair<std::string, std::string>> audit_files(
 
 constexpr std::uint64_t kDifferentialSeed = 20130604;
 
-std::string golden_artifact(const std::string& dir,
-                            PlanMaker make_plan = sim_plan) {
+std::string golden_artifact(const std::string& dir, PlanMaker make_plan) {
   auto store = std::make_shared<TraceStore>();
   const auto plan = make_plan(store, dir, kDifferentialSeed);
   ParallelRunner runner(2);
@@ -378,73 +374,11 @@ std::string golden_artifact(const std::string& dir,
   return artifact_json("resume_differential", results);
 }
 
-TEST(ResumeDifferential, SigtermMidGridThenResumeIsByteIdentical) {
-  const std::string golden_dir = temp_dir("sigterm_golden");
-  const std::string run_dir = temp_dir("sigterm_run");
-  const std::string golden = golden_artifact(golden_dir);
-
-  RunnerPolicy policy;
-  policy.journal_path = run_dir + "/grid.journal";
-
-  // Phase 1: serial run that SIGTERMs itself after cell 7 completes — the
-  // handled signal stops the grid after the in-flight cell is journaled.
-  {
-    auto store = std::make_shared<TraceStore>();
-    ExperimentPlan plan = sim_plan(store, run_dir, kDifferentialSeed);
-    ExperimentPlan interrupted(plan.plan_seed());
-    for (std::size_t i = 0; i < plan.jobs().size(); ++i) {
-      const auto& job = plan.jobs()[i];
-      auto body = job.run;
-      interrupted.add(job.scenario, job.scheduler, job.seed,
-                      [i, body]() -> SimReport {
-                        SimReport r = body();
-                        if (i == 7) ::raise(SIGTERM);
-                        return r;
-                      });
-    }
-    RunnerPolicy p1 = policy;
-    ParallelRunner runner(1, p1);
-    const auto results = runner.run(interrupted);
-    EXPECT_EQ(runner.stop_signal(), SIGTERM);
-    EXPECT_EQ(grid_abort_code(runner), 128 + SIGTERM);
-    // Cells 0..7 ran and were journaled; the rest were never started.
-    EXPECT_EQ(runner.stats().interrupted, results.size() - 8);
-    for (std::size_t i = 8; i < results.size(); ++i) {
-      ASSERT_FALSE(results[i].ok());
-      EXPECT_EQ(results[i].error->kind, "interrupted");
-    }
-  }
-
-  // Phase 2: resume. Journaled cells are replayed, the rest run now; the
-  // artifact must equal the uninterrupted run's bytes exactly.
-  {
-    auto store = std::make_shared<TraceStore>();
-    const ExperimentPlan plan = sim_plan(store, run_dir, kDifferentialSeed);
-    RunnerPolicy p2 = policy;
-    p2.resume = true;
-    ParallelRunner runner(4, p2);
-    const auto results = runner.run(plan);
-    EXPECT_EQ(runner.stop_signal(), 0);
-    EXPECT_EQ(runner.stats().restored, 8u);
-    EXPECT_EQ(grid_exit_code(results), 0);
-    for (std::size_t i = 0; i < 8; ++i) EXPECT_TRUE(results[i].from_journal);
-    EXPECT_EQ(artifact_json("resume_differential", results), golden);
-  }
-
-  // The per-cell flow-audit artifacts (written by whichever phase ran the
-  // cell) must also match the golden run byte-for-byte.
-  const auto golden_audits = audit_files(golden_dir);
-  ASSERT_EQ(golden_audits.size(), 30u);
-  EXPECT_EQ(audit_files(run_dir), golden_audits);
-
-  fs::remove_all(golden_dir);
-  fs::remove_all(run_dir);
-}
-
-/// Runs `make_plan`'s grid in a forked child with a journal, SIGKILLs it
-/// once five cells are journaled, resumes in this process and checks the
-/// artifact and every per-cell audit file against an uninterrupted run.
-void sigkill_then_resume(const std::string& tag, PlanMaker make_plan) {
+/// Runs `make_plan`'s grid in a forked child with a journal, sends it `sig`
+/// once five cells are journaled, checks that the signal ended it, resumes
+/// in this process and checks the artifact and every per-cell audit file
+/// against an uninterrupted run.
+void kill_then_resume(const std::string& tag, PlanMaker make_plan, int sig) {
   const std::string golden_dir = temp_dir(tag + "_golden");
   const std::string run_dir = temp_dir(tag + "_run");
   const std::string golden = golden_artifact(golden_dir, make_plan);
@@ -453,12 +387,16 @@ void sigkill_then_resume(const std::string& tag, PlanMaker make_plan) {
   RunnerPolicy policy;
   policy.journal_path = journal_path;
 
-  // Child: run the grid serially with the journal, then exit. It gets
-  // SIGKILLed mid-grid — no handlers run, no destructors, no flushes; only
-  // what ExperimentJournal::record fsync'd survives.
+  // Child: run the grid serially with the journal, then exit. It gets the
+  // signal mid-grid — no handlers run, no destructors, no flushes; only
+  // what ExperimentJournal::record fsync'd survives. The default
+  // dispositions come first, so a SIGINT or SIGTERM ignored by whatever
+  // started the test cannot hide a handler the runner installs.
   const pid_t child = ::fork();
   ASSERT_GE(child, 0) << "fork failed";
   if (child == 0) {
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
     auto store = std::make_shared<TraceStore>();
     const ExperimentPlan plan = make_plan(store, run_dir, kDifferentialSeed);
     ParallelRunner runner(1, policy);
@@ -483,12 +421,11 @@ void sigkill_then_resume(const std::string& tag, PlanMaker make_plan) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_GE(records, 5u) << "child never journaled enough cells";
-  ::kill(child, SIGKILL);
+  ::kill(child, sig);
   int status = 0;
   ASSERT_EQ(::waitpid(child, &status, 0), child);
-  const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-  const bool finished = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  ASSERT_TRUE(killed || finished) << "child died unexpectedly: " << status;
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == sig)
+      << "child was not ended by signal " << sig << ": status " << status;
 
   // Parent resumes from whatever survived the kill.
   auto store = std::make_shared<TraceStore>();
@@ -510,13 +447,21 @@ void sigkill_then_resume(const std::string& tag, PlanMaker make_plan) {
 }
 
 TEST(ResumeDifferential, SigkillChildMidGridThenResumeIsByteIdentical) {
-  sigkill_then_resume("sigkill", sim_plan);
+  kill_then_resume("sigkill", sim_plan, SIGKILL);
+}
+
+TEST(ResumeDifferential, SigtermChildMidGridThenResumeIsByteIdentical) {
+  kill_then_resume("sigterm", sim_plan, SIGTERM);
 }
 
 // The grouped grid: the kill lands between or inside lockstep groups, and
 // --resume reruns a group only for its cells the journal lacks.
 TEST(ResumeDifferential, SigkillChildMidGroupedGridThenResumeIsByteIdentical) {
-  sigkill_then_resume("sigkill_grouped", grouped_sim_plan);
+  kill_then_resume("sigkill_grouped", grouped_sim_plan, SIGKILL);
+}
+
+TEST(ResumeDifferential, SigintChildMidGroupedGridThenResumeIsByteIdentical) {
+  kill_then_resume("sigint_grouped", grouped_sim_plan, SIGINT);
 }
 
 TEST(ResumeDifferential, JournalOffFaultFreeRunIsUnchanged) {

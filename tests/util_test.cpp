@@ -559,15 +559,23 @@ TEST(Histogram, LargeValues) {
 
 // ---------------------------------------------------------------- Flags ---
 
+// No binary reads an argument that is not a flag, so finish() names each
+// one: a bare `seconds=0.5` must not leave the default horizon in force.
 TEST(Flags, ParsesForms) {
-  const char* argv[] = {"prog", "--seconds=2.5", "--full", "--cores=8", "pos"};
-  Flags f(5, argv);
+  const char* argv[] = {"prog",      "--seconds=2.5", "--full",
+                        "--cores=8", "seconds=0.5",   "-jobs=4"};
+  Flags f(6, argv);
   EXPECT_DOUBLE_EQ(f.get_double("seconds", 1.0), 2.5);
   EXPECT_TRUE(f.get_bool("full", false));
   EXPECT_EQ(f.get_int("cores", 16), 8);
-  ASSERT_EQ(f.positional().size(), 1u);
-  EXPECT_EQ(f.positional()[0], "pos");
-  f.finish();
+  try {
+    f.finish();
+    ADD_FAILURE() << "stray arguments were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "stray argument(s): 'seconds=0.5', '-jobs=4'; flags take "
+                 "the form --name=value");
+  }
 }
 
 TEST(Flags, DefaultsWhenAbsent) {
@@ -720,12 +728,19 @@ TEST(Flags, RepeatedFlagIsRejectedByName) {
       EXPECT_EQ(e.what(), name + " given more than once; give it once");
     }
   }
-  // Distinct flags, and a positional equal to a flag's value, still parse.
+  // Distinct flags parse; an argument equal to a flag's value is no flag,
+  // and finish() names it.
   const char* argv[] = {"prog", "--scenarios=T1", "--scheduler=laps", "T1"};
   Flags f(4, argv);
   EXPECT_EQ(f.get_string("scenarios", ""), "T1");
   EXPECT_EQ(f.get_string("scheduler", ""), "laps");
-  f.finish();
+  try {
+    f.finish();
+    ADD_FAILURE() << "stray argument T1 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "stray argument(s): 'T1'; flags take the form --name=value");
+  }
 }
 
 // ---------------------------------------------------------------- Table ---
@@ -744,12 +759,6 @@ TEST(Table, RendersAligned) {
   EXPECT_NE(s.find("| name"), std::string::npos);
   EXPECT_NE(s.find("| longer"), std::string::npos);
   EXPECT_EQ(t.rows(), 2u);
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
 }
 
 TEST(Table, NumberFormatting) {
