@@ -20,6 +20,7 @@
 // Each schedule draws its own fault plan and attaches its own probes, so
 // the shared probe and fault flags (--faults, --flow-audit, ...) are
 // refused as unknown.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -37,17 +38,6 @@
 #include "util/tableio.h"
 
 namespace {
-
-/// Deterministic per-schedule outcome collected from the job's probes.
-/// Indexed by schedule, so the table is identical for any --jobs value.
-struct ScheduleOutcome {
-  std::uint64_t fault_events = 0;
-  std::uint64_t flush_drops = 0;
-  std::size_t recoveries = 0;           ///< core_down events observed
-  std::size_t recovered = 0;            ///< of those, back up before the end
-  laps::TimeNs max_outage_ns = 0;
-  laps::TimeNs max_reintegrate_ns = 0;  ///< up -> first dispatch on the core
-};
 
 [[noreturn]] void fail(std::size_t schedule, std::uint64_t seed,
                        const std::string& spec, const std::string& why) {
@@ -96,8 +86,6 @@ int run(laps::Flags& flags) {
         laps::random_fault_plan(s, fault_params)));
   }
 
-  std::vector<ScheduleOutcome> outcomes(static_cast<std::size_t>(schedules));
-
   laps::ExperimentPlan plan(seed);
   for (std::int64_t i = 0; i < schedules; ++i) {
     const std::size_t idx = static_cast<std::size_t>(i);
@@ -108,7 +96,6 @@ int run(laps::Flags& flags) {
     auto make = spec.make;
     laps::ScenarioOptions opts = options;
     opts.seed = job_seed;
-    ScheduleOutcome* outcome = &outcomes[idx];
 
     plan.add(scenario, spec.name, job_seed, [=]() -> laps::SimReport {
       auto run_once = [&](laps::FlowAuditProbe& audit,
@@ -187,27 +174,24 @@ int run(laps::Flags& flags) {
         }
       }
 
-      // Built locally and assigned whole once every check above passed, so
-      // a failed schedule's row stays all zeros.
-      ScheduleOutcome local;
-      const auto events = report.extra.find("fault_events");
-      local.fault_events = events != report.extra.end()
-                               ? static_cast<std::uint64_t>(events->second)
-                               : 0;
-      local.flush_drops = fault_probe.flush_drops();
+      // The probe's recovery totals ride in the report, so a journal
+      // restores the schedule's whole table row. Added once every check
+      // above passed: a failed schedule has no report, and its row reads 0.
+      std::size_t recovered = 0;  // core_down events back up before the end
+      laps::TimeNs max_outage_ns = 0;
+      laps::TimeNs max_reint_ns = 0;  // up -> first dispatch on the core
       for (const auto& r : fault_probe.recoveries()) {
-        ++local.recoveries;
         if (r.outage_ns() >= 0) {
-          ++local.recovered;
-          if (r.outage_ns() > local.max_outage_ns) {
-            local.max_outage_ns = r.outage_ns();
-          }
+          ++recovered;
+          max_outage_ns = std::max(max_outage_ns, r.outage_ns());
         }
-        if (r.reintegrate_ns() > local.max_reintegrate_ns) {
-          local.max_reintegrate_ns = r.reintegrate_ns();
-        }
+        max_reint_ns = std::max(max_reint_ns, r.reintegrate_ns());
       }
-      *outcome = local;
+      report.extra["fault_recoveries"] =
+          static_cast<double>(fault_probe.recoveries().size());
+      report.extra["fault_recovered"] = static_cast<double>(recovered);
+      report.extra["fault_max_outage_us"] = laps::to_us(max_outage_ns);
+      report.extra["fault_max_reint_us"] = laps::to_us(max_reint_ns);
       return report;
     });
   }
@@ -224,16 +208,25 @@ int run(laps::Flags& flags) {
                      "max outage us", "max reint us"});
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i].report;
-    const ScheduleOutcome& o = outcomes[i];
+    // Every column comes from the report, so a row restored from the
+    // journal prints as the run that journaled it.
+    const auto extra = [&r](const char* key) {
+      const auto it = r.extra.find(key);
+      return it != r.extra.end() ? it->second : 0.0;
+    };
+    const auto count = [&extra](const char* key) {
+      return static_cast<std::int64_t>(extra(key));
+    };
     table.add_row(
         {std::to_string(i), results[i].scenario, results[i].scheduler,
-         laps::Table::num(static_cast<std::int64_t>(o.fault_events)),
+         laps::Table::num(count("fault_events")),
          laps::Table::num(static_cast<std::int64_t>(r.offered)),
          laps::Table::num(static_cast<std::int64_t>(r.dropped)),
-         laps::Table::num(static_cast<std::int64_t>(o.flush_drops)),
-         std::to_string(o.recovered) + "/" + std::to_string(o.recoveries),
-         laps::Table::num(laps::to_us(o.max_outage_ns), 1),
-         laps::Table::num(laps::to_us(o.max_reintegrate_ns), 1)});
+         laps::Table::num(count("fault_flush_drops")),
+         std::to_string(count("fault_recovered")) + "/" +
+             std::to_string(count("fault_recoveries")),
+         laps::Table::num(extra("fault_max_outage_us"), 1),
+         laps::Table::num(extra("fault_max_reint_us"), 1)});
   }
   std::cout << table.to_string();
 

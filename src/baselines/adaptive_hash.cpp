@@ -81,12 +81,12 @@ CoreId AdaptiveHashScheduler::schedule(const SimPacket& pkt,
 CombinedAdaptiveScheduler::CombinedAdaptiveScheduler(CombinedOptions options)
     : AdaptiveHashScheduler(options.adaptive),
       combined_(options),
-      detector_(options.afd),
+      afd_(options.afd),
       pins_(options.migration_table_capacity) {}
 
 void CombinedAdaptiveScheduler::attach(std::size_t num_cores) {
   AdaptiveHashScheduler::attach(num_cores);
-  detector_.reset();
+  afd_.reset();
   pins_.clear();
   aggressive_migrations_ = 0;
 }
@@ -94,7 +94,7 @@ void CombinedAdaptiveScheduler::attach(std::size_t num_cores) {
 CoreId CombinedAdaptiveScheduler::schedule(const SimPacket& pkt,
                                            const NpuView& view) {
   const std::uint64_t key = pkt.flow_key();
-  detector_.observe(key);
+  afd_.access(key);
 
   // Flow pins take priority over the (adaptive) hash path.
   if (const auto pin = pins_.lookup(key)) {
@@ -118,9 +118,9 @@ CoreId CombinedAdaptiveScheduler::schedule(const SimPacket& pkt,
     }
     if (best != target &&
         view.cores()[best].queue_len < combined_.high_thresh &&
-        detector_.is_aggressive(key)) {
+        afd_.is_aggressive(key)) {
       pins_.add(key, best);
-      detector_.invalidate(key);
+      afd_.invalidate(key);
       ++aggressive_migrations_;
       target = best;
     }
@@ -131,7 +131,7 @@ CoreId CombinedAdaptiveScheduler::schedule(const SimPacket& pkt,
 std::map<std::string, double> CombinedAdaptiveScheduler::extra_stats() const {
   auto stats = AdaptiveHashScheduler::extra_stats();
   stats["aggressive_migrations"] = static_cast<double>(aggressive_migrations_);
-  stats["afd_promotions"] = static_cast<double>(detector_.stats().promotions);
+  stats["afd_promotions"] = static_cast<double>(afd_.stats().promotions);
   return stats;
 }
 

@@ -5,7 +5,7 @@
 
 #include "baselines/static_hash.h"
 #include "cache/afd.h"
-#include "core/aggressive_detector.h"
+#include "core/laps.h"
 #include "core/migration_table.h"
 
 namespace laps {
@@ -69,15 +69,10 @@ class CombinedAdaptiveScheduler final : public AdaptiveHashScheduler {
  public:
   struct CombinedOptions {
     Options adaptive;
-    AfdConfig afd = default_afd();
+    /// AFD tuned like the integrated LAPS detector (AFC-min guard on).
+    AfdConfig afd = LapsConfig::make_default_afd();
     std::uint32_t high_thresh = 24;
     std::size_t migration_table_capacity = 1024;
-
-    static AfdConfig default_afd() {
-      AfdConfig cfg;
-      cfg.require_beat_afc_min = true;
-      return cfg;
-    }
   };
 
   CombinedAdaptiveScheduler() : CombinedAdaptiveScheduler(CombinedOptions{}) {}
@@ -89,15 +84,15 @@ class CombinedAdaptiveScheduler final : public AdaptiveHashScheduler {
 
   std::map<std::string, double> extra_stats() const override;
 
-  /// Live AFC contents for accuracy probes (shared AggressiveDetector
-  /// mechanism; read-only, never perturbs the detector).
+  /// Live AFC contents for accuracy probes (a read-only lookup that never
+  /// perturbs the detector).
   std::vector<std::uint64_t> aggressive_snapshot() const override {
-    return detector_.snapshot();
+    return afd_.aggressive_flows();
   }
 
  private:
   CombinedOptions combined_;
-  AggressiveDetector detector_;
+  Afd afd_;
   MigrationTable pins_;
   std::uint64_t aggressive_migrations_ = 0;
 };

@@ -6,7 +6,7 @@ namespace laps {
 
 void HashMigrateScheduler::attach(std::size_t num_cores) {
   StaticHashScheduler::attach(num_cores);
-  detector_.reset();
+  afd_.reset();
   pins_.clear();
   aggressive_migrations_ = 0;
   stale_pins_dropped_ = 0;
@@ -15,7 +15,7 @@ void HashMigrateScheduler::attach(std::size_t num_cores) {
 CoreId HashMigrateScheduler::schedule(const SimPacket& pkt,
                                       const NpuView& view) {
   const std::uint64_t key = pkt.flow_key();
-  detector_.observe(key);
+  afd_.access(key);
 
   // Pin path first (priority over the hash path, as in LAPS Fig. 3). A pin
   // to a core that has since died is stale — drop it and fall through.
@@ -43,9 +43,9 @@ CoreId HashMigrateScheduler::schedule(const SimPacket& pkt,
     }
     if (best != target &&
         view.cores()[best].queue_len < options_.high_thresh &&
-        detector_.is_aggressive(key)) {
+        afd_.is_aggressive(key)) {
       pins_.add(key, best);
-      detector_.invalidate(key);
+      afd_.invalidate(key);
       ++aggressive_migrations_;
       target = best;
     }
@@ -57,8 +57,8 @@ std::map<std::string, double> HashMigrateScheduler::extra_stats() const {
   return {
       {"aggressive_migrations", static_cast<double>(aggressive_migrations_)},
       {"stale_pins_dropped", static_cast<double>(stale_pins_dropped_)},
-      {"afd_promotions", static_cast<double>(detector_.stats().promotions)},
-      {"afd_afc_hits", static_cast<double>(detector_.stats().afc_hits)},
+      {"afd_promotions", static_cast<double>(afd_.stats().promotions)},
+      {"afd_afc_hits", static_cast<double>(afd_.stats().afc_hits)},
   };
 }
 

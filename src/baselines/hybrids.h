@@ -5,15 +5,14 @@
 
 #include "baselines/static_hash.h"
 #include "cache/afd.h"
-#include "core/aggressive_detector.h"
+#include "core/laps.h"
 #include "core/migration_table.h"
 #include "core/power_manager.h"
 
 namespace laps {
 
-/// HashMigrate — StaticHash + AggressiveDetector: Dittmann's static bucket
-/// table with LAPS's elephant-migration path grafted on, composed entirely
-/// from the shared scheduler mechanisms.
+/// HashMigrate — StaticHash + the AFD and a migration table: Dittmann's
+/// static bucket table with LAPS's elephant-migration path grafted on.
 ///
 /// The hash path never rebalances (no AFS bundle shifts, no adaptive
 /// re-weighting); the *only* adaptivity is Listing 1's migration rule: when
@@ -26,22 +25,16 @@ class HashMigrateScheduler final : public StaticHashScheduler {
   struct Options {
     std::size_t num_buckets = 0;  ///< 0 = StaticHash default
     /// AFD tuned like the integrated LAPS detector (AFC-min guard on).
-    AfdConfig afd = default_afd();
+    AfdConfig afd = LapsConfig::make_default_afd();
     std::uint32_t high_thresh = 24;
     std::size_t migration_table_capacity = 1024;
-
-    static AfdConfig default_afd() {
-      AfdConfig cfg;
-      cfg.require_beat_afc_min = true;
-      return cfg;
-    }
   };
 
   HashMigrateScheduler() : HashMigrateScheduler(Options{}) {}
   explicit HashMigrateScheduler(Options options)
       : StaticHashScheduler(options.num_buckets),
         options_(options),
-        detector_(options.afd),
+        afd_(options.afd),
         pins_(options.migration_table_capacity) {}
 
   void attach(std::size_t num_cores) override;
@@ -51,16 +44,16 @@ class HashMigrateScheduler final : public StaticHashScheduler {
   std::map<std::string, double> extra_stats() const override;
 
   std::vector<std::uint64_t> aggressive_snapshot() const override {
-    return detector_.snapshot();
+    return afd_.aggressive_flows();
   }
 
   /// StaticHash's liveness churn plus the detector/pin-table occupancies
   /// this hybrid adds on top.
   SchedTelemetry telemetry_sample() const override {
     SchedTelemetry t = StaticHashScheduler::telemetry_sample();
-    t.afc_occupancy = static_cast<std::int64_t>(detector_.afd().afc_size());
-    t.afd_hits = static_cast<std::int64_t>(detector_.stats().afc_hits);
-    t.afd_evictions = static_cast<std::int64_t>(detector_.stats().demotions);
+    t.afc_occupancy = static_cast<std::int64_t>(afd_.afc_size());
+    t.afd_hits = static_cast<std::int64_t>(afd_.stats().afc_hits);
+    t.afd_evictions = static_cast<std::int64_t>(afd_.stats().demotions);
     t.pinned_flows = static_cast<std::int64_t>(pins_.size());
     return t;
   }
@@ -77,7 +70,7 @@ class HashMigrateScheduler final : public StaticHashScheduler {
 
  private:
   Options options_;
-  AggressiveDetector detector_;
+  Afd afd_;
   MigrationTable pins_;
   std::uint64_t aggressive_migrations_ = 0;
   std::uint64_t stale_pins_dropped_ = 0;

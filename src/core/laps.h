@@ -2,14 +2,15 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "cache/afd.h"
-#include "core/aggressive_detector.h"
 #include "core/core_allocator.h"
-#include "core/flow_pinner.h"
 #include "core/live_core_set.h"
+#include "core/map_table.h"
+#include "core/migration_table.h"
 #include "core/power_manager.h"
 #include "sim/scheduler.h"
 
@@ -79,7 +80,8 @@ struct LapsConfig {
   /// "top K" knob swept in Fig. 9. The scheduler defaults the AFC-min
   /// promotion guard ON (see make_default_afd below): migrating a false
   /// positive costs real FM penalties and reordering, so the integrated
-  /// detector is tuned stricter than the standalone one.
+  /// detector is tuned stricter than the standalone one. The migrating
+  /// hybrids (hash-migrate, adaptive-afd) default to the same detector.
   AfdConfig afd = make_default_afd();
 
   static AfdConfig make_default_afd() {
@@ -117,12 +119,12 @@ struct LapsConfig {
 /// only ever holds one program (until a reallocation), which is where the
 /// Fig. 7b cold-cache advantage comes from.
 ///
-/// Since the policy/mechanism split, this class is a *policy*: the ordering
-/// decisions above, composed from reusable mechanisms — a CoreAllocator
-/// (surplus protocol), an AggressiveDetector (AFD), one FlowPinner per
-/// service (map + migration tables), a PowerManager (park/wake timing), and
-/// a LiveCoreSet (fault liveness). The per-packet order of operations is
-/// bit-identical to the pre-split monolith (tests/scheduler_equiv_test).
+/// The policy calls the paper's structures directly: the Afd, and per
+/// service one MapTable and one MigrationTable. Beside them it holds a
+/// CoreAllocator (surplus protocol), a PowerManager (park/wake timing, shared
+/// with AFS+power) and a LiveCoreSet (fault liveness, shared with the
+/// baselines). The per-packet order of operations is pinned by
+/// tests/scheduler_equiv_test.
 class LapsScheduler final : public Scheduler, private PowerHost {
  public:
   explicit LapsScheduler(LapsConfig config = {});
@@ -169,12 +171,12 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   // Introspection for tests.
   const CoreAllocator& allocator() const { return *allocator_; }
   const MapTable& map_table(std::size_t service) const {
-    return pinners_.at(service).map_table();
+    return maps_.at(service);
   }
   const MigrationTable& migration_table(std::size_t service) const {
-    return pinners_.at(service).migration_table();
+    return pins_.at(service);
   }
-  const Afd& afd() const { return detector_->afd(); }
+  const Afd& afd() const { return *afd_; }
   const LapsConfig& config() const { return config_; }
 
   /// Decisions whose chosen core was down and had to be rerouted at the
@@ -228,11 +230,20 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   /// on success; the caller reports denial.
   bool acquire_core(std::size_t service, bool emergency);
 
+  /// Power gating: reclaims one of `service`'s own parked cores (wakes it,
+  /// clears its surplus marks, restores its buckets). Returns the core, or
+  /// nothing when none is parked.
+  std::optional<CoreId> reclaim_parked_core(std::size_t service);
+
   /// Wakes a parked core, accounting its sleep span. Returns true if the
   /// core was parked.
   bool wake_core(CoreId core, TimeNs now);
   /// Adds `core`'s virtual buckets to `service`'s map table.
   void add_core_buckets(std::size_t service, CoreId core);
+  /// Removes `core` from `service`'s routing state: drains its map buckets
+  /// one by one (stopping if the table refuses the last one) and drops its
+  /// pins. Used when a core parks or is granted to another service.
+  void scrub_core(std::size_t service, CoreId core);
 
   /// Emits a scheduler-internal event when a sink is installed.
   void emit(SchedEvent::Kind kind, std::int32_t core, std::int32_t service,
@@ -249,8 +260,9 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   LapsConfig config_;
   SchedEventSink* sink_ = nullptr;
   std::unique_ptr<CoreAllocator> allocator_;
-  std::unique_ptr<AggressiveDetector> detector_;
-  std::vector<FlowPinner> pinners_;  // one per service
+  std::unique_ptr<Afd> afd_;
+  std::vector<MapTable> maps_;        // one per service
+  std::vector<MigrationTable> pins_;  // one per service
   PowerManager power_;
   LiveCoreSet live_;
   TimeNs last_now_ = 0;
@@ -261,6 +273,8 @@ class LapsScheduler final : public Scheduler, private PowerHost {
   std::uint64_t aggressive_migrations_ = 0;
   std::uint64_t core_requests_ = 0;
   std::uint64_t core_requests_denied_ = 0;
+  // Pins found pointing at a core that left the service or died.
+  std::uint64_t stale_pins_dropped_ = 0;
   // Fault counters; the fault_* extra_stats keys appear only when a fault
   // was actually seen, so fault-free artifacts stay byte-identical.
   std::uint64_t cores_down_events_ = 0;

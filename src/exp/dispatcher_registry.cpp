@@ -24,28 +24,27 @@ class Params : public spec::Params<DispatcherSpecError> {
 
 struct Entry {
   const char* name;
-  const char* params;  // help text: parameter list (or "-")
   std::unique_ptr<Dispatcher> (*make)(Params&);
 };
 
 const Entry kRegistry[] = {
-    {"pass", "shard",
+    {"pass",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        const std::uint32_t shard = p.get_u32("shard", 0);
        p.finish();
        return std::make_unique<PassDispatcher>(shard);
      }},
-    {"rr", "-",
+    {"rr",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        p.finish();
        return std::make_unique<RoundRobinDispatcher>();
      }},
-    {"rss", "-",
+    {"rss",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        p.finish();
        return std::make_unique<RssDispatcher>();
      }},
-    {"fdir", "slots",
+    {"fdir",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        const std::size_t slots = p.get_size("slots", 4096);
        if (slots == 0) {
@@ -55,14 +54,14 @@ const Entry kRegistry[] = {
        p.finish();
        return std::make_unique<FlowDirectorDispatcher>(slots);
      }},
-    {"affinity", "th, drain",
+    {"affinity",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        const std::uint64_t th = p.get_u64("th", 32);
        const bool drain = p.get_bool("drain", true);
        p.finish();
        return std::make_unique<AffinityDispatcher>(th, drain);
      }},
-    {"load", "th",
+    {"load",
      [](Params& p) -> std::unique_ptr<Dispatcher> {
        const std::uint64_t th = p.get_u64("th", 32);
        p.finish();
@@ -94,18 +93,6 @@ std::vector<std::string> dispatcher_names() {
   std::vector<std::string> names;
   for (const Entry& entry : kRegistry) names.emplace_back(entry.name);
   return names;
-}
-
-std::string dispatcher_spec_help() {
-  std::ostringstream out;
-  out << "dispatcher specs: name[:key=value,...]\n";
-  for (const Entry& entry : kRegistry) {
-    Params probe(entry.name, {});
-    const auto instance = entry.make(probe);
-    out << "  " << entry.name << " (" << instance->name()
-        << "): " << entry.params << "\n";
-  }
-  return out.str();
 }
 
 DispatcherSpec make_dispatcher_spec(const std::string& spec,

@@ -25,7 +25,8 @@ class DispatcherSpecError : public std::runtime_error {
 ///     spec  := name [ ':' param ( ',' param )* ]
 ///     param := key '=' value
 ///
-/// Registered names (see dispatcher_spec_help() for parameter sets):
+/// Registered names (an unknown-parameter error lists a dispatcher's
+/// parameter set):
 ///   pass     — everything to one shard (`shard=K`); the shards=1
 ///              identity front end
 ///   rr       — packet-level round robin (reorder-maximizing baseline)
@@ -37,12 +38,8 @@ class DispatcherSpecError : public std::runtime_error {
 ///   load     — least-loaded with immediate migration (`th=32`)
 std::unique_ptr<Dispatcher> make_dispatcher(const std::string& spec);
 
-/// All registered dispatcher names, in help order.
+/// All registered dispatcher names, in registry order.
 std::vector<std::string> dispatcher_names();
-
-/// Multi-line human-readable catalog: one line per dispatcher with its
-/// display name and parameter set.
-std::string dispatcher_spec_help();
 
 /// A named dispatcher factory for grid tables: `display` is the row label
 /// (empty derives it from the instance's name()); `make` yields a fresh

@@ -50,6 +50,11 @@ void parse_afd(Params& p, AfdConfig& cfg) {
   cfg.annex_entries = p.get_size("annex", cfg.annex_entries);
   cfg.promote_threshold = p.get_u64("promote", cfg.promote_threshold);
   cfg.sample_probability = p.get_double("sample", cfg.sample_probability);
+  // Checked here, not in Afd's constructor: LAPS builds its Afd at
+  // attach(), long after the spec was accepted.
+  if (cfg.sample_probability < 0.0 || cfg.sample_probability > 1.0) {
+    p.reject("sample", "a probability in [0, 1]");
+  }
   cfg.aging_period = p.get_u64("aging", cfg.aging_period);
   cfg.require_beat_afc_min = p.get_bool("beat_min", cfg.require_beat_afc_min);
 }
@@ -61,23 +66,22 @@ void parse_afd(Params& p, AfdConfig& cfg) {
 
 struct Entry {
   const char* name;
-  const char* params;  // help text: parameter list (or "-")
   std::unique_ptr<Scheduler> (*make)(Params&);
 };
 
 const Entry kRegistry[] = {
-    {"fcfs", "-",
+    {"fcfs",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        p.finish();
        return std::make_unique<FcfsScheduler>();
      }},
-    {"hash", "buckets",
+    {"hash",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        const std::size_t buckets = p.get_size("buckets", 0);
        p.finish();
        return std::make_unique<StaticHashScheduler>(buckets);
      }},
-    {"afs", "high_th, buckets, cooldown",
+    {"afs",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        const std::uint32_t high_th = p.get_u32("high_th", 24);
        const std::size_t buckets = p.get_size("buckets", 0);
@@ -85,15 +89,13 @@ const Entry kRegistry[] = {
        p.finish();
        return std::make_unique<AfsScheduler>(high_th, buckets, cooldown);
      }},
-    {"adaptive", "period, slack, moves, buckets",
+    {"adaptive",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        const auto cfg = parse_adaptive(p);
        p.finish();
        return std::make_unique<AdaptiveHashScheduler>(cfg);
      }},
     {"adaptive-afd",
-     "period, slack, moves, buckets, afc, annex, promote, sample, aging, "
-     "beat_min, high_th, pins",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        CombinedAdaptiveScheduler::CombinedOptions cfg;
        cfg.adaptive = parse_adaptive(p);
@@ -104,13 +106,13 @@ const Entry kRegistry[] = {
        p.finish();
        return std::make_unique<CombinedAdaptiveScheduler>(cfg);
      }},
-    {"batch", "batch",
+    {"batch",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        const std::uint32_t batch = p.get_u32("batch", 32);
        p.finish();
        return std::make_unique<BatchScheduler>(batch);
      }},
-    {"oracle", "k, high_th, refresh, buckets",
+    {"oracle",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        const std::size_t k = p.get_size("k", 16);
        const std::uint32_t high_th = p.get_u32("high_th", 24);
@@ -121,9 +123,6 @@ const Entry kRegistry[] = {
                                                     buckets);
      }},
     {"laps",
-     "services, high_th, idle_th, pins, min_cores, power, sleep_after, "
-     "wake_wm, consolidate_window, consolidate_wm, consolidate_backoff, "
-     "entries, afc, annex, promote, sample, aging, beat_min",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        LapsConfig cfg;
        cfg.num_services = p.get_size("services", cfg.num_services);
@@ -148,7 +147,6 @@ const Entry kRegistry[] = {
        return std::make_unique<LapsScheduler>(cfg);
      }},
     {"hash-migrate",
-     "buckets, afc, annex, promote, sample, aging, beat_min, high_th, pins",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        HashMigrateScheduler::Options cfg;
        cfg.num_buckets = p.get_size("buckets", cfg.num_buckets);
@@ -160,8 +158,6 @@ const Entry kRegistry[] = {
        return std::make_unique<HashMigrateScheduler>(cfg);
      }},
     {"afs-power",
-     "high_th, buckets, cooldown, idle_th, wake_wm, sleep_after, "
-     "consolidate_window, consolidate_wm, consolidate_backoff, min_unparked",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        AfsPowerScheduler::Options cfg;
        cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
@@ -208,20 +204,6 @@ std::vector<std::string> scheduler_names() {
   std::vector<std::string> names;
   for (const Entry& entry : kRegistry) names.emplace_back(entry.name);
   return names;
-}
-
-std::string scheduler_spec_help() {
-  std::ostringstream out;
-  out << "scheduler specs: name[:key=value,...]  (durations take ns/us/ms/s "
-         "suffixes)\n";
-  for (const Entry& entry : kRegistry) {
-    // A throwaway instance supplies the display name shown in tables.
-    Params probe(entry.name, {});
-    const auto instance = entry.make(probe);
-    out << "  " << entry.name << " (" << instance->name()
-        << "): " << entry.params << "\n";
-  }
-  return out.str();
 }
 
 SchedulerSpec make_scheduler_spec(const std::string& spec,

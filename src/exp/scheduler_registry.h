@@ -33,17 +33,14 @@ class SchedulerSpecError : public std::runtime_error {
 /// scheduler names, unknown keys, duplicate keys, and unparseable values
 /// all throw SchedulerSpecError.
 ///
-/// Registered names (see scheduler_spec_help() for the parameter sets):
+/// Registered names (an unknown-parameter error lists a scheduler's
+/// parameter set):
 ///   fcfs, hash, afs, adaptive, adaptive-afd, batch, oracle, laps,
 ///   hash-migrate, afs-power
 std::unique_ptr<Scheduler> make_scheduler(const std::string& spec);
 
-/// All registered scheduler names, in help order.
+/// All registered scheduler names, in registry order.
 std::vector<std::string> scheduler_names();
-
-/// Multi-line human-readable catalog: one line per scheduler with its
-/// display name and parameter set. Embedded in --help and error messages.
-std::string scheduler_spec_help();
 
 /// Wraps a spec as an experiment SchedulerSpec. `display` overrides the
 /// table/artifact name; empty derives it from the instance's name() (so

@@ -15,6 +15,7 @@
 // registry_test).
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -91,6 +92,10 @@ double parse_double(const char* kind, const std::string& name,
     throw Error(std::string(kind) + " '" + name + "': parameter '" + key +
                 "' wants a number, got '" + value + "'");
   }
+  if (!std::isfinite(parsed)) {
+    throw Error(std::string(kind) + " '" + name + "': parameter '" + key +
+                "' wants a finite number, got '" + value + "'");
+  }
   return parsed;
 }
 
@@ -157,6 +162,15 @@ class Params {
   TimeNs get_duration(const char* key, TimeNs def) {
     const std::string* v = consume(key);
     return v ? parse_duration<Error>(kind_, name_, key, *v) : def;
+  }
+
+  /// Rejects a given value that parsed but is out of range, e.g.
+  /// `reject("sample", "a probability in [0, 1]")`.
+  [[noreturn]] void reject(const char* key, const std::string& want) const {
+    const auto it = params_.find(key);
+    throw Error(std::string(kind_) + " '" + name_ + "': parameter '" + key +
+                "' wants " + want + ", got '" +
+                (it == params_.end() ? std::string() : it->second) + "'");
   }
 
   /// Rejects any parameter no getter asked for.
