@@ -36,6 +36,15 @@ class Params : public spec::Params<SchedulerSpecError> {
 
 // ------------------------------------------------ parameters shared by kinds
 
+/// A table size or count that must be at least 1. Checked here, with the
+/// spec, because most of these tables are built only at attach(), when a
+/// zero would fail every cell mid-grid.
+std::size_t get_count(Params& p, const char* key, std::size_t def) {
+  const std::size_t v = p.get_size(key, def);
+  if (v == 0) p.reject(key, "an integer >= 1");
+  return v;
+}
+
 AdaptiveHashScheduler::Options parse_adaptive(Params& p) {
   AdaptiveHashScheduler::Options cfg;
   cfg.period = p.get_u64("period", cfg.period);
@@ -46,8 +55,8 @@ AdaptiveHashScheduler::Options parse_adaptive(Params& p) {
 }
 
 void parse_afd(Params& p, AfdConfig& cfg) {
-  cfg.afc_entries = p.get_size("afc", cfg.afc_entries);
-  cfg.annex_entries = p.get_size("annex", cfg.annex_entries);
+  cfg.afc_entries = get_count(p, "afc", cfg.afc_entries);
+  cfg.annex_entries = get_count(p, "annex", cfg.annex_entries);
   cfg.promote_threshold = p.get_u64("promote", cfg.promote_threshold);
   cfg.sample_probability = p.get_double("sample", cfg.sample_probability);
   // Checked here, not in Afd's constructor: LAPS builds its Afd at
@@ -102,7 +111,7 @@ const Entry kRegistry[] = {
        parse_afd(p, cfg.afd);
        cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
        cfg.migration_table_capacity =
-           p.get_size("pins", cfg.migration_table_capacity);
+           get_count(p, "pins", cfg.migration_table_capacity);
        p.finish();
        return std::make_unique<CombinedAdaptiveScheduler>(cfg);
      }},
@@ -125,13 +134,15 @@ const Entry kRegistry[] = {
     {"laps",
      [](Params& p) -> std::unique_ptr<Scheduler> {
        LapsConfig cfg;
-       cfg.num_services = p.get_size("services", cfg.num_services);
+       // services above the run's core count still fails at attach():
+       // the core count is not known here.
+       cfg.num_services = get_count(p, "services", cfg.num_services);
        cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
        cfg.idle_th = p.get_duration("idle_th", cfg.idle_th);
        cfg.migration_table_capacity =
-           p.get_size("pins", cfg.migration_table_capacity);
+           get_count(p, "pins", cfg.migration_table_capacity);
        cfg.min_cores_per_service =
-           p.get_size("min_cores", cfg.min_cores_per_service);
+           get_count(p, "min_cores", cfg.min_cores_per_service);
        cfg.power_gating = p.get_bool("power", cfg.power_gating);
        cfg.sleep_after = p.get_duration("sleep_after", cfg.sleep_after);
        cfg.wake_watermark = p.get_u32("wake_wm", cfg.wake_watermark);
@@ -141,7 +152,7 @@ const Entry kRegistry[] = {
            p.get_u32("consolidate_wm", cfg.consolidate_watermark);
        cfg.consolidate_backoff =
            p.get_duration("consolidate_backoff", cfg.consolidate_backoff);
-       cfg.entries_per_core = p.get_size("entries", cfg.entries_per_core);
+       cfg.entries_per_core = get_count(p, "entries", cfg.entries_per_core);
        parse_afd(p, cfg.afd);
        p.finish();
        return std::make_unique<LapsScheduler>(cfg);
@@ -153,7 +164,7 @@ const Entry kRegistry[] = {
        parse_afd(p, cfg.afd);
        cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
        cfg.migration_table_capacity =
-           p.get_size("pins", cfg.migration_table_capacity);
+           get_count(p, "pins", cfg.migration_table_capacity);
        p.finish();
        return std::make_unique<HashMigrateScheduler>(cfg);
      }},

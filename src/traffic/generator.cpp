@@ -62,8 +62,10 @@ void PacketGenerator::advance(PerService& s) {
       s.next_time_s = t;
       return;
     }
-    const double accept = s.curve.rate_mpps(t, s.noise) / s.bound_mpps;
-    if (s.rng.uniform() < accept) {
+    // The curve draws nothing from s.rng, so taking u before deciding
+    // keeps the draw order of `uniform() < rate / bound`.
+    const double u = s.rng.uniform();
+    if (s.curve.accepts(t, u, s.bound_mpps, s.noise)) {
       s.next_time_s = t;
       return;
     }
@@ -87,12 +89,28 @@ std::uint32_t PacketGenerator::global_flow(PerService& s,
 }
 
 ReplayStream ReplayStream::record(ArrivalStream& source) {
-  auto packets = std::make_shared<std::vector<GeneratedPacket>>();
-  while (auto pkt = source.next()) packets->push_back(*pkt);
+  auto chunks = std::make_shared<std::vector<Chunk>>();
+  std::size_t size = 0;
+  while (auto pkt = source.next()) {
+    if (size % kChunkPackets == 0) {
+      chunks->emplace_back().reserve(kChunkPackets);
+    }
+    chunks->back().push_back(*pkt);
+    ++size;
+  }
   ReplayStream replay;
-  replay.packets_ = std::move(packets);
+  replay.chunks_ = std::move(chunks);
+  replay.size_ = size;
   replay.total_flows_ = source.total_flows();
   return replay;
+}
+
+bool ReplayStream::enter_next_chunk() {
+  if (next_chunk_ == chunks_->size()) return false;
+  const Chunk& chunk = (*chunks_)[next_chunk_++];
+  pos_ = chunk.data();
+  end_ = pos_ + chunk.size();  // never empty
+  return true;
 }
 
 std::optional<GeneratedPacket> PacketGenerator::next() {

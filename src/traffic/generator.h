@@ -109,46 +109,61 @@ class PacketGenerator final : public ArrivalStream {
   std::uint32_t dynamic_next_ = 0;  // shared id pool for hint-less traces
 };
 
-/// A pre-materialized arrival sequence. `record` drains a generator into a
-/// contiguous buffer; `rewind` makes the same traffic replayable any number
-/// of times. Kernel microbenchmarks use this to time the simulator without
-/// the (dominant) cost of online generation in the loop.
+/// A pre-materialized arrival sequence. `record` drains a generator into
+/// fixed-size chunks of kChunkPackets packets, appended as the source
+/// drains, so recording never copies a stored packet and never holds two
+/// copies of the stream; `rewind` makes the same traffic replayable any
+/// number of times. Kernel microbenchmarks use this to time the simulator
+/// without the (dominant) cost of online generation in the loop.
 ///
-/// The recorded buffer is immutable and shared: `fork()` returns an
+/// The recorded chunks are immutable and shared: `fork()` returns an
 /// independent cursor over the same packets, so several consumers (e.g.
 /// grid cells timing different configurations, or differential runs that
 /// must see byte-identical traffic) each get the full deterministic
-/// sequence without re-recording or double-consuming one stream. A
-/// ReplayStream was previously single-consumer — handing it to two runs
-/// meant the second saw an exhausted stream.
+/// sequence without re-recording or double-consuming one stream.
 class ReplayStream final : public ArrivalStream {
  public:
+  /// Packets per chunk; every chunk but the last is full.
+  static constexpr std::size_t kChunkPackets = 4096;
+
   /// Drains `source` to exhaustion.
   static ReplayStream record(ArrivalStream& source);
 
   std::optional<GeneratedPacket> next() override {
-    if (pos_ >= packets_->size()) return std::nullopt;
-    return (*packets_)[pos_++];
+    if (pos_ == end_ && !enter_next_chunk()) return std::nullopt;
+    return *pos_++;
   }
   std::size_t total_flows() const override { return total_flows_; }
 
-  void rewind() { pos_ = 0; }
-  std::size_t size() const { return packets_->size(); }
+  void rewind() {
+    next_chunk_ = 0;
+    pos_ = end_ = nullptr;
+  }
+  std::size_t size() const { return size_; }
 
-  /// Independent cursor at position 0 over the same recorded buffer.
+  /// Independent cursor at position 0 over the same recorded chunks.
   /// Cheap (shared_ptr copy); the forked stream's consumption does not
   /// affect this one and vice versa.
   ReplayStream fork() const {
     ReplayStream copy(*this);
-    copy.pos_ = 0;
+    copy.rewind();
     return copy;
   }
 
  private:
-  std::shared_ptr<const std::vector<GeneratedPacket>> packets_ =
-      std::make_shared<std::vector<GeneratedPacket>>();
+  using Chunk = std::vector<GeneratedPacket>;
+
+  // Points the cursor at the next chunk; false past the last one.
+  bool enter_next_chunk();
+
+  std::shared_ptr<const std::vector<Chunk>> chunks_ =
+      std::make_shared<std::vector<Chunk>>();
+  std::size_t size_ = 0;
   std::size_t total_flows_ = 0;
-  std::size_t pos_ = 0;
+  // The cursor: [pos_, end_) is what is left of chunk next_chunk_ - 1.
+  std::size_t next_chunk_ = 0;
+  const GeneratedPacket* pos_ = nullptr;
+  const GeneratedPacket* end_ = nullptr;
 };
 
 /// Computes the mean offered load of `services` relative to the ideal

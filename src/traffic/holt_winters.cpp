@@ -6,6 +6,13 @@
 #include "util/samplers.h"
 
 namespace laps {
+namespace {
+
+// accepts()'s relative band margin: far above the few units of 2^-53 of
+// rounding it must cover, far below the band's width when C != 0.
+constexpr double kSqueezeMargin = 1e-9;
+
+}  // namespace
 
 std::vector<HoltWintersParams> table4_params(int set) {
   // Paper Table IV. {a, b, C, m, sigma}; rates Mpps, periods seconds.
@@ -45,22 +52,35 @@ double HoltWintersRate::mean_rate_mpps(double t) const {
       t >= 0 && t < params_.m ? t : std::fmod(t, params_.m);
   const double phase = in_period / params_.m;
   const double season = std::sin(2.0 * 3.14159265358979323846 * phase);
-  const double r = params_.a + params_.b * t + params_.c * season;
-  return r > floor_mpps ? r : floor_mpps;
+  return clamp_floor(params_.a + params_.b * t + params_.c * season);
+}
+
+double HoltWintersRate::noise_mpps(double t, NoiseMemo& memo) const {
+  if (params_.sigma <= 0) return 0.0;
+  const auto interval = static_cast<std::uint64_t>(t / noise_interval_);
+  if (!memo.valid || memo.interval != interval) {
+    Rng rng(mix64(seed_ ^ mix64(interval + 1)));
+    memo = {interval, sample_gaussian(rng, params_.sigma), true};
+  }
+  return memo.noise;
 }
 
 double HoltWintersRate::rate_mpps(double t, NoiseMemo& memo) const {
-  double noise = 0.0;
-  if (params_.sigma > 0) {
-    const auto interval = static_cast<std::uint64_t>(t / noise_interval_);
-    if (!memo.valid || memo.interval != interval) {
-      Rng rng(mix64(seed_ ^ mix64(interval + 1)));
-      memo = {interval, sample_gaussian(rng, params_.sigma), true};
-    }
-    noise = memo.noise;
-  }
-  const double r = mean_rate_mpps(t) + noise;
-  return r > floor_mpps ? r : floor_mpps;
+  return clamp_floor(mean_rate_mpps(t) + noise_mpps(t, memo));
+}
+
+bool HoltWintersRate::accepts(double t, double u, double bound_mpps,
+                              NoiseMemo& memo) const {
+  const double noise = noise_mpps(t, memo);
+  // The same sum mean_rate_mpps forms, with C*S at its extremes.
+  const double trend = params_.a + params_.b * t;
+  const double c = std::abs(params_.c);
+  const double lo = clamp_floor(clamp_floor(trend - c) + noise);
+  const double hi = clamp_floor(clamp_floor(trend + c) + noise);
+  const double scaled = u * bound_mpps;
+  if (scaled < lo * (1.0 - kSqueezeMargin)) return true;
+  if (scaled > hi * (1.0 + kSqueezeMargin)) return false;
+  return u < clamp_floor(mean_rate_mpps(t) + noise) / bound_mpps;
 }
 
 double HoltWintersRate::rate_bound_mpps(double horizon) const {

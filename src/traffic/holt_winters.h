@@ -63,6 +63,15 @@ class HoltWintersRate {
   /// function of the interval index the memo is keyed on.
   double rate_mpps(double t, NoiseMemo& memo) const;
 
+  /// The thinning decision `u < rate_mpps(t, memo) / bound_mpps`, exactly,
+  /// mostly without the sine. The seasonal term C*S lies in [-|C|, |C|],
+  /// and every step from it to the rate (two sums, two floor clamps) is
+  /// monotone in floating point, so the rate lies between the values those
+  /// steps give at -|C| and at +|C|. Only a `u * bound_mpps` inside that
+  /// band, widened by a relative 1e-9, evaluates the curve; the margin
+  /// covers the rounding of u * bound_mpps against the quotient's.
+  bool accepts(double t, double u, double bound_mpps, NoiseMemo& memo) const;
+
   /// Rate without the noise term — used for capacity calibration.
   double mean_rate_mpps(double t) const;
 
@@ -77,6 +86,11 @@ class HoltWintersRate {
   static constexpr double floor_mpps = 0.01;
 
  private:
+  static double clamp_floor(double r) {
+    return r > floor_mpps ? r : floor_mpps;
+  }
+  double noise_mpps(double t, NoiseMemo& memo) const;
+
   HoltWintersParams params_;
   std::uint64_t seed_;
   double noise_interval_;

@@ -14,9 +14,11 @@ namespace laps {
 /// Internet flow-size distributions are well modeled as Zipfian ("the war
 /// between mice and elephants", Guo & Matta 2001); the paper's Fig. 2 shows
 /// exactly this rank/size behaviour for the CAIDA and Auckland traces. The
-/// sampler precomputes the CDF once (O(n) memory) and inverts it per draw
-/// by a binary search that a guide table over G equal slices of [0, 1]
-/// narrows to a few ranks, so that draws are cheap during trace generation.
+/// sampler precomputes the CDF once (O(n) memory) and inverts it per draw:
+/// a guide table over G equal slices of [0, 1] narrows the search to a
+/// bracket of a few ranks, and a guess interpolated inside the bracket
+/// usually lands on the answer, so that draws are cheap during trace
+/// generation.
 class ZipfSampler {
  public:
   /// `n` ranks, skew `alpha` > 0. Larger alpha = heavier head.
@@ -28,15 +30,30 @@ class ZipfSampler {
   /// The rank a uniform value `u` in [0, 1) maps to: the first k with
   /// cdf()[k] >= u, exactly what std::lower_bound over the whole CDF
   /// returns. With j = floor(u*G), j/G <= u < (j+1)/G, and both u*G and j/G
-  /// are exact because G is a power of two, so the answer lies in
-  /// [guide_[j], guide_[j+1]]: the search runs over [guide_[j],
-  /// guide_[j+1]) and ends at guide_[j+1] when nothing before it reaches u.
+  /// are exact because G is a power of two, so the answer lies in the
+  /// bracket [lo, hi] = [guide_[j], guide_[j+1]], and cdf[hi] > u.
   std::size_t rank(double u) const {
     const auto j = static_cast<std::size_t>(u * guide_slices_);
-    const auto first = cdf_.begin() + guide_[j];
-    const auto last = cdf_.begin() + guide_[j + 1];
-    return static_cast<std::size_t>(std::lower_bound(first, last, u) -
-                                    cdf_.begin());
+    std::size_t lo = guide_[j];
+    std::size_t hi = guide_[j + 1];
+    const double* cdf = cdf_.data();
+    if (u <= cdf[lo]) return lo;
+    // cdf[lo] < u < cdf[hi], so the answer is in (lo, hi]. Guess the rank
+    // where the chord between the bracket's ends reaches u, then check it
+    // and its neighbour; a miss narrows the bracket for the search.
+    const double ranks_per_unit =
+        static_cast<double>(hi - lo) / (cdf[hi] - cdf[lo]);
+    const std::size_t k = std::min(
+        hi, lo + 1 + static_cast<std::size_t>((u - cdf[lo]) * ranks_per_unit));
+    if (cdf[k] >= u) {
+      if (cdf[k - 1] < u) return k;
+      hi = k - 1;  // cdf[lo] < u <= cdf[k - 1]
+    } else {
+      if (cdf[k + 1] >= u) return k + 1;  // k < hi, as cdf[hi] > u
+      lo = k + 1;  // cdf[k + 1] < u < cdf[hi]
+    }
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf + lo + 1, cdf + hi, u) - cdf);
   }
 
   /// Probability mass of rank `k` (0-based).

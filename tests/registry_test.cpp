@@ -168,6 +168,34 @@ void check_same_decisions(const std::string& a, const std::string& b) {
   EXPECT_EQ(x->extra_stats(), y->extra_stats());
 }
 
+// A zero table size or count could only fail at attach(), in every cell of
+// the grid, with an error that names no key (`MapTable: needs at least one
+// core`, `LfuCache: capacity 0`). The spec rejects it by key and range.
+TEST(SchedulerSpecErrors, ZeroSizesAreRejectedByKey) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"laps", "services"},     {"laps", "entries"},
+      {"laps", "pins"},         {"laps", "min_cores"},
+      {"laps", "afc"},          {"laps", "annex"},
+      {"hash-migrate", "afc"},  {"hash-migrate", "annex"},
+      {"hash-migrate", "pins"}, {"adaptive-afd", "afc"},
+      {"adaptive-afd", "annex"}, {"adaptive-afd", "pins"},
+  };
+  for (const auto& [kind, key] : cases) {
+    const std::string spec = kind + ":" + key + "=0";
+    EXPECT_EQ(error_of(spec), "scheduler '" + kind + "': parameter '" + key +
+                                  "' wants an integer >= 1, got '0'");
+    EXPECT_THROW(make_scheduler_spec(spec), SchedulerSpecError) << spec;
+    check_runs(kind + ":" + key + "=1");
+  }
+}
+
+// The registry does not know the run's core count, so more services than
+// cores passes the spec and fails when the scheduler is attached.
+TEST(SchedulerSpecErrors, ServicesAboveTheCoreCountFailAtAttach) {
+  const SchedulerSpec spec = make_scheduler_spec("laps:services=64");
+  EXPECT_THROW(spec.make()->attach(16), std::invalid_argument);
+}
+
 TEST(RegistryRoundTrip, HandWrittenSpecs) {
   for (const char* spec : {
            "fcfs",

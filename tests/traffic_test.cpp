@@ -106,6 +106,72 @@ TEST(HoltWintersNoiseMemo, ShuffledTimesMatchAFreshCurve) {
   }
 }
 
+// accepts() decides `u < rate_mpps(t, memo) / bound` from the curve's
+// bounds and evaluates the curve only inside their band. It must agree
+// with the quotient everywhere: at random (t, u), and at u on the exact
+// quotient and one or two ulps either side, where only the squeeze's margin
+// keeps the band's edges exact. The times include every seasonal peak and
+// trough, where the rate sits on the band's edge. Curves: every Table IV
+// curve scaled by 0.05 to 1.4, with and without its seasonal term (without
+// it the band is one value wide), the flat single-service curve, and curves
+// that sit at floor_mpps always, at times, or by the inner clamp alone.
+TEST(HoltWintersSqueeze, AcceptsEqualsTheQuotientDecision) {
+  std::vector<HoltWintersParams> curves;
+  for (int set : {1, 2}) {
+    for (const HoltWintersParams& p : table4_params(set)) {
+      for (const double k : {0.05, 0.1, 0.25, 0.5, 0.8, 1.0, 1.2, 1.4}) {
+        HoltWintersParams scaled{k * p.a, k * p.b, k * p.c, p.m, k * p.sigma};
+        curves.push_back(scaled);
+        scaled.c = 0.0;
+        curves.push_back(scaled);
+      }
+    }
+  }
+  for (const double k : {0.05, 0.3, 1.0, 1.4}) {
+    curves.push_back({k, 0.0, 0.0, 60.0, 0.0});  // make_single_service_scenario
+  }
+  curves.push_back({0.005, 0.0, 0.002, 1.0, 0.0});  // always at the floor
+  curves.push_back({0.02, 0.0, 0.05, 2.0, 0.01});   // below it each trough
+  curves.push_back({0.5, -0.02, 0.3, 7.0, 0.2});    // trend falls below it
+  curves.push_back({-0.5, 0.0, 0.2, 3.0, 0.6});     // a + |C| < floor
+
+  constexpr double kHorizon = 60.0;
+  Rng rng(36);
+  std::uint64_t decisions = 0;
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const HoltWintersParams& p = curves[i];
+    SCOPED_TRACE("curve " + std::to_string(i) + " a=" + std::to_string(p.a) +
+                 " c=" + std::to_string(p.c));
+    const HoltWintersRate curve(p, mix64(i + 1));
+    const double bound = curve.rate_bound_mpps(kHorizon);
+    ASSERT_GT(bound, 0.0);
+    std::vector<double> times;
+    for (double peak = p.m / 4; peak < kHorizon; peak += p.m / 2) {
+      times.push_back(peak);
+    }
+    for (int n = 0; n < 4000; ++n) times.push_back(kHorizon * rng.uniform());
+    HoltWintersRate::NoiseMemo memo;
+    for (const double t : times) {
+      const double rate = curve.rate_mpps(t);
+      std::vector<double> probes = {rng.uniform(), rate / bound};
+      double below = probes.back();
+      double above = probes.back();
+      for (int ulps = 1; ulps <= 2; ++ulps) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, 2.0);
+        probes.push_back(below);
+        probes.push_back(above);
+      }
+      for (const double u : probes) {
+        ASSERT_EQ(curve.accepts(t, u, bound, memo), u < rate / bound)
+            << "t=" << t << " u=" << u;
+        ++decisions;
+      }
+    }
+  }
+  EXPECT_GT(decisions, 3'000'000u);
+}
+
 TEST(HoltWinters, RateNeverBelowFloor) {
   HoltWintersParams p{0.0, -1.0, 0.0, 10.0, 0.0};  // strongly negative trend
   HoltWintersRate rate(p, 1);
@@ -437,6 +503,94 @@ TEST(ReplayFork, ForksAreIndependentDeterministicCursors) {
   // rewind() still restarts the parent after forks exist.
   original.rewind();
   EXPECT_TRUE(same_packets(drain(original), golden));
+}
+
+// ----------------------------------------------------- ReplayStream chunks ---
+
+/// `n` packets whose every compared field differs from its neighbours', so
+/// a recording can end anywhere relative to a chunk boundary.
+class CountingStream final : public ArrivalStream {
+ public:
+  explicit CountingStream(std::size_t n) : n_(n) {}
+  std::optional<GeneratedPacket> next() override {
+    if (i_ == n_) return std::nullopt;
+    GeneratedPacket pkt;
+    pkt.time = static_cast<TimeNs>(3 * i_);
+    pkt.service = i_ % 2 == 0 ? ServicePath::kIpForward : ServicePath::kVpnOut;
+    pkt.record.tuple.src_ip = static_cast<std::uint32_t>(mix64(i_));
+    pkt.record.flow_id = static_cast<std::uint32_t>(i_);
+    pkt.gflow = static_cast<std::uint32_t>(i_ % 101);
+    ++i_;
+    return pkt;
+  }
+  std::size_t total_flows() const override { return 101; }
+
+ private:
+  std::size_t n_;
+  std::size_t i_ = 0;
+};
+
+// Recordings of 0, 1, C-1, C, C+1 and 3C+7 packets (C = kChunkPackets)
+// each replay their source packet for packet: drained, rewound, forked,
+// and from copies and moves of a cursor stopped one short of a chunk
+// boundary and on it. Two forks advance independently.
+TEST(ReplayChunks, RecordingsAroundChunkBoundariesReplayTheirSource) {
+  EXPECT_EQ(ReplayStream{}.size(), 0u);
+  EXPECT_FALSE(ReplayStream{}.next().has_value());
+  constexpr std::size_t C = ReplayStream::kChunkPackets;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, C - 1, C, C + 1,
+                              3 * C + 7}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    CountingStream reference(n);
+    const std::vector<GeneratedPacket> want = drain(reference);
+    ASSERT_EQ(want.size(), n);
+    CountingStream source(n);
+    ReplayStream replay = ReplayStream::record(source);
+    EXPECT_EQ(replay.size(), n);
+    EXPECT_EQ(replay.total_flows(), source.total_flows());
+    EXPECT_TRUE(same_packets(drain(replay), want));
+    EXPECT_FALSE(replay.next().has_value());
+    replay.rewind();
+    EXPECT_TRUE(same_packets(drain(replay), want));
+
+    for (const std::size_t at : {std::min(n, C - 1), std::min(n, C)}) {
+      SCOPED_TRACE("stopped at " + std::to_string(at));
+      replay.rewind();
+      for (std::size_t i = 0; i < at; ++i) ASSERT_TRUE(replay.next());
+      const std::vector<GeneratedPacket> rest(want.begin() + at, want.end());
+      ReplayStream copy = replay;
+      ReplayStream moved = std::move(copy);
+      ReplayStream copy_again = moved;
+      ReplayStream fork = replay.fork();
+      EXPECT_TRUE(same_packets(drain(moved), rest));
+      EXPECT_TRUE(same_packets(drain(copy_again), rest));
+      EXPECT_TRUE(same_packets(drain(fork), want));
+      EXPECT_TRUE(same_packets(drain(replay), rest));
+      EXPECT_EQ(fork.size(), n);
+      EXPECT_EQ(fork.total_flows(), source.total_flows());
+    }
+
+    // a takes two packets for each one b takes.
+    ReplayStream a = replay.fork();
+    ReplayStream b = replay.fork();
+    std::vector<GeneratedPacket> from_a;
+    std::vector<GeneratedPacket> from_b;
+    for (bool more = true; more;) {
+      more = false;
+      for (int i = 0; i < 2; ++i) {
+        if (const auto pkt = a.next()) {
+          from_a.push_back(*pkt);
+          more = true;
+        }
+      }
+      if (const auto pkt = b.next()) {
+        from_b.push_back(*pkt);
+        more = true;
+      }
+    }
+    EXPECT_TRUE(same_packets(from_a, want));
+    EXPECT_TRUE(same_packets(from_b, want));
+  }
 }
 
 // ------------------------------------------------------- generator golden ---

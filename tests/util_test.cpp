@@ -335,6 +335,39 @@ TEST(ZipfRank, MatchesFullSearchAtGuideEdgesEndsAndSeededDraws) {
       for (const double u : {0.0, last_uniform}) {
         ASSERT_EQ(z.rank(u), full_search(z, u)) << "u=" << u;
       }
+      // Where the interpolated guess lands: every rank of the 64 longest
+      // brackets (for n = 300k, the tail), probed at u = cdf[k] and the two
+      // doubles either side of it.
+      const std::vector<double>& cdf = z.cdf();
+      const auto first_reaching = [&](std::size_t j) {
+        const double edge = static_cast<double>(j) / slices;
+        return static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), edge) - cdf.begin());
+      };
+      std::vector<std::pair<std::size_t, std::size_t>> brackets;  // length, lo
+      for (std::size_t j = 0; j < slices; ++j) {
+        const std::size_t lo = first_reaching(j);
+        brackets.emplace_back(first_reaching(j + 1) - lo, lo);
+      }
+      std::sort(brackets.rbegin(), brackets.rend());
+      brackets.resize(std::min<std::size_t>(brackets.size(), 64));
+      for (const auto& [length, lo] : brackets) {
+        for (std::size_t k = lo; k <= lo + length; ++k) {
+          std::vector<double> probes = {cdf[k]};
+          double below = cdf[k];
+          double above = cdf[k];
+          for (int ulps = 1; ulps <= 2; ++ulps) {
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, 1.0);
+            probes.push_back(below);
+            probes.push_back(above);
+          }
+          for (const double u : probes) {
+            if (u < 0.0 || u > last_uniform) continue;
+            ASSERT_EQ(z.rank(u), full_search(z, u)) << "u=" << u << " k=" << k;
+          }
+        }
+      }
       Rng rng(mix64(n) ^ 0x5EED);
       Rng same(mix64(n) ^ 0x5EED);
       for (int i = 0; i < 1'000'000; ++i) {
